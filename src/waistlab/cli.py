@@ -114,6 +114,8 @@ class ExperimentConfig:
                 raise ConfigError(f"need 1 <= k <= n, got k={self.k}, n={n}")
         if self.eps is not None and not (0.0 < self.eps <= 2.0):
             raise ConfigError(f"eps must lie in (0, 2], got {self.eps}")
+        if self.eps is None and self.command in ("verify-waist", "verify-iso"):
+            raise ConfigError(f"{self.command} requires --eps")
         if self.eps is None and self.eps_grid is None and self.command != "needle-suite":
             raise ConfigError("provide --eps or --eps-grid")
         if self.samples < 1 or self.fiber_points < 1 or self.trials < 1:

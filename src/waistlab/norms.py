@@ -132,7 +132,13 @@ def _fmt_num(x: float) -> str:
 
 
 def parse_norm(text: str) -> NormDescriptor:
-    """Parse a descriptor string produced by :func:`format_norm`."""
+    """Parse a descriptor string produced by :func:`format_norm`.
+
+    Any string not of that form raises ``ValueError("malformed norm
+    string ...")``. A well-formed string naming an unsupported norm keeps its
+    own message: p outside (1, inf), or smoothing above dim 4
+    (:class:`UnsupportedNormError`).
+    """
     parts = text.strip().split(":")
     try:
         if parts[0] == "euclidean":
@@ -153,9 +159,13 @@ def parse_norm(text: str) -> NormDescriptor:
             else:
                 raise ValueError
             opts = dict(item.split("=", 1) for item in rest)
+            if sorted(opts) != ["d", "w"]:
+                raise ValueError
             return smooth_norm(base, float(opts["w"]), float(opts["d"]))
         raise ValueError
-    except ValueError as exc:
+    except UnsupportedNormError:
+        raise
+    except (ValueError, IndexError) as exc:
         if "1 < p < inf" in str(exc):
             raise
         raise ValueError(f"malformed norm string {text!r}") from exc
@@ -176,26 +186,65 @@ def norm_eval(norm: NormDescriptor, x) -> np.ndarray | float:
         )
     scalar = x.ndim == 1
     x2 = x[None, :] if scalar else x
-    if norm.kind == "euclidean":
-        out = np.linalg.norm(x2, axis=-1)
-    elif norm.kind == "lp":
-        out = _lp_eval(x2, norm.p)
-    else:
+    if norm.kind == "regularized":
         out = _regularized_eval(norm, x2)
+    else:
+        out = _column_norm(norm, np.moveaxis(x2, -1, 0))
     return float(out[0]) if scalar else out
 
 
-def _lp_eval(x: np.ndarray, p: float) -> np.ndarray:
+def _column_norm(norm: NormDescriptor, cols: np.ndarray) -> np.ndarray:
+    """Evaluate a euclidean or l_p norm on coordinate-major input: ``cols``
+    has shape (dim, ...), one array per coordinate.
+
+    Reducing with elementwise ufuncs across the coordinate arrays avoids
+    numpy's per-row cost on a short last axis. :func:`_column_sum` keeps
+    numpy's summation order, so the values equal the row-major
+    ``np.linalg.norm`` and ``sum(axis=-1)`` formulas bit for bit.
+    """
+    if norm.kind == "euclidean":
+        return np.sqrt(_column_sum(cols * cols))
     # Factor out the max component so huge/tiny inputs neither overflow
     # nor underflow before the 1/p root.
-    ax = np.abs(x)
-    m = ax.max(axis=-1)
-    out = np.zeros_like(m)
+    ax = np.abs(cols)
+    m = np.maximum(ax[0], ax[1])
+    for col in ax[2:]:
+        np.maximum(m, col, out=m)
     nz = m > 0
-    if np.any(nz):
-        scaled = ax[nz] / m[nz][..., None]
-        out[nz] = m[nz] * np.power(np.power(scaled, p).sum(axis=-1), 1.0 / p)
+    if nz.all():
+        return _scaled_lp(ax, m, norm.p)
+    out = np.zeros_like(m)
+    out[nz] = _scaled_lp(ax[:, nz], m[nz], norm.p)
     return out
+
+
+def _scaled_lp(ax: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
+    # Overwrites ``ax``, which the caller owns.
+    ax /= m
+    return m * np.power(_column_sum(np.power(ax, p, out=ax)), 1.0 / p)
+
+
+def _column_sum(cols: np.ndarray) -> np.ndarray:
+    """Sum at least two arrays stacked on the leading axis, in the order of
+    numpy's pairwise summation along a contiguous row: left to right below
+    8 terms, eight interleaved partial sums up to 128, halves beyond."""
+    n = cols.shape[0]
+    if n < 8:
+        out = cols[0] + cols[1]
+        for col in cols[2:]:
+            out += col
+        return out
+    if n <= 128:
+        full = n - n % 8
+        r = cols[:8].copy()
+        for lo in range(8, full, 8):
+            r += cols[lo : lo + 8]
+        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for col in cols[full:]:
+            out += col
+        return out
+    half = n // 2 - (n // 2) % 8
+    return _column_sum(cols[:half]) + _column_sum(cols[half:])
 
 
 def _ball_quadrature(dim: int, width: float):
@@ -229,12 +278,15 @@ def _mollified_base(norm: NormDescriptor, x: np.ndarray) -> np.ndarray:
         return out
     ref = _HOMOG_RADIUS * x[nz] / r[nz][..., None]
     vals = np.zeros(ref.shape[0])
-    # Chunk so the (points x nodes x dim) intermediate stays small.
+    # Chunk so the (dim x points x nodes) intermediate stays small. The row
+    # count per chunk must not change: BLAS matrix-vector products round
+    # differently with the number of rows, so (A[:175] @ w) and
+    # (A @ w)[:175] can differ in the last bit, and reports with them.
     step = max(1, 2_000_000 // max(1, offsets.shape[0] * norm.dim))
     for lo in range(0, ref.shape[0], step):
         block = ref[lo : lo + step]
-        diffs = block[:, None, :] - offsets[None, :, :]
-        vals[lo : lo + step] = norm_eval(base, diffs) @ weights
+        diffs = block.T[:, :, None] - offsets.T[:, None, :]
+        vals[lo : lo + step] = _column_norm(base, diffs) @ weights
     out[nz] = vals * r[nz] / _HOMOG_RADIUS
     return out
 
@@ -329,7 +381,11 @@ class ModulusCurve:
 
     ``source`` records provenance: "analytic" for closed forms or
     "numeric_lower_estimate" for grid estimates (kept monotone, linearly
-    interpolated, delta(0) = 0 by continuity).
+    interpolated, delta(0) = 0 by continuity). Despite that name, a numeric
+    curve is an *upper* estimate of delta: the search behind it returns the
+    smallest value it found, never less than the infimum. A waist bound
+    built on it therefore leans non-conservative. The source string keeps its
+    historical name for the callers that match on it.
     """
 
     source: str  # "analytic" | "numeric_lower_estimate"
@@ -502,7 +558,12 @@ def numeric_modulus_curve(
     budget: int = 100_000,
     seed: int = 0,
 ) -> ModulusCurve:
-    """Estimate the modulus on a grid and wrap it as a monotone curve."""
+    """Estimate the modulus on a grid and wrap it as a monotone curve.
+
+    Each grid value is the smallest 1 - ||x+y||/2 the section search found,
+    an upper estimate of delta(eps); bounds computed from the curve can come
+    out slightly too high (non-conservative).
+    """
     if eps_grid is None:
         eps_grid = np.linspace(0.1, 1.9, 19)
     eps_grid = np.asarray(eps_grid, dtype=float)

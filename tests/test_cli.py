@@ -17,6 +17,29 @@ def test_malformed_norm_exits_2(capsys):
     assert "1 < p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("norm, message", [
+    ("reg:lp", "malformed norm string"),
+    ("reg:lp:2:3:w=0.1", "malformed norm string"),
+    ("reg:lp:2:5:w=0.05:d=0.01", "dim <= 4"),
+])
+def test_bad_norm_string_exits_2_with_one_line(norm, message, capsys):
+    rc = main(["bound", "--norm", norm, "--k", "1", "--eps", "0.5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify-waist", "verify-iso"])
+def test_verify_without_eps_exits_2(command, capsys):
+    rc = main([command, "--norm", "euclidean:3", "--k", "1",
+               "--eps-grid", "0.2:0.6:0.2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{command} requires --eps" in err
+    assert err.count("\n") == 1
+
+
 def test_inconsistent_n_exits_2(capsys):
     rc = main(["bound", "--norm", "euclidean:3", "--n", "5", "--k", "1",
                "--eps", "0.5"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waistlab import norms as norms_module
 from waistlab.norms import (
     DimensionMismatchError,
     UnsupportedNormError,
@@ -54,9 +55,102 @@ def test_norm_string_round_trip(text):
 
 
 def test_parse_norm_rejects_garbage():
-    for bad in ("euclid:3", "lp:4", "lp:x:3", "euclidean:1", ""):
-        with pytest.raises(ValueError):
+    for bad in ("euclid:3", "lp:4", "lp:x:3", "euclidean:1", "", "reg",
+                "reg:lp", "reg:lp:2", "reg:euclidean", "reg:lp:2:3:w=0.1",
+                "reg:lp:2:3:w=0.1:d=0.1:x=1", "reg:lp:2:3:w:d"):
+        with pytest.raises(ValueError, match="malformed norm string"):
             parse_norm(bad)
+
+
+def test_parse_norm_keeps_unsupported_norm_message():
+    with pytest.raises(UnsupportedNormError, match="dim <= 4"):
+        parse_norm("reg:lp:2:5:w=0.05:d=0.01")
+    with pytest.raises(ValueError, match="1 < p"):
+        parse_norm("reg:lp:1:3:w=0.05:d=0.01")
+
+
+# ---------------------------------------------------------------------------
+# Coordinate-major kernel against the row-major formulas
+# ---------------------------------------------------------------------------
+
+def _row_major_lp(x, p):
+    """The row-major l_p formula: per-row max and sum over the last axis."""
+    ax = np.abs(x)
+    m = ax.max(axis=-1)
+    out = np.zeros_like(m)
+    nz = m > 0
+    if np.any(nz):
+        scaled = ax[nz] / m[nz][..., None]
+        out[nz] = m[nz] * np.power(np.power(scaled, p).sum(axis=-1), 1.0 / p)
+    return out
+
+
+def _row_major_base(base, x):
+    if base.kind == "euclidean":
+        return np.linalg.norm(x, axis=-1)
+    return _row_major_lp(x, base.p)
+
+
+def _row_major_regularized(norm, x):
+    """The mollified norm with (points, nodes, dim) blocks, chunked at the
+    same row count as norm_eval."""
+    offsets, weights = norm._quad
+    radius = norms_module._HOMOG_RADIUS
+    r = np.linalg.norm(x, axis=-1)
+    out = np.zeros_like(r)
+    nz = r > 0
+    ref = radius * x[nz] / r[nz][..., None]
+    vals = np.zeros(ref.shape[0])
+    step = 2_000_000 // (offsets.shape[0] * norm.dim)
+    for lo in range(0, ref.shape[0], step):
+        diffs = ref[lo : lo + step][:, None, :] - offsets[None, :, :]
+        vals[lo : lo + step] = _row_major_base(norm.base, diffs) @ weights
+    out[nz] = vals * r[nz] / radius
+    if norm.delta_reg > 0:
+        return np.sqrt(out**2 + norm.delta_reg * np.einsum("...i,...i->...", x, x))
+    return out
+
+
+def _extreme_rows(rng, shape, dim):
+    """Gaussian rows at scales from 1e-300 to 1e300, with zero rows, rows
+    with one nonzero coordinate and subnormal entries mixed in."""
+    x = rng.standard_normal(shape + (dim,))
+    x *= 10.0 ** rng.integers(-300, 300, shape + (1,)).astype(float)
+    flat = x.reshape(-1, dim)
+    flat[::5] = 0.0
+    flat[1::7, 1:] = 0.0
+    flat[2::11, 0] = 5e-324
+    return x
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 130])
+def test_lp_kernel_matches_row_major_formula(dim):
+    rng = np.random.Generator(np.random.Philox(dim))
+    x = _extreme_rows(rng, (300,), dim)
+    for p in (1.1, 1.5, 2.0, 3.0, 4.0, 7.5):
+        norm = lp_norm(p, dim)
+        assert np.array_equal(norm_eval(norm, x), _row_major_lp(x, p))
+        batch = x.reshape(20, 15, dim)
+        assert np.array_equal(norm_eval(norm, batch), _row_major_lp(batch, p))
+        assert norm_eval(norm, x[3]) == _row_major_lp(x[3:4], p)[0]
+    with np.errstate(over="ignore"):  # squares of the 1e300 rows overflow
+        assert np.array_equal(norm_eval(euclidean_norm(dim), x),
+                              np.linalg.norm(x, axis=-1))
+
+
+@pytest.mark.parametrize("text", ["reg:lp:1.5:3:w=0.05:d=0.01",
+                                  "reg:euclidean:3:w=0.1:d=0.5",
+                                  "reg:lp:4:2:w=0.2:d=0"])
+def test_regularized_matches_row_major_formula(text):
+    norm = parse_norm(text)
+    step = 2_000_000 // (norm._quad[0].shape[0] * norm.dim)
+    rng = np.random.Generator(np.random.Philox(17))
+    for rows in (1, 21, 175, step, step + 1, 3 * step + 5):
+        x = rng.standard_normal((rows, norm.dim))
+        x[::9] = 0.0
+        assert np.array_equal(norm_eval(norm, x), _row_major_regularized(norm, x))
+    x = rng.standard_normal((13, 16, norm.dim))
+    assert np.array_equal(norm_eval(norm, x), _row_major_regularized(norm, x))
 
 
 @given(p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
