@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -90,6 +90,16 @@ class ExperimentConfig:
         unknown = set(data) - fields
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        hints = get_type_hints(cls)
+        for key, value in data.items():
+            types = get_args(hints[key]) or (hints[key],)
+            accepted = types + (int,) if float in types else types
+            # bool is an int subclass, but no field takes true/false
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                names = " or ".join("null" if t is type(None) else t.__name__
+                                    for t in types)
+                raise ConfigError(
+                    f"config key {key!r} must be {names}, got {value!r}")
         return cls(**data)
 
     def validate(self) -> "ExperimentConfig":
@@ -112,6 +122,11 @@ class ExperimentConfig:
                     f"(sphere dimension {descriptor.sphere_dim})")
             if not (1 <= self.k <= n):
                 raise ConfigError(f"need 1 <= k <= n, got k={self.k}, n={n}")
+            if n < 2 and self.command in ("bound", "compare"):
+                # the Gromov-Milman bound both commands report needs n >= 2
+                raise ConfigError(
+                    f"{self.command} requires sphere dimension >= 2, got "
+                    f"{self.norm} (sphere dimension {n})")
         if self.eps is not None and not (0.0 < self.eps <= 2.0):
             raise ConfigError(f"eps must lie in (0, 2], got {self.eps}")
         if self.eps is None and self.command in ("verify-waist", "verify-iso"):
@@ -124,10 +139,17 @@ class ExperimentConfig:
             raise ConfigError(f"--f-upper must be pi or halfpi, got {self.f_upper}")
         if not (0.0 < self.cap_mass < 1.0):
             raise ConfigError("cap-mass must lie in (0, 1)")
+        if self.method not in ("auto", "analytic", "numeric"):
+            raise ConfigError(
+                f"method must be auto, analytic or numeric, got {self.method}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format}")
         if self.eps_grid is not None:
-            _parse_grid(self.eps_grid)
+            grid = _parse_grid(self.eps_grid)
+            if not np.all((grid > 0.0) & (grid <= 2.0)):
+                raise ConfigError(
+                    f"every --eps-grid value must lie in (0, 2], got "
+                    f"{self.eps_grid!r}")
         _parse_grid(self.z_grid)
         return self
 
@@ -155,18 +177,26 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"malformed grid {spec!r}; expected lo:hi:step") from exc
-    if step <= 0 or hi < lo:
+    if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise ConfigError(f"malformed grid {spec!r}")
     return np.arange(lo, hi + step / 2.0, step)
 
 
-def _modulus_for(norm: NormDescriptor, budget: int, seed: int):
+def _modulus_for(norm: NormDescriptor, budget: int, seed: int,
+                 eps_max: float):
+    """Modulus curve for a run whose largest eps is ``eps_max``."""
     if norm.kind in ("euclidean", "lp"):
         return analytic_modulus_curve(norm)
-    # Regularized norms pay a quadrature per evaluation; a coarse monotone
-    # grid keeps the curve affordable inside full verification pipelines.
-    return numeric_modulus_curve(norm, eps_grid=np.linspace(0.2, 1.8, 9),
-                                 budget=budget, seed=seed)
+    # The bounds read the curve at or below eps_max / 2: the waist bound at
+    # eps/2, Gromov-Milman at eps/8 - theta_n, the log-log slope at
+    # r/2 <= 5e-3. Each grid value depends on its own eps alone (every point
+    # reuses the seed), and the curve interpolates a running maximum, so a
+    # reading at x <= grid[j] depends on values[:j + 1] only. The prefix that
+    # ends at the first point >= eps_max / 2 (at most 1.0, the fifth point,
+    # as eps <= 2) therefore gives the same bits as the whole grid.
+    grid = np.linspace(0.2, 1.8, 9)
+    grid = grid[: np.searchsorted(grid, eps_max / 2.0) + 1]
+    return numeric_modulus_curve(norm, eps_grid=grid, budget=budget, seed=seed)
 
 
 def _coordinate_projection(dim: int, k: int) -> np.ndarray:
@@ -190,9 +220,9 @@ def _z_product_grid(spec: str, k: int) -> list[np.ndarray]:
 def _run_bound(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
-    modulus = _modulus_for(norm, cfg.budget, cfg.seed)
     eps_values = ([cfg.eps] if cfg.eps is not None
                   else [float(e) for e in _parse_grid(cfg.eps_grid)])
+    modulus = _modulus_for(norm, cfg.budget, cfg.seed, max(eps_values))
     entries = []
     for eps in eps_values:
         w = waist_lower_bound(BoundInputs(n=n, k=cfg.k, eps=eps,
@@ -227,7 +257,7 @@ def _run_modulus(cfg: ExperimentConfig) -> Report:
 def _run_verify_waist(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
-    modulus = _modulus_for(norm, cfg.budget, cfg.seed)
+    modulus = _modulus_for(norm, cfg.budget, cfg.seed, cfg.eps)
     bound = waist_lower_bound(BoundInputs(n=n, k=cfg.k, eps=cfg.eps,
                                           modulus=modulus, f_upper=cfg.f_upper))
     f = _coordinate_projection(norm.dim, cfg.k)
@@ -253,7 +283,7 @@ def _run_verify_waist(cfg: ExperimentConfig) -> Report:
 def _run_verify_iso(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
-    modulus = _modulus_for(norm, cfg.budget, cfg.seed)
+    modulus = _modulus_for(norm, cfg.budget, cfg.seed, cfg.eps)
     bound = waist_lower_bound(BoundInputs(n=n, k=1, eps=cfg.eps,
                                           modulus=modulus, f_upper=cfg.f_upper))
     # Cap through a threshold on the last coordinate, calibrated so the cap
@@ -296,9 +326,9 @@ def _run_needle_suite(cfg: ExperimentConfig) -> Report:
 def _run_compare(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
-    modulus = _modulus_for(norm, cfg.budget, cfg.seed)
     eps_values = (_parse_grid(cfg.eps_grid) if cfg.eps_grid is not None
                   else np.array([cfg.eps]))
+    modulus = _modulus_for(norm, cfg.budget, cfg.seed, float(eps_values.max()))
     rows = bound_table(n, cfg.k, eps_values, modulus, f_upper=cfg.f_upper)
     slopes = {}
     for l, k in ((1, 2), (1, 3), (2, 3)):

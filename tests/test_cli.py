@@ -1,10 +1,18 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from waistlab import norms
 from waistlab.cli import (
+    _COMMANDS,
     ConfigError,
     ExperimentConfig,
+    _modulus_for,
+    _parse_grid,
     emit_report,
     main,
     run_experiment,
@@ -200,3 +208,147 @@ def test_modulus_command(tmp_path):
     assert rc == 0
     row = json.loads(out.read_text())["results"]["modulus"][0]
     assert row["numeric"] == pytest.approx(row["analytic"], abs=1e-3)
+
+
+@pytest.mark.parametrize("command", ["bound", "compare"])
+@pytest.mark.parametrize("grid, message", [
+    ("0.5:3.0:0.5", "(0, 2]"),
+    ("0:1:0.5", "(0, 2]"),
+    ("nan:1:0.1", "malformed grid"),
+])
+def test_eps_grid_out_of_range_exits_2(command, grid, message, capsys):
+    rc = main([command, "--norm", "lp:4:3", "--k", "1", "--eps-grid", grid])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["bound", "compare"])
+def test_dim_two_bound_exits_2(command, capsys):
+    rc = main([command, "--norm", "lp:4:2", "--k", "1", "--eps", "0.5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "sphere dimension >= 2" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"norm": 3}, "norm"),
+    ({"eps": "0.5"}, "eps"),
+    ({"k": True}, "k"),
+    ({"samples": 1e6}, "samples"),
+    ({"eps_grid": [0.1, 0.5, 0.1], "eps": None}, "eps_grid"),
+])
+def test_config_file_wrong_type_exits_2(override, key, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(
+        {"norm": "lp:4:3", "k": 1, "eps": 0.5, **override}))
+    rc = main(["bound", "--config", str(cfg_file)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config key {key!r}" in err
+    assert err.count("\n") == 1
+
+
+def test_config_file_unknown_method_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"norm": "lp:4:3", "eps": 0.5,
+                                    "method": "exact"}))
+    assert main(["modulus", "--config", str(cfg_file)]) == 2
+    assert "method must be" in capsys.readouterr().err
+
+
+def test_config_accepts_int_for_float_field():
+    cfg = ExperimentConfig.from_dict({"command": "bound", "norm": "lp:4:3",
+                                      "eps": 1, "cap_mass": 0.5})
+    assert cfg.validate().eps == 1
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4)
+
+# Values near the valid range, so that validation also runs its later checks.
+_PLAUSIBLE = {
+    "command": st.sampled_from(_COMMANDS),
+    "norm": st.sampled_from(["euclidean:3", "lp:4:2", "lp:1.5:5", "lp:1:3",
+                             "reg:lp:1.5:3:w=0.05:d=0.01", "reg:lp"]),
+    "n": st.none() | st.integers(-1, 6),
+    "k": st.integers(-1, 6),
+    "eps": st.none() | st.floats(-1.0, 3.0),
+    "eps_grid": st.sampled_from([None, "0.1:0.5:0.1", "0:1:0.5", "0.5:3:0.5",
+                                 "nan:1:0.1", "1:0:0.1", "a:b:c"]),
+    "samples": st.integers(-1, 10**6),
+    "fiber_points": st.integers(-1, 10**4),
+    "z_grid": st.sampled_from(["-0.8:0.8:0.1", "0:0:1", "1:0:1", "inf:1:1"]),
+    "seed": st.integers(0, 2**32),
+    "f_upper": st.sampled_from(["pi", "halfpi", "tau"]),
+    "cap_mass": st.floats(-0.5, 1.5),
+    "trials": st.integers(-1, 10**4),
+    "budget": st.integers(-1, 10**5),
+    "method": st.sampled_from(["auto", "analytic", "numeric", "exact"]),
+    "out": st.none() | st.text(),
+    "format": st.sampled_from(["json", "csv", "xml"]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries(
+    {"command": _PLAUSIBLE["command"] | _JSON_VALUES},
+    optional={key: strategy | _JSON_VALUES
+              for key, strategy in _PLAUSIBLE.items() if key != "command"}))
+def test_from_dict_validate_raises_only_config_error(data):
+    try:
+        ExperimentConfig.from_dict(data).validate()
+    except ConfigError as exc:
+        assert "\n" not in str(exc)
+
+
+# Readings of the modulus curve that the bounds take: the waist bound at
+# eps/2 and the Gromov-Milman bound at eps/8 - theta_n.
+_FULL_GRID = np.linspace(0.2, 1.8, 9)
+_PREFIX_EPS = sorted({*_parse_grid("0.05:2.0:0.05"), 0.4, 0.8, 1.2, 1.6, 2.0,
+                      *(2.0 * _FULL_GRID[:5])})
+
+
+def _readings(curve, eps):
+    xs = [eps / 2.0]
+    for n in (2, 3, 10, 1000):
+        theta = 1.0 - 0.5 ** (1.0 / (n - 1.0))
+        xs.append(max(0.0, eps / 8.0 - theta))
+    return [curve(x) for x in xs]
+
+
+def test_modulus_prefix_matches_full_grid(monkeypatch):
+    calls = []
+
+    def fake_modulus(norm, eps, budget, seed):
+        calls.append(eps)
+        # rises with dips, so the running maximum changes values
+        return 0.1 * eps * eps + 0.03 * math.sin(7.0 * eps) + 1e-3 * seed
+
+    monkeypatch.setattr(norms, "_numeric_modulus", fake_modulus)
+    norm = norms.parse_norm("reg:lp:4:3:w=0.2:d=0")
+    full = norms.numeric_modulus_curve(norm, eps_grid=_FULL_GRID,
+                                       budget=3000, seed=1)
+    assert np.any(np.diff([fake_modulus(norm, e, 0, 1) for e in _FULL_GRID]) < 0)
+    for eps in _PREFIX_EPS:
+        prefix = _modulus_for(norm, 3000, 1, eps)
+        assert _readings(prefix, eps) == _readings(full, eps), eps
+    for eps, points in ((0.5, 2), (2.0, 5)):
+        calls.clear()
+        _modulus_for(norm, 3000, 1, eps)
+        assert len(calls) == points
+
+
+def test_modulus_prefix_matches_full_grid_on_real_search():
+    norm = norms.parse_norm("reg:lp:4:2:w=0.2:d=0")
+    full = norms.numeric_modulus_curve(norm, eps_grid=_FULL_GRID,
+                                       budget=3000, seed=0)
+    prefix = _modulus_for(norm, 3000, 0, 2.0)
+    assert len(prefix.grid) == 5
+    for eps in _PREFIX_EPS:
+        assert _readings(prefix, eps) == _readings(full, eps), eps
