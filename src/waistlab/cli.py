@@ -49,6 +49,8 @@ __all__ = ["ExperimentConfig", "Report", "ConfigError", "run_experiment",
 
 _COMMANDS = ("bound", "modulus", "verify-waist", "verify-iso", "needle-suite",
              "compare")
+# Upper limit on the points of an --eps-grid or --z-grid axis.
+_MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -135,6 +137,8 @@ class ExperimentConfig:
             raise ConfigError("provide --eps or --eps-grid")
         if self.samples < 1 or self.fiber_points < 1 or self.trials < 1:
             raise ConfigError("budgets must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.f_upper not in (F_UPPER_PI, F_UPPER_HALF_PI):
             raise ConfigError(f"--f-upper must be pi or halfpi, got {self.f_upper}")
         if not (0.0 < self.cap_mass < 1.0):
@@ -179,6 +183,11 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"malformed grid {spec!r}; expected lo:hi:step") from exc
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise ConfigError(f"malformed grid {spec!r}")
+    # np.arange below yields ceil(points) values; count them before allocating
+    points = (hi + step / 2.0 - lo) / step
+    if points > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     return np.arange(lo, hi + step / 2.0, step)
 
 

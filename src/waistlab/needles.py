@@ -349,7 +349,7 @@ def needle_ratio_and_ball(d, eps: float, n: int, k: int = 1,
         raise ValueError(f"density has m={d.m}, expected n-k={n - k}")
     F, G = sine_integrals(k, eps, f_upper)
     shrink = max(0.0, 1.0 - 2.0 * float(d.modulus(eps))) ** (n - k)
-    ratio_bound = shrink * (k + 1.0) ** (k + 1.0) * F / G
+    ratio_bound = shrink * (k + 1.0) ** (k + 1.0) * (F / G)
     ratio = outer / ball if ball > 0 else math.inf
     ball_bound = waist_lower_bound(
         BoundInputs(n=n, k=k, eps=eps, modulus=d.modulus, f_upper=f_upper)
@@ -941,8 +941,6 @@ def needle_suite(
     rng = rng_stream(seed, 0)
     modulus = euclidean_modulus_curve()
     eps_choices = tuple(float(e) for e in eps_choices)
-    fg_cache: dict = {}
-    bound_cache: dict = {}
     stats = {name: {"violations": 0, "worst": math.inf}
              for name in ("max_structure", "decay", "mass_ratio", "ball_mass")}
     k = 1
@@ -959,26 +957,13 @@ def needle_suite(
             stats["decay"]["violations"] += 1
         stats["decay"]["worst"] = min(stats["decay"]["worst"], dec.worst_margin)
 
-        z = ms.argmax_index
-        dist = d.dist_to_index(z)
-        ball = d.mass_where(dist - eps)
-        outer = 1.0 - d.mass_where(dist - 2.0 * eps)
-        if (k, eps) not in fg_cache:
-            F, G = sine_integrals(k, eps, f_upper)
-            fg_cache[(k, eps)] = F / G
-        if (n, eps) not in bound_cache:
-            bound_cache[(n, eps)] = waist_lower_bound(
-                BoundInputs(n=n, k=k, eps=eps, modulus=modulus,
-                            f_upper=f_upper)).value
-        shrink = max(0.0, 1.0 - 2.0 * float(modulus(eps))) ** (n - k)
-        ratio_bound = shrink * (k + 1.0) ** (k + 1.0) * fg_cache[(k, eps)]
-        ratio = outer / ball if ball > 0 else math.inf
-        ratio_margin = ratio_bound + QUADRATURE_TOL - ratio
+        nb = needle_ratio_and_ball(d, eps, n, k, f_upper)
+        ratio_margin = nb.ratio_bound + QUADRATURE_TOL - nb.ratio
         if ratio_margin < 0:
             stats["mass_ratio"]["violations"] += 1
         stats["mass_ratio"]["worst"] = min(stats["mass_ratio"]["worst"],
                                            ratio_margin)
-        ball_margin = ball - bound_cache[(n, eps)] + QUADRATURE_TOL
+        ball_margin = nb.ball_mass - nb.ball_bound + QUADRATURE_TOL
         if ball_margin < 0:
             stats["ball_mass"]["violations"] += 1
         stats["ball_mass"]["worst"] = min(stats["ball_mass"]["worst"],

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from waistlab.bounds import (
     BoundInputs,
     BoundValue,
-    adaptive_simpson,
     bound_table,
     cap_angles,
     gromov_milman_bound,
@@ -29,13 +28,6 @@ MOD = euclidean_modulus_curve()
 def _asin_oracle(x: float) -> float:
     # Independent arcsin via atan2.
     return math.atan2(x, math.sqrt(1.0 - x * x))
-
-
-def test_adaptive_simpson_against_known_integrals():
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
-    assert adaptive_simpson(lambda t: t**3, 0.0, 1.0) == pytest.approx(0.25, abs=1e-13)
-    assert adaptive_simpson(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
-    assert adaptive_simpson(math.sin, 1.0, 1.0) == 0.0
 
 
 def test_cap_angles_values():
@@ -89,6 +81,91 @@ def test_sine_integrals_closed_forms_k2_k3(k, eps):
         anti = lambda t: 0.5 * (t - math.sin(t) * math.cos(t))
         assert G == pytest.approx(anti(near), abs=1e-10)
         assert F == pytest.approx(anti(math.pi) - anti(far), abs=1e-10)
+
+
+# Formula fidelity oracle: composite Gauss-Legendre, 64 nodes on each of 16
+# equal panels, summed exactly. Independent of scipy.special.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _gauss_legendre(f, a: float, b: float, panels: int = 16) -> float:
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = half * _GL_NODES[None, :] + 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return math.fsum((half * _GL_WEIGHTS[None, :] * f(t)).ravel())
+
+
+def _oracle_sine_integrals(k: int, eps: float, upper: float):
+    near, far = cap_angles(k, eps)
+    sine = lambda t: np.sin(t) ** (k - 1)
+    return _gauss_legendre(sine, far, upper), _gauss_legendre(sine, 0.0, near)
+
+
+_FIDELITY_EPS = [round(0.05 * i, 2) for i in range(1, 41)]
+
+
+@pytest.mark.parametrize("f_upper, upper", [("pi", math.pi),
+                                            ("halfpi", math.pi / 2.0)])
+def test_sine_integrals_fidelity(f_upper, upper):
+    for k in range(1, 9):
+        for eps in _FIDELITY_EPS:
+            F, G = sine_integrals(k, eps, f_upper)
+            oF, oG = _oracle_sine_integrals(k, eps, upper)
+            assert G == pytest.approx(oG, rel=1e-12, abs=0.0), (k, eps)
+            if upper - cap_angles(k, eps).far < 1e-12:
+                # k = 1, eps = 2: far sits one ulp below pi/2, so the far
+                # mass is a rounding residue of the two limits
+                assert abs(F - oF) <= 1e-15, (k, eps)
+            else:
+                assert F == pytest.approx(oF, rel=1e-12, abs=0.0), (k, eps)
+
+
+def test_sine_integrals_far_angle_beyond_half_pi():
+    # eps near the arcsin domain edge puts the far angle past pi/2: the
+    # "pi" mass comes from the symmetric branch, the "halfpi" interval is
+    # empty
+    for k in range(1, 9):
+        eps = 0.95 * 2.0 * math.sqrt(k + 1.0)
+        far = cap_angles(k, eps).far
+        assert far > math.pi / 2.0
+        F, G = sine_integrals(k, eps, "pi")
+        oF, oG = _oracle_sine_integrals(k, eps, math.pi)
+        assert F == pytest.approx(oF, rel=1e-12, abs=0.0)
+        assert G == pytest.approx(oG, rel=1e-12, abs=0.0)
+        assert sine_integrals(k, eps, "halfpi").far_mass == 0.0
+
+
+def test_sphere_tube_volume_fidelity():
+    radii = np.linspace(math.pi / 80.0, math.pi / 2.0, 40)
+    for n in (2, 3, 5, 10, 50, 100, 1000):
+        for k in range(1, min(8, n) + 1):
+            density = lambda t: np.cos(t) ** (n - k) * np.sin(t) ** (k - 1)
+            total = _gauss_legendre(density, 0.0, math.pi / 2.0)
+            for r in radii:
+                oracle = _gauss_legendre(density, 0.0, float(r)) / total
+                assert sphere_tube_volume(n, k, float(r)) == pytest.approx(
+                    oracle, rel=1e-12, abs=0.0), (n, k, r)
+
+
+def test_waist_bound_fidelity_at_codimension_eight():
+    # The case an absolute-tolerance quadrature got 1% too high.
+    n, k, eps = 10, 8, 0.1
+    w = waist_lower_bound(BoundInputs(n=n, k=k, eps=eps, modulus=MOD)).value
+    F, G = _oracle_sine_integrals(k, eps / 2.0, math.pi)
+    delta = float(MOD(eps / 2.0))
+    oracle = 1.0 / (1.0 + (1.0 - 2.0 * delta) ** (n - k)
+                    * (k + 1.0) ** (k + 1.0) * F / G)
+    assert w == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_bound_results_are_python_floats():
+    F, G = sine_integrals(3, 0.4)
+    assert type(F) is float and type(G) is float
+    assert type(sphere_tube_volume(5, 2, 0.3)) is float
+    assert type(waist_lower_bound(
+        BoundInputs(n=5, k=2, eps=0.4, modulus=MOD)).value) is float
+    assert type(projection_lower_bound(5, 2, 0.4).value) is float
+    assert type(round_sphere_reference(5, 2, 0.4).value) is float
 
 
 def test_waist_bound_reference_value():

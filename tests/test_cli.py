@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,44 @@ def test_missing_eps_exits_2():
 def test_bad_grid_exits_2():
     assert main(["verify-waist", "--norm", "euclidean:3", "--k", "1",
                  "--eps", "0.5", "--z-grid", "nope"]) == 2
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    rc = main(["verify-waist", "--norm", "euclidean:3", "--k", "1",
+               "--eps", "0.5", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "seed must be non-negative" in err
+    assert err.count("\n") == 1
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"norm": "euclidean:3", "k": 1,
+                                    "eps": 0.5, "seed": -3}))
+    assert main(["verify-waist", "--config", str(cfg_file)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_grid_point_limit():
+    assert len(_parse_grid("0.0002:2:0.0002")) == 10_000
+    with pytest.raises(ConfigError, match="more than 10000 points"):
+        _parse_grid("0.0001:2:0.0001")
+    with pytest.raises(ConfigError, match="more than 10000 points"):
+        _parse_grid("1e-300:2:1e-300")
+
+
+def test_huge_grid_exits_2_without_allocating(capsys):
+    # 2e12 points (14.6 TiB) if the grid were built
+    tracemalloc.start()
+    try:
+        rc = main(["bound", "--norm", "lp:4:3", "--k", "1",
+                   "--eps-grid", "1e-12:2:1e-12"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "more than 10000 points" in err
+    assert err.count("\n") == 1
+    assert peak < 16 * 2**20
 
 
 def test_unknown_command_exits_2():
@@ -284,7 +323,7 @@ _PLAUSIBLE = {
     "samples": st.integers(-1, 10**6),
     "fiber_points": st.integers(-1, 10**4),
     "z_grid": st.sampled_from(["-0.8:0.8:0.1", "0:0:1", "1:0:1", "inf:1:1"]),
-    "seed": st.integers(0, 2**32),
+    "seed": st.integers(-2, 2**32),
     "f_upper": st.sampled_from(["pi", "halfpi", "tau"]),
     "cap_mass": st.floats(-0.5, 1.5),
     "trials": st.integers(-1, 10**4),

@@ -220,6 +220,7 @@ def test_needle_suite_report_shape():
         assert r["trials"] == 150
         assert r["violations"] == 0
         assert r["seed"] == 9
+        assert r["worst_margin"] is None or type(r["worst_margin"]) is float
 
 
 # ---------------------------------------------------------------------------
