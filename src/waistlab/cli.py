@@ -32,6 +32,7 @@ from .bounds import (
 )
 from .cone import (
     best_fiber,
+    fiber_distance_method,
     neighborhood_measure,
     sample_conical,
 )
@@ -49,7 +50,8 @@ __all__ = ["ExperimentConfig", "Report", "ConfigError", "run_experiment",
 
 _COMMANDS = ("bound", "modulus", "verify-waist", "verify-iso", "needle-suite",
              "compare")
-# Upper limit on the points of an --eps-grid or --z-grid axis.
+# Upper limit on the points of an --eps-grid or --z-grid axis, and of the
+# verify-waist z grid (the k-fold product of its axis).
 _MAX_GRID_POINTS = 10_000
 
 
@@ -154,7 +156,17 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"every --eps-grid value must lie in (0, 2], got "
                     f"{self.eps_grid!r}")
-        _parse_grid(self.z_grid)
+        axis = _parse_grid(self.z_grid)
+        if self.command == "verify-waist":
+            # The z grid is the k-fold product of the axis. Once the axis
+            # has two points, an exponent past the limit's bit length
+            # exceeds the limit, so the power stays small.
+            fibers = axis.size ** min(self.k, _MAX_GRID_POINTS.bit_length())
+            if fibers > _MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"z grid {self.z_grid!r} with k={self.k} has "
+                    f"{axis.size}^{self.k} points, more than "
+                    f"{_MAX_GRID_POINTS}")
         return self
 
 
@@ -283,6 +295,7 @@ def _run_verify_waist(cfg: ExperimentConfig) -> Report:
         "margin": margin,
         "margin_sigmas": margin / sigma,
         "grid_estimates": [e.to_dict() for e in all_estimates],
+        "fiber_distance": fiber_distance_method(norm),
         "assertion": "tube_measure >= waist_bound - 3*std_error",
     }
     return Report(config=cfg.to_dict(), results=results,

@@ -40,10 +40,12 @@ __all__ = [
     "RankDeficientError",
     "EmptySetError",
     "rng_stream",
+    "derive_seed",
     "sample_conical",
     "sample_in_ball",
     "set_measure",
     "fiber_points",
+    "fiber_distance_method",
     "min_norm_distance",
     "tube_measure",
     "best_fiber",
@@ -65,11 +67,21 @@ class EmptySetError(ValueError):
     """No sample points landed in the target set within budget."""
 
 
+def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed),
+                                  spawn_key=tuple(int(p) for p in path))
+
+
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, path), so substreams are
     reproducible independently of execution order or worker count."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+
+
+def derive_seed(seed: int, *path: int) -> int:
+    """Integer seed keyed by (seed, path), for a callee that takes a seed
+    rather than a generator; the same key always gives the same seed."""
+    return int(_seed_sequence(seed, path).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -221,13 +233,12 @@ def set_measure(batch: SampleBatch, indicator: Callable) -> MeasureEstimate:
 # Fibers of linear maps
 # ---------------------------------------------------------------------------
 
-def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarray:
-    """Points y with ||y|| = 1 and f y = z (exactly, up to 1e-10 on the norm).
+def _fiber_frame(norm: NormDescriptor, f, z) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal-Euclidean-norm solution x0 of f x = z and an orthonormal
+    basis of the kernel of f, as the columns of a (dim, dim - k) array.
 
-    Takes the minimal-Euclidean-norm solution x0 of f x = z, draws random
-    kernel directions v, and solves ||x0 + t v|| = 1 for t > 0 by bisection;
-    the root is unique because t -> ||x0 + t v|| is convex with value < 1
-    at t = 0.
+    Raises RankDeficientError unless f has full row rank, and
+    EmptyFiberError when ||x0|| >= 1, so the slice misses the open unit ball.
     """
     f = np.atleast_2d(np.asarray(f, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -244,11 +255,21 @@ def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarra
             "slice does not meet the open unit ball (minimal-norm point has "
             f"norm {float(norm_eval(norm, x0)):.6f})"
         )
-    # Orthonormal kernel basis from the SVD.
     _, _, vt = np.linalg.svd(f)
-    kernel = vt[k:].T  # (d, d-k)
+    return x0, vt[k:].T
+
+
+def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarray:
+    """Points y with ||y|| = 1 and f y = z (exactly, up to 1e-10 on the norm).
+
+    Takes the minimal-Euclidean-norm solution x0 of f x = z, draws random
+    kernel directions v, and solves ||x0 + t v|| = 1 for t > 0 by bisection;
+    the root is unique because t -> ||x0 + t v|| is convex with value < 1
+    at t = 0.
+    """
+    x0, kernel = _fiber_frame(norm, f, z)
     rng = rng_stream(seed, 0)
-    dirs = rng.standard_normal((count, d - k))
+    dirs = rng.standard_normal((count, kernel.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     v = dirs @ kernel.T
     lo = np.zeros(count)
@@ -265,6 +286,48 @@ def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarra
         hi = np.where(inside, hi, mid)
     t = 0.5 * (lo + hi)
     return x0 + t[:, None] * v
+
+
+def fiber_distance_method(norm: NormDescriptor) -> str:
+    """How the tube estimators measure distance to a fiber of a linear map.
+
+    "exact" (euclidean): the fiber is a round subsphere, and the distance to
+    it has a closed form, so the tube estimate is unbiased. "cloud" (every
+    other kind): the distance to a finite fiber point cloud, which can only
+    overestimate the true distance, so the estimate is conservative.
+    """
+    return "exact" if norm.kind == "euclidean" else "cloud"
+
+
+def _round_fiber_distance(points: np.ndarray, x0: np.ndarray,
+                          kernel: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point y to the round subsphere
+    {|x|_2 = 1} of the affine slice x0 + span(kernel).
+
+    x0 is orthogonal to the kernel, so the subsphere is x0 + K u with
+    |u| = r = sqrt(1 - |x0|^2), and the distance is
+    sqrt(|P y - x0|^2 + (|K^T y| - r)^2), P projecting onto the row space.
+    """
+    radius = math.sqrt(1.0 - float(x0 @ x0))
+    ky = points @ kernel
+    row = points - ky @ kernel.T
+    along = np.sqrt(np.einsum("ij,ij->i", ky, ky)) - radius
+    across = row - x0
+    return np.sqrt(np.einsum("ij,ij->i", across, across) + along * along)
+
+
+def _fiber_distance(norm: NormDescriptor, f, z, eps: float,
+                    fiber_budget: int, seed: int
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """Distance function to the fiber {||x|| = 1, f x = z}, built once per z
+    by the method ``fiber_distance_method`` names. Cloud distances above eps
+    come back as inf. Raises as ``fiber_points`` does on a rank-deficient
+    map or an empty fiber."""
+    if fiber_distance_method(norm) == "exact":
+        x0, kernel = _fiber_frame(norm, f, z)
+        return lambda points: _round_fiber_distance(points, x0, kernel)
+    cloud = fiber_points(norm, f, z, fiber_budget, seed)
+    return lambda points: min_norm_distance(norm, points, cloud, upper=eps)
 
 
 def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
@@ -325,23 +388,20 @@ def tube_measure(
     """Estimate the cone measure of the eps-neighborhood (norm distance) of
     the fiber {f x = z} on the sphere.
 
-    Distances are taken to a finite fiber point cloud, which can only
-    overestimate the true distance to the fiber, so the estimate is a lower
-    bound in expectation (the conservative direction for checking waist
-    bounds).
+    On the round sphere the distance to the fiber is exact, so the estimate
+    is unbiased and ``fiber_budget`` is unused. Other norms take distances
+    to a finite fiber point cloud of ``fiber_budget`` points, which can only
+    overestimate the true distance, so the estimate is a lower bound in
+    expectation (the conservative direction for checking waist bounds).
+    See ``fiber_distance_method``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cloud = fiber_points(norm, f, z, fiber_budget, _sub_seed(seed, 1))
-    batch = sample_conical(norm, sample_budget, _sub_seed(seed, 2))
-    dmin = min_norm_distance(norm, batch.points, cloud, upper=eps)
-    return MeasureEstimate.from_hits(int((dmin <= eps).sum()), sample_budget,
-                                     seed=seed)
-
-
-def _sub_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence(entropy=int(seed),
-                                      spawn_key=(tag,)).generate_state(1)[0])
+    distance = _fiber_distance(norm, f, z, eps, fiber_budget,
+                               derive_seed(seed, 1))
+    batch = sample_conical(norm, sample_budget, derive_seed(seed, 2))
+    return MeasureEstimate.from_hits(int((distance(batch.points) <= eps).sum()),
+                                     sample_budget, seed=seed)
 
 
 def best_fiber(
@@ -356,25 +416,27 @@ def best_fiber(
     """Grid argmax of the tube measure over fiber locations.
 
     One shared cone-measure batch is used for every grid point (cheaper and
-    lower-variance for comparisons); fiber clouds get per-z substreams. Ties
-    break toward the first grid entry; grid points with empty fibers are
-    skipped. Returns (z_star, best_estimate, all_estimates).
+    lower-variance for comparisons). Distances to each fiber are measured
+    as in ``tube_measure``: exactly on the round sphere, otherwise against
+    a fiber cloud drawn from a per-z substream. Ties break toward the first
+    grid entry; grid points with empty fibers are skipped. Returns
+    (z_star, best_estimate, all_estimates).
     """
     z_grid = [np.atleast_1d(np.asarray(z, dtype=float)) for z in z_grid]
     if not z_grid:
         raise ValueError("z_grid must be nonempty")
-    batch = sample_conical(norm, sample_budget, _sub_seed(seed, 2))
+    batch = sample_conical(norm, sample_budget, derive_seed(seed, 2))
     estimates: list[Optional[MeasureEstimate]] = []
     for i, z in enumerate(z_grid):
         try:
-            cloud = fiber_points(norm, f, z, fiber_budget, _sub_seed(seed, 3 + i))
+            distance = _fiber_distance(norm, f, z, eps, fiber_budget,
+                                       derive_seed(seed, 3 + i))
         except EmptyFiberError:
             estimates.append(None)
             continue
-        dmin = min_norm_distance(norm, batch.points, cloud, upper=eps)
         estimates.append(
-            MeasureEstimate.from_hits(int((dmin <= eps).sum()), sample_budget,
-                                      seed=seed)
+            MeasureEstimate.from_hits(int((distance(batch.points) <= eps).sum()),
+                                      sample_budget, seed=seed)
         )
     if all(e is None for e in estimates):
         raise EmptyFiberError("every grid point has an empty fiber")
@@ -405,12 +467,12 @@ def neighborhood_measure(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    first = sample_conical(norm, sample_budget, _sub_seed(seed, 1))
+    first = sample_conical(norm, sample_budget, derive_seed(seed, 1))
     in_a = np.asarray(indicator(first.points), dtype=bool)
     cloud = first.points[in_a][:cloud_budget]
     if cloud.shape[0] == 0:
         raise EmptySetError("no sample points landed in the set within budget")
-    second = sample_conical(norm, sample_budget, _sub_seed(seed, 2))
+    second = sample_conical(norm, sample_budget, derive_seed(seed, 2))
     hits = np.asarray(indicator(second.points), dtype=bool)
     miss = ~hits
     if np.any(miss):

@@ -24,7 +24,7 @@ from .bounds import (
     sine_integrals,
     waist_lower_bound,
 )
-from .cone import rng_stream, sample_conical, sample_in_ball
+from .cone import derive_seed, rng_stream, sample_conical, sample_in_ball
 from .norms import (
     ModulusCurve,
     NormDescriptor,
@@ -677,7 +677,7 @@ def derived_density_estimate(
         piece = 0
         while drawn < sample_budget:
             take = min(chunk, sample_budget - drawn)
-            pts = sample_conical(norm, take, _derived_seed(seed, idx, piece)).points
+            pts = sample_conical(norm, take, derive_seed(seed, idx, piece)).points
             keep = pts[spec.contains(pts)]
             theta = np.arccos(np.clip(keep @ axis, -1.0, 1.0))
             counts += np.histogram(theta, bins=edges)[0]
@@ -708,7 +708,7 @@ def derived_density_estimate(
     sup_bound = 2.0 ** (n + 1) / 0.5
 
     # Radial mass law of the cone over the smallest lune.
-    ball_pts = sample_in_ball(norm, sample_budget // 4, _derived_seed(seed, 99, 0))
+    ball_pts = sample_in_ball(norm, sample_budget // 4, derive_seed(seed, 99, 0))
     r = np.linalg.norm(ball_pts, axis=-1)
     ok_r = r > 0
     dirs = ball_pts[ok_r] / r[ok_r, None]
@@ -776,11 +776,6 @@ def derived_density_estimate(
         ok=bool(ok and converged),
     )
     return estimate, diag
-
-
-def _derived_seed(seed: int, a: int, b: int) -> int:
-    return int(np.random.SeedSequence(entropy=int(seed), spawn_key=(a, b)
-                                      ).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from waistlab.cli import (
     ExperimentConfig,
     _modulus_for,
     _parse_grid,
+    _z_product_grid,
     emit_report,
     main,
     run_experiment,
@@ -102,6 +103,33 @@ def test_huge_grid_exits_2_without_allocating(capsys):
     assert peak < 16 * 2**20
 
 
+def test_z_product_grid_limit(capsys):
+    # 10 000 points per axis pass the axis check, but k = 2 squares them.
+    # Check validate first, so a regression fails here instead of running
+    # 1e8 fibers below.
+    with pytest.raises(ConfigError, match="more than 10000"):
+        ExperimentConfig(command="verify-waist", norm="euclidean:4", k=2,
+                         eps=0.5, z_grid="-0.9998:1:0.0002").validate()
+    tracemalloc.start()
+    try:
+        rc = main(["verify-waist", "--norm", "euclidean:4", "--k", "2",
+                   "--eps", "0.5", "--z-grid", "-0.9998:1:0.0002"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "more than 10000" in err
+    assert err.count("\n") == 1
+    assert peak < 16 * 2**20
+    cfg = ExperimentConfig(command="verify-waist", norm="euclidean:4", k=2,
+                           eps=0.5, z_grid="-0.99:0.99:0.02").validate()
+    assert len(_z_product_grid(cfg.z_grid, cfg.k)) == 10_000
+    # the product limit is for verify-waist only: bound reads no z grid
+    ExperimentConfig(command="bound", norm="euclidean:4", k=2, eps=0.5,
+                     z_grid="-0.9998:1:0.0002").validate()
+
+
 def test_unknown_command_exits_2():
     assert main(["frobulate"]) == 2
 
@@ -151,6 +179,7 @@ def test_verify_waist_report_fields(tmp_path):
     assert res["margin_sigmas"] > 3.0
     assert len(res["grid_estimates"]) == 5
     assert {"mean", "std_error", "count", "seed"} <= set(res["estimate"])
+    assert res["fiber_distance"] == "cloud"
 
 
 def test_verify_waist_codimension_two(tmp_path):
@@ -162,6 +191,7 @@ def test_verify_waist_codimension_two(tmp_path):
     data = json.loads(out.read_text())
     assert data["status"] == "pass"
     assert data["results"]["z_star"] == [0.0, 0.0]
+    assert data["results"]["fiber_distance"] == "exact"
     # closed-form tube measure around the equatorial circle of the 3-sphere
     expected = 1.0 - (1.0 - 0.5**2 / 2.0) ** 2
     assert abs(data["results"]["estimate"]["mean"] - expected) <= 0.01

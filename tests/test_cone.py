@@ -9,9 +9,12 @@ from waistlab.cone import (
     EmptySetError,
     MeasureEstimate,
     RankDeficientError,
+    _fiber_distance,
     batch_to_csv,
     best_fiber,
+    derive_seed,
     estimate_to_json,
+    fiber_distance_method,
     fiber_points,
     min_norm_distance,
     neighborhood_measure,
@@ -23,12 +26,21 @@ from waistlab.cone import (
 from waistlab.norms import euclidean_norm, lp_norm, norm_eval, smooth_norm
 
 E3 = euclidean_norm(3)
+E4 = euclidean_norm(4)
 LAST_COORD = np.array([[0.0, 0.0, 1.0]])
+LAST_TWO = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def _band_measure(eps: float) -> float:
     # chordal eps-neighborhood of the equator on the round 2-sphere
     return eps * math.sqrt(1.0 - eps**2 / 4.0)
+
+
+def test_derive_seed_matches_seed_sequence():
+    for seed, path in ((0, (1,)), (7, (2,)), (7, (19,)), (12345, (0, 3)),
+                       (2**40, (99, 0))):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
+        assert derive_seed(seed, *path) == int(ss.generate_state(1)[0])
 
 
 def test_sample_batch_determinism_bit_for_bit():
@@ -182,9 +194,99 @@ def test_fiber_points_offset_slice_geometry():
 def test_fiber_errors():
     with pytest.raises(EmptyFiberError):
         fiber_points(E3, LAST_COORD, [1.2], 10, seed=1)
+    rank_one = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
     with pytest.raises(RankDeficientError):
-        fiber_points(E3, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]),
-                     [0.0, 0.0], 10, seed=1)
+        fiber_points(E3, rank_one, [0.0, 0.0], 10, seed=1)
+    # the exact euclidean path checks the rank too
+    with pytest.raises(RankDeficientError):
+        tube_measure(E3, rank_one, [0.0, 0.0], 0.5, 100, 10, seed=1)
+    with pytest.raises(RankDeficientError):
+        best_fiber(E3, rank_one, 0.5, [[0.0, 0.0]], 100, 10, seed=1)
+
+
+def _exact_distance(norm, f, z):
+    assert fiber_distance_method(norm) == "exact"
+    # eps, the fiber budget and the seed are unused on the exact path
+    return _fiber_distance(norm, f, z, 1.0, 1, seed=0)
+
+
+def test_fiber_distance_method_by_kind():
+    assert fiber_distance_method(E3) == "exact"
+    assert fiber_distance_method(E4) == "exact"
+    assert fiber_distance_method(lp_norm(4, 3)) == "cloud"
+    assert fiber_distance_method(lp_norm(2, 3)) == "cloud"
+    assert fiber_distance_method(smooth_norm(lp_norm(4, 2), 0.05, 0.01)) == "cloud"
+
+
+def test_exact_fiber_distance_is_the_cloud_limit():
+    # A cloud point is on the fiber, so the cloud distance is never below
+    # the exact one, and 2 000 fiber points leave a gap under 0.01.
+    pts = sample_conical(E3, 2_000, seed=61).points
+    for z in (0.0, 0.5, 0.9):
+        exact = _exact_distance(E3, LAST_COORD, [z])(pts)
+        cloud = min_norm_distance(E3, pts,
+                                  fiber_points(E3, LAST_COORD, [z], 2_000, seed=62))
+        assert np.all(cloud >= exact - 1e-12)
+        assert np.all(cloud <= exact + 0.01)
+
+
+def test_exact_fiber_distance_codimension_two_oracle():
+    # The fiber of the last-two-coordinate projection at z = 0 is the circle
+    # |a| = 1 in the first two coordinates a; the chordal distance to it is
+    # sqrt(2 - 2|a|), and |a|^2 is uniform on [0, 1], so the eps-tube has
+    # measure 1 - (1 - eps^2/2)^2.
+    pts = sample_conical(E4, 200_000, seed=63).points
+    dist = _exact_distance(E4, LAST_TWO, [0.0, 0.0])(pts)
+    oracle = np.sqrt(2.0 - 2.0 * np.hypot(pts[:, 0], pts[:, 1]))
+    assert np.allclose(dist, oracle, rtol=0.0, atol=1e-7)
+    eps = 0.5
+    est = MeasureEstimate.from_hits(int((dist <= eps).sum()), len(pts))
+    expected = 1.0 - (1.0 - eps**2 / 2.0) ** 2
+    assert abs(est.mean - expected) <= 3.0 * est.std_error
+
+
+def test_exact_fiber_distance_depends_on_the_fiber_only():
+    rng = np.random.Generator(np.random.Philox(64))
+    pts = sample_conical(E4, 5_000, seed=65).points
+    z = np.array([0.3, -0.2])
+    coord = _exact_distance(E4, LAST_TWO, z)(pts)
+    # a non-orthonormal map with the same fibers
+    a = np.array([[2.0, 1.0], [0.5, 3.0]])
+    mixed = _exact_distance(E4, a @ LAST_TWO, a @ z)(pts)
+    assert np.allclose(mixed, coord, rtol=0.0, atol=1e-12)
+    # an orthonormal map rotated by Q has the fibers rotated by Q^T
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    rotated = _exact_distance(E4, LAST_TWO @ q, z)(pts @ q)
+    assert np.allclose(rotated, coord, rtol=0.0, atol=1e-12)
+
+
+def test_exact_path_skips_the_cloud_paths_empty_fibers():
+    root = math.sqrt(0.5)
+    cases = [(E3, LAST_COORD, [z]) for z in
+             (-1.5, -1.0, -math.nextafter(1.0, 0.0), 0.0, 0.9999999999, 1.0,
+              math.nextafter(1.0, 2.0))]
+    cases += [(E3, 2.0 * LAST_COORD, [z]) for z in (1.9999999999, 2.0)]
+    cases += [(E4, LAST_TWO, z) for z in
+              ([0.8, 0.6], [0.6, 0.8], [root, root],
+               [math.nextafter(root, 0.0)] * 2, [0.0, 1.0], [0.5, 0.5])]
+    empty = []
+    for norm, f, z in cases:
+        try:
+            fiber_points(norm, f, z, 10, seed=1)
+            cloud_empty = False
+        except EmptyFiberError:
+            cloud_empty = True
+        try:
+            _exact_distance(norm, f, z)
+            exact_empty = False
+        except EmptyFiberError:
+            exact_empty = True
+        assert exact_empty == cloud_empty, z
+        empty.append(exact_empty)
+    assert any(empty) and not all(empty)
+    z_grid = [z for norm, f, z in cases if norm is E3 and f is LAST_COORD]
+    _, _, ests = best_fiber(E3, LAST_COORD, 0.5, z_grid, 1_000, 10, seed=66)
+    assert len(ests) == len(z_grid) - sum(empty[:len(z_grid)])
 
 
 def test_min_norm_distance_generic_path_matches_brute_force():
@@ -206,7 +308,8 @@ def test_min_norm_distance_generic_path_matches_brute_force():
 
 def test_tube_measure_equator_band_oracle():
     est = tube_measure(E3, LAST_COORD, [0.0], 0.5, 200_000, 10_000, seed=31)
-    # conservative estimator: allow a small negative bias below 3 sigma
+    # The distance to the round fiber is exact, so the estimate is unbiased;
+    # the 5e-4 is slack on top of 3 sigma, not a bias allowance.
     assert abs(est.mean - _band_measure(0.5)) <= 3.0 * est.std_error + 5e-4
 
 

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from waistlab import norms as norms_module
 from waistlab.norms import (
     DimensionMismatchError,
+    ModulusCurve,
     UnsupportedNormError,
     euclidean_modulus,
+    euclidean_modulus_curve,
     euclidean_norm,
     euclidean_sandwich,
     format_norm,
     lp_modulus,
+    lp_modulus_curve,
     lp_norm,
     modulus_of_convexity,
     norm_eval,
@@ -260,6 +263,37 @@ def test_numeric_curve_is_monotone():
     assert np.all(np.diff(vals) >= -1e-9)
     assert curve(0.0) == 0.0
     assert curve.source == "numeric_lower_estimate"
+
+
+def test_scalar_modulus_calls_match_the_array_path():
+    # A 0-d array takes the array path; a Python float or int takes the
+    # scalar fast path, which must return the same bits as a Python float.
+    numeric = ModulusCurve(source="numeric_lower_estimate", label="dip",
+                           grid=np.linspace(0.2, 1.8, 9),
+                           values=[0.01, 0.03, 0.02, 0.08, 0.1, 0.2, 0.25,
+                                   0.3, 0.31])
+    # p = 1.2 as well: at p = 1.5 the factor p - 1 is a power of two, which
+    # hides a change in the rounding order
+    calls = [euclidean_modulus_curve(), lp_modulus_curve(1.5),
+             lp_modulus_curve(1.2), lp_modulus_curve(4.0), numeric,
+             euclidean_modulus, lambda e: lp_modulus(1.5, e),
+             lambda e: lp_modulus(4.0, e)]
+    grid = np.concatenate([np.linspace(-0.5, 2.5, 301),
+                           [-0.0, 0.0, 5e-324, 1e-300, 0.2, 1.8, 2.0, 10.0]])
+    bits = lambda x: np.float64(x).view(np.uint64)
+    for call in calls:
+        for eps in grid:
+            want = call(np.asarray(eps))
+            assert type(want) is float
+            for scalar in (float(eps), np.float64(eps)):
+                got = call(scalar)
+                assert type(got) is float
+                assert bits(got) == bits(want), (call, eps)
+        if isinstance(call, ModulusCurve):
+            for eps in (-1, 0, 1, 2, 3):
+                got = call(eps)
+                assert type(got) is float
+                assert bits(got) == bits(call(np.asarray(float(eps))))
 
 
 def test_analytic_moduli_are_monotone_and_small_at_zero():
