@@ -31,6 +31,8 @@ from .bounds import (
     waist_lower_bound,
 )
 from .cone import (
+    EmptyFiberError,
+    EmptySetError,
     best_fiber,
     fiber_distance_method,
     neighborhood_measure,
@@ -118,6 +120,14 @@ class ExperimentConfig:
             # a particular norm
             if self.n is not None and self.n < 2:
                 raise ConfigError("needle-suite requires n >= 2")
+            if descriptor.kind != "euclidean":
+                raise ConfigError(
+                    "needle-suite draws euclidean k = 1 needles only, got "
+                    f"--norm {self.norm}")
+            if self.k != 1:
+                raise ConfigError(
+                    "needle-suite draws euclidean k = 1 needles only, got "
+                    f"--k {self.k}")
         else:
             n = self.n if self.n is not None else descriptor.sphere_dim
             if n != descriptor.sphere_dim:
@@ -283,8 +293,13 @@ def _run_verify_waist(cfg: ExperimentConfig) -> Report:
                                           modulus=modulus, f_upper=cfg.f_upper))
     f = _coordinate_projection(norm.dim, cfg.k)
     z_grid = _z_product_grid(cfg.z_grid, cfg.k)
-    z_star, estimate, all_estimates = best_fiber(
-        norm, f, cfg.eps, z_grid, cfg.samples, cfg.fiber_points, cfg.seed)
+    try:
+        z_star, estimate, all_estimates = best_fiber(
+            norm, f, cfg.eps, z_grid, cfg.samples, cfg.fiber_points, cfg.seed)
+    except EmptyFiberError as exc:
+        raise ConfigError(
+            f"every point of --z-grid {cfg.z_grid} has an empty fiber on "
+            f"{cfg.norm}: the slice misses the open unit ball") from exc
     margin = estimate.mean - bound.value
     sigma = estimate.std_error if estimate.std_error > 0 else 1e-300
     passed = estimate.mean >= bound.value - 3.0 * estimate.std_error
@@ -295,7 +310,7 @@ def _run_verify_waist(cfg: ExperimentConfig) -> Report:
         "margin": margin,
         "margin_sigmas": margin / sigma,
         "grid_estimates": [e.to_dict() for e in all_estimates],
-        "fiber_distance": fiber_distance_method(norm),
+        "fiber_distance": fiber_distance_method(norm, f),
         "assertion": "tube_measure >= waist_bound - 3*std_error",
     }
     return Report(config=cfg.to_dict(), results=results,
@@ -314,10 +329,15 @@ def _run_verify_iso(cfg: ExperimentConfig) -> Report:
     tau = float(np.quantile(calib.points[:, -1], 1.0 - cfg.cap_mass))
     cap = lambda pts: pts[:, -1] >= tau
     cap_c = lambda pts: pts[:, -1] < tau
-    est_a = neighborhood_measure(norm, cap, cfg.eps, cfg.samples,
-                                 cfg.fiber_points, cfg.seed)
-    est_ac = neighborhood_measure(norm, cap_c, cfg.eps, cfg.samples,
-                                  cfg.fiber_points, cfg.seed + 7)
+    try:
+        est_a = neighborhood_measure(norm, cap, cfg.eps, cfg.samples,
+                                     cfg.fiber_points, cfg.seed)
+        est_ac = neighborhood_measure(norm, cap_c, cfg.eps, cfg.samples,
+                                      cfg.fiber_points, cfg.seed + 7)
+    except EmptySetError as exc:
+        raise ConfigError(
+            f"no sample landed in the cap or its complement with --samples "
+            f"{cfg.samples}; raise --samples") from exc
     best = max(est_a.mean, est_ac.mean)
     sigma = max(est_a.std_error, est_ac.std_error, 1e-300)
     passed = best >= bound.value - 3.0 * sigma

@@ -288,15 +288,39 @@ def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarra
     return x0 + t[:, None] * v
 
 
-def fiber_distance_method(norm: NormDescriptor) -> str:
-    """How the tube estimators measure distance to a fiber of a linear map.
+def _coordinate_columns(f) -> Optional[np.ndarray]:
+    """The column each row of ``f`` reads when ``f`` is a coordinate map
+    (every row has exactly one nonzero entry, in distinct columns), else
+    None. The entries may be scaled or signed."""
+    f = np.atleast_2d(np.asarray(f, dtype=float))
+    if f.ndim != 2:
+        return None
+    nonzero = f != 0
+    columns = nonzero.argmax(axis=1)
+    if not np.all(nonzero.sum(axis=1) == 1) or \
+            np.unique(columns).size != columns.size:
+        return None
+    return columns
 
-    "exact" (euclidean): the fiber is a round subsphere, and the distance to
-    it has a closed form, so the tube estimate is unbiased. "cloud" (every
-    other kind): the distance to a finite fiber point cloud, which can only
-    overestimate the true distance, so the estimate is conservative.
+
+def fiber_distance_method(norm: NormDescriptor, f) -> str:
+    """How the tube estimators measure distance to a fiber of the linear
+    map ``f``.
+
+    "exact": the distance has a closed form, so the tube estimate is
+    unbiased. That holds on the round sphere (euclidean and lp:2 norms)
+    with any full-rank map, where the fiber is a round subsphere, and on
+    lp norms when ``f`` is a coordinate map (each row one nonzero entry,
+    possibly scaled or signed, in distinct columns), where the fiber is an
+    l_p sphere in the unmapped coordinates. "cloud" (every other pair: lp
+    norms with other maps, and regularized norms): the distance to a
+    finite fiber point cloud, which can only overestimate the true
+    distance, so the estimate is conservative.
     """
-    return "exact" if norm.kind == "euclidean" else "cloud"
+    if norm.is_round or (norm.kind == "lp" and
+                         _coordinate_columns(f) is not None):
+        return "exact"
+    return "cloud"
 
 
 def _round_fiber_distance(points: np.ndarray, x0: np.ndarray,
@@ -308,12 +332,29 @@ def _round_fiber_distance(points: np.ndarray, x0: np.ndarray,
     |u| = r = sqrt(1 - |x0|^2), and the distance is
     sqrt(|P y - x0|^2 + (|K^T y| - r)^2), P projecting onto the row space.
     """
-    radius = math.sqrt(1.0 - float(x0 @ x0))
+    radius = math.sqrt(max(0.0, 1.0 - float(x0 @ x0)))
     ky = points @ kernel
     row = points - ky @ kernel.T
     along = np.sqrt(np.einsum("ij,ij->i", ky, ky)) - radius
     across = row - x0
     return np.sqrt(np.einsum("ij,ij->i", across, across) + along * along)
+
+
+def _lp_fiber_distance(points: np.ndarray, p: float, columns: np.ndarray,
+                       target: np.ndarray) -> np.ndarray:
+    """l_p distance from each point y to the fiber {x_T = target,
+    |x_R|_p = r} of a coordinate map, where T are the mapped ``columns``,
+    R the other coordinates and r = (1 - |target|_p^p)^(1/p).
+
+    The p-th powers split over the two blocks, and the distance from y_R to
+    a sphere of radius r of any norm is ||y_R| - r| (triangle inequality),
+    so the distance is (||y_R|_p - r|^p + |y_T - target|_p^p)^(1/p).
+    """
+    rest = np.setdiff1d(np.arange(points.shape[1]), columns)
+    radius = max(0.0, 1.0 - float(np.sum(np.abs(target) ** p))) ** (1.0 / p)
+    along = np.sum(np.abs(points[:, rest]) ** p, axis=1) ** (1.0 / p) - radius
+    across = np.sum(np.abs(points[:, columns] - target) ** p, axis=1)
+    return (np.abs(along) ** p + across) ** (1.0 / p)
 
 
 def _fiber_distance(norm: NormDescriptor, f, z, eps: float,
@@ -323,9 +364,13 @@ def _fiber_distance(norm: NormDescriptor, f, z, eps: float,
     by the method ``fiber_distance_method`` names. Cloud distances above eps
     come back as inf. Raises as ``fiber_points`` does on a rank-deficient
     map or an empty fiber."""
-    if fiber_distance_method(norm) == "exact":
+    if fiber_distance_method(norm, f) == "exact":
         x0, kernel = _fiber_frame(norm, f, z)
-        return lambda points: _round_fiber_distance(points, x0, kernel)
+        if norm.is_round:
+            return lambda points: _round_fiber_distance(points, x0, kernel)
+        columns = _coordinate_columns(f)
+        return lambda points: _lp_fiber_distance(points, norm.p, columns,
+                                                 x0[columns])
     cloud = fiber_points(norm, f, z, fiber_budget, seed)
     return lambda points: min_norm_distance(norm, points, cloud, upper=eps)
 
@@ -388,12 +433,14 @@ def tube_measure(
     """Estimate the cone measure of the eps-neighborhood (norm distance) of
     the fiber {f x = z} on the sphere.
 
-    On the round sphere the distance to the fiber is exact, so the estimate
-    is unbiased and ``fiber_budget`` is unused. Other norms take distances
-    to a finite fiber point cloud of ``fiber_budget`` points, which can only
-    overestimate the true distance, so the estimate is a lower bound in
-    expectation (the conservative direction for checking waist bounds).
-    See ``fiber_distance_method``.
+    The distance to the fiber is exact on the round sphere (euclidean and
+    lp:2 norms) with any map, and on lp norms when ``f`` is a coordinate
+    map; there the estimate is unbiased and ``fiber_budget`` is unused.
+    Every other (norm, map) pair takes distances to a finite fiber point
+    cloud of ``fiber_budget`` points, which can only overestimate the true
+    distance, so the estimate is a lower bound in expectation (the
+    conservative direction for checking waist bounds). See
+    ``fiber_distance_method``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -417,9 +464,10 @@ def best_fiber(
 
     One shared cone-measure batch is used for every grid point (cheaper and
     lower-variance for comparisons). Distances to each fiber are measured
-    as in ``tube_measure``: exactly on the round sphere, otherwise against
-    a fiber cloud drawn from a per-z substream. Ties break toward the first
-    grid entry; grid points with empty fibers are skipped. Returns
+    as in ``tube_measure``: exactly on the round sphere with any map and on
+    lp norms with a coordinate map, otherwise against a fiber cloud drawn
+    from a per-z substream. Ties break toward the first grid entry; grid
+    points with empty fibers are skipped. Returns
     (z_star, best_estimate, all_estimates).
     """
     z_grid = [np.atleast_1d(np.asarray(z, dtype=float)) for z in z_grid]

@@ -100,6 +100,11 @@ class NormDescriptor:
         """Dimension n of the unit sphere."""
         return self.dim - 1
 
+    @property
+    def is_round(self) -> bool:
+        """Whether the unit sphere is the round one: euclidean, or l_2."""
+        return self.kind == "euclidean" or (self.kind == "lp" and self.p == 2)
+
     def __str__(self) -> str:
         return format_norm(self)
 
@@ -449,7 +454,7 @@ def lp_modulus_curve(p: float) -> ModulusCurve:
 
 def analytic_modulus_curve(norm: NormDescriptor) -> ModulusCurve:
     """Closed-form curve for euclidean/lp kinds."""
-    if norm.kind == "euclidean" or (norm.kind == "lp" and norm.p == 2):
+    if norm.is_round:
         return euclidean_modulus_curve()
     if norm.kind == "lp":
         return lp_modulus_curve(norm.p)

@@ -179,7 +179,26 @@ def test_verify_waist_report_fields(tmp_path):
     assert res["margin_sigmas"] > 3.0
     assert len(res["grid_estimates"]) == 5
     assert {"mean", "std_error", "count", "seed"} <= set(res["estimate"])
-    assert res["fiber_distance"] == "cloud"
+    assert res["fiber_distance"] == "exact"
+
+
+def test_verify_waist_lp2_takes_the_round_closed_form(tmp_path):
+    out = tmp_path / "lp2.json"
+    rc = main(["verify-waist", "--norm", "lp:2:3", "--k", "1", "--eps", "0.5",
+               "--samples", "2e4", "--z-grid", "-0.2:0.2:0.2", "--seed", "7",
+               "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["results"]["fiber_distance"] == "exact"
+
+
+@pytest.mark.parametrize("norm", ["euclidean:3", "lp:4:3"])
+def test_verify_waist_all_fibers_empty_exits_2(norm, capsys):
+    rc = main(["verify-waist", "--norm", norm, "--k", "1", "--eps", "0.5",
+               "--z-grid", "1:1.5:0.1", "--samples", "1000"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "empty fiber" in err and "--z-grid 1:1.5:0.1" in err
+    assert err.count("\n") == 1
 
 
 def test_verify_waist_codimension_two(tmp_path):
@@ -208,6 +227,15 @@ def test_verify_iso_pass(tmp_path):
     assert data["results"]["max_neighborhood"] >= 0.5 - 0.02
 
 
+def test_verify_iso_empty_cloud_exits_2(capsys):
+    rc = main(["verify-iso", "--norm", "euclidean:3", "--k", "1", "--eps",
+               "0.5", "--samples", "1", "--fiber-points", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "--samples" in err
+    assert err.count("\n") == 1
+
+
 def test_compare_csv_one_row_per_eps(tmp_path):
     out = tmp_path / "cmp.csv"
     rc = main(["compare", "--norm", "euclidean:6", "--k", "1",
@@ -232,6 +260,15 @@ def test_needle_suite_json_array(tmp_path):
         assert set(r) == {"lemma", "trials", "violations", "worst_margin",
                           "seed"}
         assert r["violations"] == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--norm", "lp:4:3"), ("--k", "2")])
+def test_needle_suite_rejects_unsupported_flags(flag, value, capsys):
+    rc = main(["needle-suite", flag, value, "--trials", "5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "euclidean k = 1 needles only" in err and f"{flag} {value}" in err
+    assert err.count("\n") == 1
 
 
 def test_config_file_with_flag_override(tmp_path):

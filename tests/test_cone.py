@@ -27,6 +27,7 @@ from waistlab.norms import euclidean_norm, lp_norm, norm_eval, smooth_norm
 
 E3 = euclidean_norm(3)
 E4 = euclidean_norm(4)
+L43 = lp_norm(4, 3)
 LAST_COORD = np.array([[0.0, 0.0, 1.0]])
 LAST_TWO = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
@@ -205,17 +206,39 @@ def test_fiber_errors():
 
 
 def _exact_distance(norm, f, z):
-    assert fiber_distance_method(norm) == "exact"
+    assert fiber_distance_method(norm, f) == "exact"
     # eps, the fiber budget and the seed are unused on the exact path
     return _fiber_distance(norm, f, z, 1.0, 1, seed=0)
 
 
+def _last_coords(dim, k=1):
+    return np.eye(dim)[dim - k:]
+
+
+def _rotated_row(dim, seed):
+    # one unit row with every entry nonzero, so it is no coordinate map
+    row = np.random.Generator(np.random.Philox(seed)).standard_normal(dim)
+    return (row / np.linalg.norm(row))[None, :]
+
+
 def test_fiber_distance_method_by_kind():
-    assert fiber_distance_method(E3) == "exact"
-    assert fiber_distance_method(E4) == "exact"
-    assert fiber_distance_method(lp_norm(4, 3)) == "cloud"
-    assert fiber_distance_method(lp_norm(2, 3)) == "cloud"
-    assert fiber_distance_method(smooth_norm(lp_norm(4, 2), 0.05, 0.01)) == "cloud"
+    rotated = _rotated_row(3, 67)
+    assert fiber_distance_method(E3, LAST_COORD) == "exact"
+    assert fiber_distance_method(E3, rotated) == "exact"
+    assert fiber_distance_method(E4, LAST_TWO) == "exact"
+    assert fiber_distance_method(L43, LAST_COORD) == "exact"
+    assert fiber_distance_method(L43, [[0.0, -2.0, 0.0]]) == "exact"
+    assert fiber_distance_method(lp_norm(4, 5), _last_coords(5, 2)) == "exact"
+    assert fiber_distance_method(lp_norm(2, 3), LAST_COORD) == "exact"
+    assert fiber_distance_method(lp_norm(2, 3), rotated) == "exact"
+    # not coordinate maps: a rotated row, two entries in a row, a repeated
+    # column
+    assert fiber_distance_method(L43, rotated) == "cloud"
+    assert fiber_distance_method(L43, [[0.0, 1.0, 1.0]]) == "cloud"
+    assert fiber_distance_method(
+        lp_norm(4, 5), [[0, 0, 0, 1.0, 0], [0, 0, 0, 2.0, 0]]) == "cloud"
+    assert fiber_distance_method(smooth_norm(lp_norm(4, 2), 0.05, 0.01),
+                                 [[0.0, 1.0]]) == "cloud"
 
 
 def test_exact_fiber_distance_is_the_cloud_limit():
@@ -269,6 +292,16 @@ def test_exact_path_skips_the_cloud_paths_empty_fibers():
     cases += [(E4, LAST_TWO, z) for z in
               ([0.8, 0.6], [0.6, 0.8], [root, root],
                [math.nextafter(root, 0.0)] * 2, [0.0, 1.0], [0.5, 0.5])]
+    # l_p coordinate maps, where the fiber is empty once |z'|_p >= 1
+    cases += [(norm, _last_coords(norm.dim), [z])
+              for norm in (L43, lp_norm(1.5, 5)) for z in
+              (-1.0, -math.nextafter(1.0, 0.0), 0.0, 0.9999999999, 1.0,
+               math.nextafter(1.0, 2.0))]
+    cases += [(L43, -2.0 * LAST_COORD, [z]) for z in (-1.9999999999, -2.0)]
+    quarter = 0.5 ** 0.25
+    cases += [(lp_norm(4, 5), _last_coords(5, 2), z) for z in
+              ([quarter, quarter], [math.nextafter(quarter, 0.0)] * 2,
+               [math.nextafter(quarter, 1.0)] * 2, [0.0, 1.0], [0.5, 0.5])]
     empty = []
     for norm, f, z in cases:
         try:
@@ -287,6 +320,87 @@ def test_exact_path_skips_the_cloud_paths_empty_fibers():
     z_grid = [z for norm, f, z in cases if norm is E3 and f is LAST_COORD]
     _, _, ests = best_fiber(E3, LAST_COORD, 0.5, z_grid, 1_000, 10, seed=66)
     assert len(ests) == len(z_grid) - sum(empty[:len(z_grid)])
+
+
+def test_lp_exact_fiber_distance_is_the_cloud_limit():
+    # A cloud point is on the fiber, so the cloud distance is never below
+    # the exact one. On lp:4:3 the fiber is a curve and 2 000 points leave
+    # a pointwise gap under 0.02; in dim 5 the fiber is 3-dimensional, where
+    # 2 000 points leave pointwise gaps up to about 0.25, so there the mean
+    # gap is bounded instead.
+    for norm in (lp_norm(1.5, 5), L43, lp_norm(4, 5)):
+        f = _last_coords(norm.dim)
+        pts = sample_conical(norm, 2_000, seed=68).points
+        for z in (0.0, 0.5, 0.9):
+            exact = _exact_distance(norm, f, [z])(pts)
+            cloud = min_norm_distance(norm, pts,
+                                      fiber_points(norm, f, [z], 2_000, seed=69))
+            assert np.all(cloud >= exact - 1e-12), (norm, z)
+            if norm.dim == 3:
+                assert np.all(cloud <= exact + 0.02), (norm, z)
+            else:
+                assert np.mean(cloud - exact) <= 0.06, (norm, z)
+
+
+def test_lp_exact_fiber_distance_codimension_two():
+    # Last two coordinates on lp:4:5: the fiber is a 2-dimensional l_4
+    # sphere in the first three coordinates. Its own points are at distance
+    # 0, and a cloud of them never comes closer than the exact distance.
+    norm = lp_norm(4, 5)
+    f = _last_coords(5, 2)
+    pts = sample_conical(norm, 2_000, seed=70).points
+    for z in ([0.0, 0.0], [0.5, -0.3], [-0.2, 0.8]):
+        distance = _exact_distance(norm, f, z)
+        cloud = fiber_points(norm, f, z, 2_000, seed=71)
+        assert np.abs(distance(cloud)).max() <= 1e-9
+        gap = min_norm_distance(norm, pts, cloud) - distance(pts)
+        assert np.all(gap >= -1e-12)
+        assert np.mean(gap) <= 0.06
+
+
+def test_lp_exact_fiber_distance_brute_force_curve():
+    # In dim 3 the fiber of the last coordinate is the closed curve
+    # {(r c(t), r s(t), z)} with (c, s) = (cos t, sin t) / |(cos t, sin t)|_p;
+    # the minimum over 2e5 points of it agrees with the closed form.
+    t = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
+    circle = np.column_stack([np.cos(t), np.sin(t)])
+    for p in (1.5, 4.0):
+        norm = lp_norm(p, 3)
+        circle_p = circle / np.asarray(norm_eval(lp_norm(p, 2), circle))[:, None]
+        pts = sample_conical(norm, 40, seed=72).points
+        for z in (0.0, 0.5, -0.9):
+            radius = (1.0 - abs(z) ** p) ** (1.0 / p)
+            curve = np.column_stack([radius * circle_p,
+                                     np.full(t.size, z)])
+            brute = np.array([np.asarray(norm_eval(norm, y - curve)).min()
+                              for y in pts])
+            exact = _exact_distance(norm, LAST_COORD, [z])(pts)
+            assert np.allclose(exact, brute, rtol=0.0, atol=1e-4), (p, z)
+
+
+def test_lp_exact_fiber_distance_scaled_and_signed_rows():
+    # Scaled, signed or reordered rows, with z scaled to match, describe the
+    # same fibers as the plain coordinate map.
+    norm = lp_norm(4, 5)
+    pts = sample_conical(norm, 5_000, seed=73).points
+    plain = _exact_distance(norm, _last_coords(5), [0.4])(pts)
+    scaled = _exact_distance(norm, -2.0 * _last_coords(5), [-0.8])(pts)
+    assert np.allclose(scaled, plain, rtol=0.0, atol=1e-12)
+    plain = _exact_distance(norm, _last_coords(5, 2), [0.3, -0.5])(pts)
+    mixed = np.array([[0, 0, 0, 0, -1.0], [0, 0, 0, 3.0, 0]])
+    mixed = _exact_distance(norm, mixed, [0.5, 0.9])(pts)
+    assert np.allclose(mixed, plain, rtol=0.0, atol=1e-12)
+
+
+def test_lp2_exact_distance_is_the_round_one():
+    # lp:2 has the round sphere, so it takes the euclidean closed form for
+    # any map, coordinate or not.
+    pts = sample_conical(E3, 5_000, seed=74).points
+    for f in (LAST_COORD, _rotated_row(3, 75)):
+        for z in (0.0, 0.6):
+            round_d = _exact_distance(E3, f, [z])(pts)
+            lp2_d = _exact_distance(lp_norm(2, 3), f, [z])(pts)
+            assert np.allclose(lp2_d, round_d, rtol=0.0, atol=1e-12)
 
 
 def test_min_norm_distance_generic_path_matches_brute_force():
