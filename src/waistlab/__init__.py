@@ -48,6 +48,5 @@ from .needles import (  # noqa: F401
     max_structure_check,
     needle_ratio_and_ball,
     needle_suite,
-    prekopa_concavity_check,
     random_arc_density,
 )

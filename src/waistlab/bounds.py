@@ -169,11 +169,13 @@ def waist_lower_bound(inputs: BoundInputs) -> BoundValue:
     n, k, eps = inputs.n, inputs.k, inputs.eps
     delta = float(inputs.modulus(eps / 2.0))
     shrink = max(0.0, 1.0 - 2.0 * delta) ** (n - k)
-    F, G = sine_integrals(k, eps / 2.0, inputs.f_upper)
-    if G <= 0.0:
-        value = 0.0
-    else:
-        value = 1.0 / (1.0 + shrink * (k + 1.0) ** (k + 1.0) * F / G)
+    # The near mass G underflows to 0 at tiny eps, and eps/2 itself does at
+    # the smallest subnormal eps; the bound is 0 there.
+    value = 0.0
+    if eps / 2.0 > 0.0:
+        F, G = sine_integrals(k, eps / 2.0, inputs.f_upper)
+        if G > 0.0:
+            value = 1.0 / (1.0 + shrink * (k + 1.0) ** (k + 1.0) * F / G)
     return BoundValue(
         value=value,
         kind="waist",

@@ -12,8 +12,8 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, get_args, get_type_hints
+from dataclasses import dataclass, field
+from typing import Callable, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -66,18 +66,24 @@ class ExperimentConfig:
     """A fully reproducible experiment description.
 
     Round-trips through JSON; every numeric range is validated before the
-    experiment dispatches.
+    experiment dispatches. Every field but ``command`` is also a flag of
+    each subcommand (``eps_grid`` is ``--eps-grid``); a field's metadata
+    holds extra argparse keywords for its flag.
     """
 
     command: str
-    norm: str = "euclidean:3"
+    norm: str = field(default="euclidean:3", metadata={
+        "help": "norm string, e.g. euclidean:3, lp:4:3, "
+                "reg:lp:1.5:2:w=0.05:d=0.01"})
     n: Optional[int] = None
     k: int = 1
     eps: Optional[float] = None
-    eps_grid: Optional[str] = None  # "lo:hi:step"
+    eps_grid: Optional[str] = field(default=None,
+                                    metadata={"metavar": "LO:HI:STEP"})
     samples: int = 1_000_000
     fiber_points: int = 10_000
-    z_grid: str = "-0.8:0.8:0.1"    # per coordinate
+    z_grid: str = field(default="-0.8:0.8:0.1", metadata={
+        "metavar": "LO:HI:STEP", "help": "grid of each coordinate of z"})
     seed: int = 0
     f_upper: str = F_UPPER_PI
     cap_mass: float = 0.5
@@ -147,7 +153,7 @@ class ExperimentConfig:
             raise ConfigError(f"{self.command} requires --eps")
         if self.eps is None and self.eps_grid is None and self.command != "needle-suite":
             raise ConfigError("provide --eps or --eps-grid")
-        if self.samples < 1 or self.fiber_points < 1 or self.trials < 1:
+        if min(self.samples, self.fiber_points, self.trials, self.budget) < 1:
             raise ConfigError("budgets must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
@@ -158,8 +164,16 @@ class ExperimentConfig:
         if self.method not in ("auto", "analytic", "numeric"):
             raise ConfigError(
                 f"method must be auto, analytic or numeric, got {self.method}")
+        if self.command == "modulus" and self.method == "analytic" and \
+                not descriptor.has_analytic_modulus:
+            raise ConfigError(
+                f"{self.norm} has no closed-form modulus; use --method "
+                "numeric or auto")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format}")
+        if self.format == "csv" and self.command not in ("compare", "modulus"):
+            raise ConfigError(f"command {self.command!r} has no CSV form; "
+                              "use --format json")
         if self.eps_grid is not None:
             grid = _parse_grid(self.eps_grid)
             if not np.all((grid > 0.0) & (grid <= 2.0)):
@@ -216,7 +230,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _modulus_for(norm: NormDescriptor, budget: int, seed: int,
                  eps_max: float):
     """Modulus curve for a run whose largest eps is ``eps_max``."""
-    if norm.kind in ("euclidean", "lp"):
+    if norm.has_analytic_modulus:
         return analytic_modulus_curve(norm)
     # The bounds read the curve at or below eps_max / 2: the waist bound at
     # eps/2, Gromov-Milman at eps/8 - theta_n, the log-log slope at
@@ -228,6 +242,13 @@ def _modulus_for(norm: NormDescriptor, budget: int, seed: int,
     grid = np.linspace(0.2, 1.8, 9)
     grid = grid[: np.searchsorted(grid, eps_max / 2.0) + 1]
     return numeric_modulus_curve(norm, eps_grid=grid, budget=budget, seed=seed)
+
+
+def _eps_values(cfg: ExperimentConfig) -> list[float]:
+    """The eps values of a run: --eps, else the points of --eps-grid."""
+    if cfg.eps is not None:
+        return [cfg.eps]
+    return [float(e) for e in _parse_grid(cfg.eps_grid)]
 
 
 def _coordinate_projection(dim: int, k: int) -> np.ndarray:
@@ -251,8 +272,7 @@ def _z_product_grid(spec: str, k: int) -> list[np.ndarray]:
 def _run_bound(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
-    eps_values = ([cfg.eps] if cfg.eps is not None
-                  else [float(e) for e in _parse_grid(cfg.eps_grid)])
+    eps_values = _eps_values(cfg)
     modulus = _modulus_for(norm, cfg.budget, cfg.seed, max(eps_values))
     entries = []
     for eps in eps_values:
@@ -270,12 +290,11 @@ def _run_bound(cfg: ExperimentConfig) -> Report:
 
 def _run_modulus(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
-    eps_values = ([cfg.eps] if cfg.eps is not None
-                  else [float(e) for e in _parse_grid(cfg.eps_grid)])
+    eps_values = _eps_values(cfg)
     rows = []
     for eps in eps_values:
         row = {"eps": eps}
-        if cfg.method in ("auto", "analytic") and norm.kind != "regularized":
+        if cfg.method in ("auto", "analytic") and norm.has_analytic_modulus:
             row["analytic"] = modulus_of_convexity(norm, eps, method="analytic")
         if cfg.method in ("auto", "numeric"):
             row["numeric"] = modulus_of_convexity(
@@ -355,8 +374,9 @@ def _run_verify_iso(cfg: ExperimentConfig) -> Report:
 
 
 def _run_needle_suite(cfg: ExperimentConfig) -> Report:
-    eps_choices = ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6) if cfg.eps_grid is None
-                   else tuple(float(e) for e in _parse_grid(cfg.eps_grid)))
+    eps_choices = ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+                   if cfg.eps is None and cfg.eps_grid is None
+                   else _eps_values(cfg))
     n_hi = cfg.n if cfg.n is not None else 8
     reports = needle_suite(cfg.trials, cfg.seed, n_range=(2, max(2, n_hi)),
                            eps_choices=eps_choices, f_upper=cfg.f_upper)
@@ -438,6 +458,35 @@ def emit_report(report: Report, path: Optional[str], fmt: str) -> str:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _parse_int(text: str) -> int:
+    """An integer flag value: digits, or a float literal of an integer such
+    as 1e6. A fractional value such as 2.5 is an error."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(value)
+
+
+_VALUE_PARSERS = {int: _parse_int, float: float, str: str}
+
+
+def _flag_fields() -> list[tuple[str, dataclasses.Field, Callable]]:
+    """(flag, field, value parser) for every config field but ``command``,
+    in declaration order."""
+    hints = get_type_hints(ExperimentConfig)
+    out = []
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name == "command":
+            continue
+        base = next(t for t in get_args(hints[f.name]) or (hints[f.name],)
+                    if t is not type(None))
+        out.append(("--" + f.name.replace("_", "-"), f, _VALUE_PARSERS[base]))
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waistlab",
@@ -450,35 +499,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags override it")
-        p.add_argument("--norm", default=None,
-                       help="norm string, e.g. euclidean:3, lp:4:3, "
-                            "reg:lp:1.5:2:w=0.05:d=0.01")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--eps-grid", dest="eps_grid", default=None,
-                       metavar="LO:HI:STEP")
-        p.add_argument("--samples", type=_int_like, default=None)
-        p.add_argument("--fiber-points", dest="fiber_points", type=_int_like,
-                       default=None)
-        p.add_argument("--z-grid", dest="z_grid", default=None,
-                       metavar="LO:HI:STEP")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--f-upper", dest="f_upper",
-                       choices=[F_UPPER_PI, F_UPPER_HALF_PI], default=None)
-        p.add_argument("--cap-mass", dest="cap_mass", type=float, default=None)
-        p.add_argument("--trials", type=_int_like, default=None)
-        p.add_argument("--budget", type=_int_like, default=None)
-        p.add_argument("--method", choices=["auto", "analytic", "numeric"],
-                       default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv"], default=None)
+        for flag, f, parse in _flag_fields():
+            p.add_argument(flag, dest=f.name, type=parse, default=None,
+                           **f.metadata)
     return parser
-
-
-def _int_like(text: str) -> int:
-    # Accept scientific notation such as 1e6 for budgets.
-    return int(float(text))
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -486,25 +510,28 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             file_data = json.load(fh)
+        if not isinstance(file_data, dict):
+            raise ConfigError(
+                f"--config file {args.config} must hold a JSON object")
         file_data.pop("command", None)
         data.update(file_data)
-    for key in ("norm", "n", "k", "eps", "eps_grid", "samples", "fiber_points",
-                "z_grid", "seed", "f_upper", "cap_mass", "trials", "budget",
-                "method", "out", "format"):
-        value = getattr(args, key)
+    for _, f, _ in _flag_fields():
+        value = getattr(args, f.name)
         if value is not None:
-            data[key] = value
+            data[f.name] = value
     return ExperimentConfig.from_dict(data)
 
 
-def _merge_grid_flags(argv: list[str]) -> list[str]:
-    # Grid specs may start with a minus sign (e.g. -0.8:0.8:0.1), which
-    # argparse would read as an option; fold them into --flag=value form.
+def _merge_value_flags(argv: list[str]) -> list[str]:
+    # A value may start with a minus sign (e.g. --z-grid -0.8:0.8:0.1),
+    # which argparse would read as an option; fold every flag that takes a
+    # value into --flag=value form.
+    flags = {"--config"} | {flag for flag, _, _ in _flag_fields()}
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--z-grid", "--eps-grid") and i + 1 < len(argv):
+        if tok in flags and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -517,7 +544,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_grid_flags(list(argv))
+    argv = _merge_value_flags(list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

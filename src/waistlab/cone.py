@@ -17,8 +17,6 @@ with a counter-based generator.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -50,8 +48,6 @@ __all__ = [
     "tube_measure",
     "best_fiber",
     "neighborhood_measure",
-    "batch_to_csv",
-    "estimate_to_json",
 ]
 
 
@@ -245,6 +241,8 @@ def _fiber_frame(norm: NormDescriptor, f, z) -> tuple[np.ndarray, np.ndarray]:
     k, d = f.shape
     if d != norm.dim:
         raise ValueError(f"map must have {norm.dim} columns, got {d}")
+    if k >= d:
+        raise ValueError(f"map must have fewer than {d} rows, got {k}")
     if z.shape != (k,):
         raise ValueError(f"target must have length {k}")
     if np.linalg.matrix_rank(f) < k:
@@ -527,20 +525,3 @@ def neighborhood_measure(
         dmin = min_norm_distance(norm, second.points[miss], cloud, upper=eps)
         hits[np.flatnonzero(miss)[dmin <= eps]] = True
     return MeasureEstimate.from_hits(int(hits.sum()), sample_budget, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-def batch_to_csv(batch: SampleBatch) -> str:
-    """One point per row, coordinates in columns x0..x{dim-1}."""
-    buf = io.StringIO()
-    buf.write(",".join(f"x{i}" for i in range(batch.norm.dim)) + "\n")
-    for row in batch.points:
-        buf.write(",".join(format(v, ".17g") for v in row) + "\n")
-    return buf.getvalue()
-
-
-def estimate_to_json(estimate: MeasureEstimate) -> str:
-    return json.dumps(estimate.to_dict(), sort_keys=True)

@@ -5,16 +5,15 @@ probability density whose (1/m)-th power obeys a midpoint concavity
 inequality corrected by the modulus of convexity ("weak m-concavity"). This
 module builds such densities on arcs (and, at desk scale, on geodesic caps
 of the round 2-sphere), checks the decay / mass-ratio / ball-mass chain that
-the waist bound rests on, reconstructs densities derived from shrinking
-convex sets empirically, and verifies the Prekopa-Leindler style concavity
-of ball masses in the plane.
+the waist bound rests on, and reconstructs densities derived from
+shrinking lunes empirically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,8 +41,6 @@ __all__ = [
     "DecayReport",
     "NeedleBoundsReport",
     "DerivedDensityDiagnostics",
-    "PrekopaReport",
-    "PlanarDensity",
     "is_weakly_concave",
     "max_structure_check",
     "decay_bound_check",
@@ -51,15 +48,8 @@ __all__ = [
     "random_arc_density",
     "random_cap_density",
     "lune_spec",
-    "cap_spec",
-    "slab_spec",
     "validate_convexity",
     "derived_density_estimate",
-    "random_planar_density",
-    "uniform_planar_density",
-    "planar_ball_mass",
-    "point_in_polygon",
-    "prekopa_concavity_check",
     "needle_suite",
 ]
 
@@ -349,7 +339,10 @@ def needle_ratio_and_ball(d, eps: float, n: int, k: int = 1,
         raise ValueError(f"density has m={d.m}, expected n-k={n - k}")
     F, G = sine_integrals(k, eps, f_upper)
     shrink = max(0.0, 1.0 - 2.0 * float(d.modulus(eps))) ** (n - k)
-    ratio_bound = shrink * (k + 1.0) ** (k + 1.0) * (F / G)
+    # G underflows to 0 at tiny eps, where the waist bound is 0 and the
+    # ratio bound is vacuous
+    ratio_bound = (shrink * (k + 1.0) ** (k + 1.0) * (F / G) if G > 0.0
+                   else math.inf)
     ratio = outer / ball if ball > 0 else math.inf
     ball_bound = waist_lower_bound(
         BoundInputs(n=n, k=k, eps=eps, modulus=d.modulus, f_upper=f_upper)
@@ -531,33 +524,20 @@ class NonConvexSpecError(ValueError):
 
 @dataclass(frozen=True)
 class ConvexCapSpec:
-    """An open convex subset of the round sphere S^2 given by a generator:
-    spherical cap, lune (wedge between meridian half-circles), or an
-    intersection of linear slabs. Convexity is validated by sampling."""
+    """A lune of the round sphere S^2: the wedge of azimuth within
+    ``half_angle`` of a meridian half-circle about ``axis``. Convex for
+    half-angles up to pi/2, which ``lune_spec`` enforces; convexity is
+    validated by sampling."""
 
-    kind: str  # "spherical_cap" | "lune" | "slabs"
+    axis: np.ndarray
+    half_angle: float
     norm: NormDescriptor = field(default_factory=lambda: euclidean_norm(3))
-    center: Optional[np.ndarray] = None
-    angle: float = 0.0
-    axis: Optional[np.ndarray] = None
-    half_angle: float = 0.0
-    slabs: tuple = ()
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        u, v = _axis_frame(self.axis)
         points = np.atleast_2d(points)
-        if self.kind == "spherical_cap":
-            return points @ self.center >= math.cos(self.angle)
-        if self.kind == "lune":
-            u, v = _axis_frame(self.axis)
-            az = np.arctan2(points @ v, points @ u)
-            return np.abs(az) <= self.half_angle
-        if self.kind == "slabs":
-            ok = np.ones(points.shape[0], dtype=bool)
-            for a, lo, hi in self.slabs:
-                proj = points @ np.asarray(a, dtype=float)
-                ok &= (proj >= lo) & (proj <= hi)
-            return ok
-        raise ValueError(f"unknown generator kind {self.kind!r}")
+        az = np.arctan2(points @ v, points @ u)
+        return np.abs(az) <= self.half_angle
 
 
 def _axis_frame(axis):
@@ -572,24 +552,11 @@ def _axis_frame(axis):
     return u, v
 
 
-def cap_spec(center, angle: float) -> ConvexCapSpec:
-    center = np.asarray(center, dtype=float)
-    center = center / np.linalg.norm(center)
-    if not (0 < angle <= math.pi / 2):
-        raise ValueError("cap angle must lie in (0, pi/2]")
-    return ConvexCapSpec(kind="spherical_cap", center=center, angle=float(angle))
-
-
 def lune_spec(half_angle: float, axis=(0.0, 0.0, 1.0)) -> ConvexCapSpec:
     if not (0 < half_angle <= math.pi / 2):
         raise ValueError("lune half-angle must lie in (0, pi/2]")
-    return ConvexCapSpec(kind="lune", axis=np.asarray(axis, dtype=float),
+    return ConvexCapSpec(axis=np.asarray(axis, dtype=float),
                          half_angle=float(half_angle))
-
-
-def slab_spec(slabs) -> ConvexCapSpec:
-    return ConvexCapSpec(kind="slabs", slabs=tuple(
-        (np.asarray(a, dtype=float), float(lo), float(hi)) for a, lo, hi in slabs))
 
 
 def validate_convexity(spec: ConvexCapSpec, samples: int = 4000,
@@ -652,8 +619,6 @@ def derived_density_estimate(
     """
     if not specs:
         raise ValueError("need at least one spec")
-    if any(s.kind != "lune" for s in specs):
-        raise ValueError("derived density estimation supports lune families")
     norm = specs[0].norm
     n = norm.sphere_dim
     if n != 2:
@@ -776,145 +741,6 @@ def derived_density_estimate(
         ok=bool(ok and converged),
     )
     return estimate, diag
-
-
-# ---------------------------------------------------------------------------
-# Planar ball-mass concavity (generalized Prekopa-Leindler consequence)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PlanarDensity:
-    """A density on a convex polygon whose (1/m)-th power is concave."""
-
-    vertices: np.ndarray  # (V, 2), counterclockwise
-    m: int
-    fn: Callable  # (N, 2) -> (N,)
-
-
-def random_planar_density(rng: np.random.Generator, vertices, m: int,
-                          funcs_range: tuple = (2, 6)) -> PlanarDensity:
-    """min-of-affine construction: h = min_j (a_j . x + b_j) positive on the
-    polygon, density = h^m."""
-    vertices = np.asarray(vertices, dtype=float)
-    n_funcs = int(rng.integers(funcs_range[0], funcs_range[1] + 1))
-    coeffs = []
-    for _ in range(n_funcs):
-        a = rng.standard_normal(2)
-        b = 0.05 + rng.uniform(0.0, 1.0) - float(np.min(vertices @ a))
-        coeffs.append((a, b))
-
-    def fn(points):
-        points = np.atleast_2d(points)
-        h = np.min(np.stack([points @ a + b for a, b in coeffs]), axis=0)
-        return np.power(np.maximum(h, 0.0), m)
-
-    return PlanarDensity(vertices=vertices, m=m, fn=fn)
-
-
-def uniform_planar_density(vertices, m: int = 1, level: float = 1.0
-                           ) -> PlanarDensity:
-    vertices = np.asarray(vertices, dtype=float)
-    return PlanarDensity(vertices=vertices, m=m,
-                         fn=lambda pts: np.full(np.atleast_2d(pts).shape[0], level))
-
-
-def _polygon_edges(vertices):
-    nxt = np.roll(vertices, -1, axis=0)
-    edges = nxt - vertices
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward for ccw
-    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
-    return normals, np.einsum("ij,ij->i", normals, vertices)
-
-
-def point_in_polygon(vertices, points) -> np.ndarray:
-    normals, offsets = _polygon_edges(np.asarray(vertices, dtype=float))
-    points = np.atleast_2d(points)
-    return np.all(points @ normals.T <= offsets[None, :] + 1e-12, axis=1)
-
-
-def planar_ball_mass(density: PlanarDensity, center, r: float,
-                     n_rho: int = 24, n_omega: int = 2048) -> float:
-    """Integral of the density over B(center, r) intersected with the
-    polygon, by polar quadrature: exact ray clipping against the polygon
-    edges, Gauss-Legendre radially, uniform trapezoid in the angle."""
-    center = np.asarray(center, dtype=float)
-    vertices = density.vertices
-    if not bool(point_in_polygon(vertices, center[None, :])[0]):
-        raise ValueError("ball center must lie inside the polygon")
-    normals, offsets = _polygon_edges(vertices)
-    omega = np.linspace(0.0, 2.0 * math.pi, n_omega, endpoint=False)
-    e = np.column_stack([np.cos(omega), np.sin(omega)])
-    # Ray exit parameter: min over edges with positive heading of
-    # (offset - c.n) / (e.n).
-    denom = e @ normals.T
-    numer = (offsets - center @ normals.T)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_all = np.where(denom > 1e-15, numer / denom, np.inf)
-    t_exit = t_all.min(axis=1)
-    radius = np.minimum(r, np.maximum(t_exit, 0.0))
-    nodes, weights = np.polynomial.legendre.leggauss(n_rho)
-    s = 0.5 * (nodes + 1.0)
-    ws = 0.5 * weights
-    pts = center[None, None, :] + (radius[:, None] * s[None, :])[:, :, None] * e[:, None, :]
-    vals = density.fn(pts.reshape(-1, 2)).reshape(n_omega, n_rho)
-    radial = (vals * (ws * s)[None, :]).sum(axis=1) * radius**2
-    return float(radial.sum() * (2.0 * math.pi / n_omega))
-
-
-@dataclass(frozen=True)
-class PrekopaReport:
-    ok: bool
-    trials: int
-    violations: int
-    worst_margin: float
-
-
-def prekopa_concavity_check(
-    m: int,
-    density: PlanarDensity,
-    r: float,
-    trial_count: int,
-    seed: int,
-    tol: float = 1e-6,
-    n_rho: int = 16,
-    n_omega: int = 1024,
-) -> PrekopaReport:
-    """Check that x -> mu(B(x, r) cap S)^(1/(m+2)) is concave on the polygon
-    S: for random x, y, theta,
-
-        mu(B(theta x + (1-theta) y, r))^(1/(m+2))
-            >= theta mu(B(x, r))^(1/(m+2)) + (1-theta) mu(B(y, r))^(1/(m+2))
-               - tol.
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    rng = rng_stream(seed, 0)
-    vertices = density.vertices
-    lo = vertices.min(axis=0)
-    hi = vertices.max(axis=0)
-    expo = 1.0 / (m + 2.0)
-    mass = lambda c: planar_ball_mass(density, c, r, n_rho=n_rho, n_omega=n_omega)
-    worst = math.inf
-    violations = 0
-    done = 0
-    while done < trial_count:
-        cand = lo + rng.random((64, 2)) * (hi - lo)
-        cand = cand[point_in_polygon(vertices, cand)]
-        for pair in range(0, cand.shape[0] - 1, 2):
-            if done >= trial_count:
-                break
-            x, y = cand[pair], cand[pair + 1]
-            theta = float(rng.random())
-            mid = theta * x + (1.0 - theta) * y
-            lhs = mass(mid) ** expo
-            rhs = theta * mass(x) ** expo + (1.0 - theta) * mass(y) ** expo
-            margin = lhs - rhs + tol
-            worst = min(worst, margin)
-            if margin < 0:
-                violations += 1
-            done += 1
-    return PrekopaReport(ok=violations == 0, trials=done,
-                         violations=violations, worst_margin=worst)
 
 
 # ---------------------------------------------------------------------------

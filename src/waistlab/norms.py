@@ -36,8 +36,6 @@ __all__ = [
     "modulus_of_convexity",
     "numeric_modulus_curve",
     "smooth_norm",
-    "squared_norm_hessian",
-    "radial_bilipschitz",
 ]
 
 
@@ -104,6 +102,12 @@ class NormDescriptor:
     def is_round(self) -> bool:
         """Whether the unit sphere is the round one: euclidean, or l_2."""
         return self.kind == "euclidean" or (self.kind == "lp" and self.p == 2)
+
+    @property
+    def has_analytic_modulus(self) -> bool:
+        """Whether the modulus of convexity has a closed form: euclidean and
+        l_p norms. Regularized norms take the numeric estimate."""
+        return self.kind in ("euclidean", "lp")
 
     def __str__(self) -> str:
         return format_norm(self)
@@ -453,14 +457,14 @@ def lp_modulus_curve(p: float) -> ModulusCurve:
 
 
 def analytic_modulus_curve(norm: NormDescriptor) -> ModulusCurve:
-    """Closed-form curve for euclidean/lp kinds."""
+    """Closed-form curve for the norms ``has_analytic_modulus`` names."""
+    if not norm.has_analytic_modulus:
+        raise UnsupportedNormError(
+            "no analytic modulus for regularized norms; use method='numeric'"
+        )
     if norm.is_round:
         return euclidean_modulus_curve()
-    if norm.kind == "lp":
-        return lp_modulus_curve(norm.p)
-    raise UnsupportedNormError(
-        "no analytic modulus for regularized norms; use method='numeric'"
-    )
+    return lp_modulus_curve(norm.p)
 
 
 def modulus_of_convexity(
@@ -483,7 +487,7 @@ def modulus_of_convexity(
     if eps == 0:
         return 0.0
     if method == "auto":
-        method = "numeric" if norm.kind == "regularized" else "analytic"
+        method = "analytic" if norm.has_analytic_modulus else "numeric"
     if method == "analytic":
         return float(analytic_modulus_curve(norm)(eps))
     if method != "numeric":
@@ -629,45 +633,3 @@ def smooth_norm(
         mollifier_width=float(mollifier_width),
         delta_reg=float(delta_reg),
     )
-
-
-def squared_norm_hessian(norm: NormDescriptor, x, step: float = 1e-4) -> np.ndarray:
-    """Central finite-difference Hessian of y -> ||y||^2 at x."""
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    sq = lambda y: float(norm_eval(norm, y)) ** 2
-    hess = np.zeros((d, d))
-    f0 = sq(x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = step
-        hess[i, i] = (sq(x + ei) - 2.0 * f0 + sq(x - ei)) / step**2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = step
-            hess[i, j] = hess[j, i] = (
-                sq(x + ei + ej) - sq(x + ei - ej) - sq(x - ei + ej) + sq(x - ei - ej)
-            ) / (4.0 * step**2)
-    return hess
-
-
-def radial_bilipschitz(
-    norm_a: NormDescriptor,
-    norm_b: NormDescriptor,
-    pairs: int = 2000,
-    seed: int = 0,
-) -> float:
-    """Measured biLipschitz constant of the radial projection from the unit
-    sphere of ``norm_a`` onto that of ``norm_b``, each sphere metrized by its
-    own norm. Tends to 1 as the two norms approach each other."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    g = rng.standard_normal((2 * pairs, norm_a.dim))
-    xs = g / np.asarray(norm_eval(norm_a, g))[..., None]
-    x, y = xs[:pairs], xs[pairs:]
-    da = norm_eval(norm_a, x - y)
-    tx = radial_project(norm_b, x)
-    ty = radial_project(norm_b, y)
-    db = norm_eval(norm_b, tx - ty)
-    ok = da > 1e-9
-    ratio = db[ok] / da[ok]
-    return float(max(ratio.max(), 1.0 / ratio.min()))

@@ -185,6 +185,13 @@ def test_waist_bound_small_eps_limit():
     assert w.value < 1e-4
 
 
+def test_waist_bound_is_zero_where_half_eps_underflows():
+    # 5e-324 is the smallest positive float, so eps/2 rounds to 0
+    for k in (1, 2):
+        w = waist_lower_bound(BoundInputs(n=3, k=k, eps=5e-324, modulus=MOD))
+        assert w.value == 0.0
+
+
 def test_waist_bound_grows_with_n():
     w2 = waist_lower_bound(BoundInputs(n=2, k=1, eps=0.5, modulus=MOD)).value
     w100 = waist_lower_bound(BoundInputs(n=100, k=1, eps=0.5, modulus=MOD)).value

@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import tracemalloc
@@ -12,6 +16,7 @@ from waistlab.cli import (
     _COMMANDS,
     ConfigError,
     ExperimentConfig,
+    _build_parser,
     _modulus_for,
     _parse_grid,
     _z_product_grid,
@@ -458,3 +463,164 @@ def test_modulus_prefix_matches_full_grid_on_real_search():
     assert len(prefix.grid) == 5
     for eps in _PREFIX_EPS:
         assert _readings(prefix, eps) == _readings(full, eps), eps
+
+
+# ---------------------------------------------------------------------------
+# Input rules and exit codes
+# ---------------------------------------------------------------------------
+
+REG_NORM = "reg:lp:1.5:3:w=0.05:d=0.01"
+
+
+def _needle_stdout(capsys, *flags):
+    assert main(["needle-suite", "--trials", "30", "--seed", "4", *flags]) == 0
+    return capsys.readouterr().out
+
+
+def test_needle_suite_eps_is_a_one_value_grid(capsys):
+    one = _needle_stdout(capsys, "--eps", "0.3")
+    assert one == _needle_stdout(capsys, "--eps-grid", "0.3:0.3:0.1")
+    assert one != _needle_stdout(capsys)
+    # --eps wins over --eps-grid, as in bound and modulus
+    assert one == _needle_stdout(capsys, "--eps", "0.3",
+                                 "--eps-grid", "0.1:0.6:0.1")
+
+
+@pytest.mark.parametrize("content", ["[1]", '"x"', "null", "3"])
+def test_config_file_not_an_object_exits_2(content, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(content)
+    rc = main(["bound", "--config", str(cfg_file)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "must hold a JSON object" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_nonpositive_budget_exits_2(budget, capsys):
+    rc = main(["modulus", "--norm", "lp:4:3", "--eps", "0.5",
+               "--budget", budget])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "budgets must be positive" in err
+    assert err.count("\n") == 1
+
+
+def test_analytic_modulus_of_regularized_norm_exits_2(monkeypatch, capsys):
+    def no_curve(*args, **kwargs):
+        raise AssertionError("validate built a modulus curve")
+
+    monkeypatch.setattr(norms, "_numeric_modulus", no_curve)
+    rc = main(["modulus", "--norm", REG_NORM, "--eps", "0.5",
+               "--method", "analytic"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "no closed-form modulus" in err
+    assert err.count("\n") == 1
+    # auto and numeric pass validation without computing anything
+    for method in ("auto", "numeric"):
+        ExperimentConfig(command="modulus", norm=REG_NORM, eps=0.5,
+                         method=method).validate()
+
+
+def test_modulus_capability_comes_from_norms():
+    for text, closed in (("euclidean:3", True), ("lp:4:3", True),
+                         ("lp:2:3", True), (REG_NORM, False)):
+        assert norms.parse_norm(text).has_analytic_modulus is closed
+
+
+@pytest.mark.parametrize("command", ["bound", "verify-waist", "verify-iso",
+                                     "needle-suite"])
+def test_csv_without_csv_form_exits_2(command, capsys):
+    rc = main([command, "--norm", "euclidean:3", "--eps", "0.5",
+               "--samples", "100", "--trials", "2", "--format", "csv"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "has no CSV form" in err
+    assert err.count("\n") == 1
+
+
+def test_integer_flags_take_integral_floats_only(capsys):
+    rc = main(["verify-waist", "--norm", "euclidean:3", "--eps", "0.5",
+               "--samples", "2e3", "--fiber-points", "1e2", "--z-grid",
+               "0:0:1", "--seed", "12345678901234567890"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["config"]["samples"] == 2000
+    assert report["config"]["fiber_points"] == 100
+    assert report["config"]["seed"] == 12345678901234567890
+    for flag in ("--samples", "--k", "--seed", "--n"):
+        assert main(["bound", "--norm", "euclidean:3", "--eps", "0.5",
+                     flag, "2.5"]) == 2
+        assert "invalid integer '2.5'" in capsys.readouterr().err
+
+
+def test_subcommand_flags_are_the_config_fields():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == _COMMANDS
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    fields.discard("command")
+    expected = {"--" + name.replace("_", "-") for name in fields}
+    for name, subparser in sub.choices.items():
+        actions = [a for a in subparser._actions if a.dest != "help"]
+        assert {s for a in actions for s in a.option_strings} == \
+            expected | {"--config"}, name
+        assert {a.dest for a in actions} == fields | {"config"}, name
+
+
+# Flag sets at tiny budgets: every command, euclidean and l_p norms of
+# dimension 3-5, k <= 2, coarse z grids. A few values lie outside the valid
+# ranges, so that every exit code shows up.
+_FUZZ_BUDGETS = {
+    "--samples": st.integers(0, 2000),
+    "--fiber-points": st.integers(1, 200),
+    "--trials": st.integers(1, 5),
+    "--budget": st.integers(-1, 1000),
+    "--z-grid": st.sampled_from(["-0.8:0.8:0.4", "0:0:1", "-0.4:0.4:0.4",
+                                 "-0.99:0.99:0.66", "0.9:0.99:0.09"]),
+}
+_FUZZ_FLAGS = {
+    "--norm": st.sampled_from([f"{kind}:{dim}" for dim in (3, 4, 5)
+                               for kind in ("euclidean", "lp:1.5", "lp:2",
+                                            "lp:4")]),
+    "--n": st.integers(2, 4),
+    "--k": st.sampled_from([1, 1, 2, 0]),
+    "--eps-grid": st.sampled_from(["0.2:0.6:0.2", "0.1:2:0.6", "0.5:0.5:1",
+                                   "0.3:2.4:0.7"]),
+    "--seed": st.integers(0, 2**64),
+    "--f-upper": st.sampled_from(["pi", "halfpi", "tau"]),
+    "--cap-mass": st.floats(0.05, 0.95),
+    "--method": st.sampled_from(["auto", "analytic", "numeric"]),
+    "--format": st.sampled_from(["json", "json", "csv"]),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    argv = [draw(st.sampled_from(_COMMANDS))]
+    flags = draw(st.fixed_dictionaries(
+        {**_FUZZ_BUDGETS, "--eps": st.floats(0.0, 2.1)},
+        optional=_FUZZ_FLAGS))
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_argv())
+def test_main_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    elif rc == 1:
+        assert len(lines) == 1 and lines[0].startswith("FAIL ("), lines
+    else:
+        assert rc == 0, (rc, lines)
+        assert out.getvalue()
+        assert all(line.startswith("PASS (") for line in lines), lines

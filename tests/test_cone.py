@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,10 +9,8 @@ from waistlab.cone import (
     MeasureEstimate,
     RankDeficientError,
     _fiber_distance,
-    batch_to_csv,
     best_fiber,
     derive_seed,
-    estimate_to_json,
     fiber_distance_method,
     fiber_points,
     min_norm_distance,
@@ -147,8 +144,8 @@ def test_measure_estimate_contract():
     est = MeasureEstimate.from_hits(250, 1000, seed=9)
     assert est.mean == 0.25
     assert est.std_error == pytest.approx(math.sqrt(0.25 * 0.75 / 1000))
-    record = json.loads(estimate_to_json(est))
-    assert set(record) == {"mean", "std_error", "count", "seed"}
+    assert est.to_dict() == {"mean": 0.25, "std_error": est.std_error,
+                             "count": 1000, "seed": 9}
     with pytest.raises(ValueError):
         MeasureEstimate(mean=1.2, std_error=0.0, count=10)
 
@@ -203,6 +200,18 @@ def test_fiber_errors():
         tube_measure(E3, rank_one, [0.0, 0.0], 0.5, 100, 10, seed=1)
     with pytest.raises(RankDeficientError):
         best_fiber(E3, rank_one, 0.5, [[0.0, 0.0]], 100, 10, seed=1)
+
+
+
+def test_square_map_has_no_fiber_to_sample():
+    # k = dim leaves the single point x0 = f^-1 z, which lies on the sphere
+    # only by accident; the fiber machinery needs k < dim
+    with pytest.raises(ValueError, match="fewer than 3 rows"):
+        fiber_points(E3, np.eye(3), [0.0, 0.0, 0.5], 3, seed=1)
+    for norm in (E3, L43):
+        with pytest.raises(ValueError, match="fewer than 3 rows"):
+            tube_measure(norm, np.eye(3), [0.0, 0.0, 0.5], 0.3, 100, 10,
+                         seed=1)
 
 
 def _exact_distance(norm, f, z):
@@ -507,17 +516,3 @@ def test_neighborhood_measure_deterministic():
     a = neighborhood_measure(E3, ind, 0.4, 30_000, 3_000, seed=46)
     b = neighborhood_measure(E3, ind, 0.4, 30_000, 3_000, seed=46)
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-def test_batch_csv_round_trip():
-    batch = sample_conical(E3, 50, seed=51)
-    text = batch_to_csv(batch)
-    lines = text.strip().split("\n")
-    assert lines[0] == "x0,x1,x2"
-    parsed = np.array([[float(tok) for tok in line.split(",")]
-                       for line in lines[1:]])
-    assert np.array_equal(parsed, batch.points)

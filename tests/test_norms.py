@@ -22,13 +22,48 @@ from waistlab.norms import (
     norm_eval,
     numeric_modulus_curve,
     parse_norm,
-    radial_bilipschitz,
     radial_project,
     smooth_norm,
-    squared_norm_hessian,
 )
 
 RNG = np.random.Generator(np.random.Philox(20240101))
+
+
+def squared_norm_hessian(norm, x, step: float = 1e-4) -> np.ndarray:
+    """Central finite-difference Hessian of y -> ||y||^2 at x."""
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    sq = lambda y: float(norm_eval(norm, y)) ** 2
+    hess = np.zeros((d, d))
+    f0 = sq(x)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = step
+        hess[i, i] = (sq(x + ei) - 2.0 * f0 + sq(x - ei)) / step**2
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = step
+            hess[i, j] = hess[j, i] = (
+                sq(x + ei + ej) - sq(x + ei - ej) - sq(x - ei + ej) + sq(x - ei - ej)
+            ) / (4.0 * step**2)
+    return hess
+
+
+def radial_bilipschitz(norm_a, norm_b, pairs: int = 2000, seed: int = 0) -> float:
+    """Measured biLipschitz constant of the radial projection from the unit
+    sphere of ``norm_a`` onto that of ``norm_b``, each sphere metrized by its
+    own norm. Tends to 1 as the two norms approach each other."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    g = rng.standard_normal((2 * pairs, norm_a.dim))
+    xs = g / np.asarray(norm_eval(norm_a, g))[..., None]
+    x, y = xs[:pairs], xs[pairs:]
+    da = norm_eval(norm_a, x - y)
+    tx = radial_project(norm_b, x)
+    ty = radial_project(norm_b, y)
+    db = norm_eval(norm_b, tx - ty)
+    ok = da > 1e-9
+    ratio = db[ok] / da[ok]
+    return float(max(ratio.max(), 1.0 / ratio.min()))
 
 
 def test_norm_eval_examples():
