@@ -34,6 +34,7 @@ from .cone import (
     EmptyFiberError,
     EmptySetError,
     best_fiber,
+    derive_seed,
     fiber_distance_method,
     neighborhood_measure,
     sample_conical,
@@ -343,16 +344,17 @@ def _run_verify_iso(cfg: ExperimentConfig) -> Report:
     bound = waist_lower_bound(BoundInputs(n=n, k=1, eps=cfg.eps,
                                           modulus=modulus, f_upper=cfg.f_upper))
     # Cap through a threshold on the last coordinate, calibrated so the cap
-    # carries the requested cone mass.
-    calib = sample_conical(norm, min(cfg.samples, 200_000), cfg.seed + 1)
+    # carries the requested cone mass. Each batch has its own seed path.
+    calib = sample_conical(norm, min(cfg.samples, 200_000),
+                           derive_seed(cfg.seed, 0))
     tau = float(np.quantile(calib.points[:, -1], 1.0 - cfg.cap_mass))
     cap = lambda pts: pts[:, -1] >= tau
     cap_c = lambda pts: pts[:, -1] < tau
     try:
-        est_a = neighborhood_measure(norm, cap, cfg.eps, cfg.samples,
-                                     cfg.fiber_points, cfg.seed)
-        est_ac = neighborhood_measure(norm, cap_c, cfg.eps, cfg.samples,
-                                      cfg.fiber_points, cfg.seed + 7)
+        est_a, est_ac = (
+            neighborhood_measure(norm, part, cfg.eps, cfg.samples,
+                                 cfg.fiber_points, derive_seed(cfg.seed, path))
+            for path, part in ((1, cap), (2, cap_c)))
     except EmptySetError as exc:
         raise ConfigError(
             f"no sample landed in the cap or its complement with --samples "

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waistlab import norms
+from waistlab import cli, cone, norms
 from waistlab.cli import (
     _COMMANDS,
     ConfigError,
@@ -239,6 +239,28 @@ def test_verify_iso_empty_cloud_exits_2(capsys):
     assert rc == 2
     assert "--samples" in err
     assert err.count("\n") == 1
+
+
+def test_verify_iso_runs_at_nearby_seeds_share_no_batch(monkeypatch):
+    def batch_seeds(seed):
+        seeds = []
+
+        def recording(norm, count, batch_seed):
+            seeds.append(batch_seed)
+            return real(norm, count, batch_seed)
+
+        monkeypatch.setattr(cone, "sample_conical", recording)
+        monkeypatch.setattr(cli, "sample_conical", recording)
+        run_experiment(ExperimentConfig(command="verify-iso", norm="lp:4:3",
+                                        eps=0.3, samples=2000,
+                                        fiber_points=200, seed=seed))
+        return seeds
+
+    real = cone.sample_conical
+    # the calibration batch and two batches per neighborhood estimate
+    at_0, at_7 = batch_seeds(0), batch_seeds(7)
+    assert len(set(at_0)) == len(set(at_7)) == 5
+    assert not set(at_0) & set(at_7)
 
 
 def test_compare_csv_one_row_per_eps(tmp_path):
