@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,12 +81,19 @@ def _sine_mass(m: int, r: float) -> float:
 
     For r <= pi/2 this is B(a, 1/2) I_{sin^2 r}(a, 1/2) / 2 with
     a = (m + 1)/2, a regularized incomplete beta function (DLMF 8.17); the
-    mass beyond pi/2 follows by symmetry about pi/2. Accurate to a few ulp
-    relative, however small the mass.
+    mass beyond pi/2 follows by symmetry about pi/2. Where sin^2 r is below
+    the normal float range, betainc loses digits, and the leading term
+    sin^(m+1) r / (m+1) of the series takes over: the next term is smaller
+    by a factor of order sin^2 r. That happens only near r = 0: the float
+    nearest pi has a sine of about 1.2e-16. Accurate to a few ulp relative,
+    however small the mass.
     """
+    s = math.sin(r)
+    if s * s < sys.float_info.min:
+        return float(s ** (m + 1) / (m + 1))
     a = 0.5 * (m + 1.0)
     half = 0.5 * special.beta(a, 0.5)
-    below = half * special.betainc(a, 0.5, math.sin(r) ** 2)
+    below = half * special.betainc(a, 0.5, s ** 2)
     return float(below if r <= math.pi / 2.0 else 2.0 * half - below)
 
 

@@ -489,8 +489,17 @@ def _flag_fields() -> list[tuple[str, dataclasses.Field, Callable]]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one ``error:`` line, as
+    every other input error does, instead of the usage block."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="waistlab",
         description="Waist and isoperimetric lower bounds for unit spheres "
                     "of uniformly convex normed spaces, with Monte Carlo "

@@ -191,9 +191,9 @@ def sample_conical(norm: NormDescriptor, count: int, seed: int,
         raise ValueError("count must be >= 1")
     rng = rng_stream(seed, 0)
     if method == "auto":
-        method = "direct" if norm.kind in ("euclidean", "lp") else "rejection"
+        method = "direct" if norm.minkowski_p is not None else "rejection"
     if method == "direct":
-        if norm.kind not in ("euclidean", "lp"):
+        if norm.minkowski_p is None:
             method = "rejection"
     if method == "direct":
         pts = _direct_sphere_sample(norm, count, rng)
@@ -280,8 +280,13 @@ def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarra
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         inside = np.asarray(norm_eval(norm, x0 + mid[:, None] * v)) < 1.0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+        new_lo = np.where(inside, mid, lo)
+        new_hi = np.where(inside, hi, mid)
+        # An unchanged bracket gives the same mid and the same test again,
+        # so every later step would leave it as it is.
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     t = 0.5 * (lo + hi)
     return x0 + t[:, None] * v
 
@@ -378,37 +383,44 @@ def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
                       upper: Optional[float] = None) -> np.ndarray:
     """Norm distance from each point to the nearest cloud point.
 
-    euclidean/lp: a single Minkowski KD-tree query. Other kinds: Euclidean
-    KD prefilter with sandwich constants, exact norm distances only on the
-    ambiguous band. ``upper`` prunes the search: entries whose distance
+    Norms with a ``minkowski_p`` (euclidean, lp): a single Minkowski
+    KD-tree query. Other kinds: Euclidean KD prefilter with sandwich
+    constants, exact norm distances only to the candidates the sandwich
+    bound cannot rule out. ``upper`` prunes the search: entries whose distance
     exceeds it are reported as inf (much faster when only a threshold test
     is needed).
     """
     bound = math.inf if upper is None else float(upper)
-    if norm.kind in ("euclidean", "lp"):
-        p = 2.0 if norm.kind == "euclidean" else norm.p
-        dist, _ = cKDTree(cloud).query(points, k=1, p=p,
+    if norm.minkowski_p is not None:
+        dist, _ = cKDTree(cloud).query(points, k=1, p=norm.minkowski_p,
                                        distance_upper_bound=bound)
         return np.asarray(dist)
-    c1, c2 = sandwich_bounds(norm)
+    c1, _ = sandwich_bounds(norm)
     tree = cKDTree(cloud)
     k_batch = min(16, cloud.shape[0])
     d2, idx = tree.query(points, k=k_batch, distance_upper_bound=bound / c1)
     d2 = np.atleast_2d(np.asarray(d2))
     idx = np.atleast_2d(np.asarray(idx))
     out = np.full(points.shape[0], np.inf)
-    found = np.isfinite(d2[:, 0])
-    if np.any(found):
-        # Norm distances to the k nearest Euclidean candidates in one shot.
-        safe_idx = np.where(np.isfinite(d2[found]), idx[found], idx[found][:, :1])
-        diffs = points[found][:, None, :] - cloud[safe_idx]
-        dists = np.asarray(norm_eval(norm, diffs))
-        dists[~np.isfinite(d2[found])] = np.inf
-        out[found] = dists.min(axis=1)
+    found = np.flatnonzero(np.isfinite(d2[:, 0]))
+    if found.size:
+        # The nearest Euclidean candidate first. A candidate j can only win
+        # if c1 * d2_j < best, as ||y|| >= c1 |y|_2; the 1e-12 covers
+        # rounding. norm_eval gives each row its own bits, so skipping the
+        # others leaves the minimum unchanged.
+        best = np.asarray(norm_eval(norm, points[found] - cloud[idx[found, 0]]))
+        rows, cols = np.nonzero(
+            c1 * d2[found, 1:] < best[:, None] * (1.0 + 1e-12))
+        if rows.size:
+            cand = found[rows]
+            dists = np.asarray(norm_eval(
+                norm, points[cand] - cloud[idx[cand, cols + 1]]))
+            np.minimum.at(best, rows, dists)
+        out[found] = best
     # A cloud point beyond the k-th Euclidean neighbor can only win if
     # c1 * d2_k is still below the current minimum; refine those few exactly.
     d2_last = d2[:, -1]
-    unresolved = found & np.isfinite(d2_last) & \
+    unresolved = np.isfinite(d2_last) & \
         (c1 * d2_last < np.minimum(out, bound) - 1e-15)
     for i in np.flatnonzero(unresolved):
         cand = tree.query_ball_point(

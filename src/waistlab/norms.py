@@ -6,6 +6,9 @@ over 2-D sections), radial projection, and Euclidean sandwich constants.
 
 All objects are immutable after construction and every operation is a pure
 function, so everything here is safe to call from concurrent workers.
+``norm_eval`` is pure row by row as well: a row of a batch gets the bits it
+gets when evaluated alone, for every norm kind, so a search may batch, split
+or prune its evaluations without changing a result.
 """
 
 from __future__ import annotations
@@ -104,6 +107,14 @@ class NormDescriptor:
         return self.kind == "euclidean" or (self.kind == "lp" and self.p == 2)
 
     @property
+    def minkowski_p(self) -> Optional[float]:
+        """The p of an l_p (Minkowski) norm: 2.0 for euclidean, p for lp,
+        None for regularized norms, which are no l_p norm."""
+        if self.kind == "euclidean":
+            return 2.0
+        return self.p if self.kind == "lp" else None
+
+    @property
     def has_analytic_modulus(self) -> bool:
         """Whether the modulus of convexity has a closed form: euclidean and
         l_p norms. Regularized norms take the numeric estimate."""
@@ -187,6 +198,7 @@ def parse_norm(text: str) -> NormDescriptor:
 def norm_eval(norm: NormDescriptor, x) -> np.ndarray | float:
     """Evaluate ||x||. Accepts a single vector of shape (dim,) or a batch of
     shape (..., dim); returns a scalar or an array of matching leading shape.
+    Each row's value depends on that row alone, not on the batch around it.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != norm.dim:
@@ -258,10 +270,11 @@ def _column_sum(cols: np.ndarray) -> np.ndarray:
 
 def _ball_quadrature(dim: int, width: float):
     """Product Gauss-Legendre nodes on the cube [-w, w]^dim, masked to the
-    Euclidean ball of radius w and renormalized. Returns (offsets, weights);
-    a zero width yields the single node at the origin."""
+    Euclidean ball of radius w and renormalized. Returns (offsets, weights)
+    with the offsets coordinate-major and contiguous, shape (dim, nodes); a
+    zero width yields the single node at the origin."""
     if width <= 0:
-        return np.zeros((1, dim)), np.ones(1)
+        return np.zeros((dim, 1)), np.ones(1)
     nodes, weights = np.polynomial.legendre.leggauss(_MOLLIFIER_NODES)
     nodes = nodes * width
     weights = weights * width
@@ -271,13 +284,18 @@ def _ball_quadrature(dim: int, width: float):
     w = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
     mask = np.linalg.norm(pts, axis=-1) <= width
     pts, w = pts[mask], w[mask]
-    return pts, w / w.sum()
+    return np.ascontiguousarray(pts.T), w / w.sum()
 
 
 def _mollified_base(norm: NormDescriptor, x: np.ndarray) -> np.ndarray:
     """Smoothed base norm: average the base norm over a Euclidean ball of
     radius ``mollifier_width``, evaluated on the reference sphere and extended
-    positively 1-homogeneous."""
+    positively 1-homogeneous.
+
+    Each row's value depends on that row alone, bit for bit, whatever the
+    batch around it: every step is elementwise or a reduction along one
+    row's own nodes.
+    """
     base = norm.base
     offsets, weights = norm._quad  # type: ignore[attr-defined]
     r = np.linalg.norm(x, axis=-1)
@@ -285,17 +303,16 @@ def _mollified_base(norm: NormDescriptor, x: np.ndarray) -> np.ndarray:
     nz = r > 0
     if not np.any(nz):
         return out
-    ref = _HOMOG_RADIUS * x[nz] / r[nz][..., None]
-    vals = np.zeros(ref.shape[0])
-    # Chunk so the (dim x points x nodes) intermediate stays small. The row
-    # count per chunk must not change: BLAS matrix-vector products round
-    # differently with the number of rows, so (A[:175] @ w) and
-    # (A @ w)[:175] can differ in the last bit, and reports with them.
-    step = max(1, 2_000_000 // max(1, offsets.shape[0] * norm.dim))
-    for lo in range(0, ref.shape[0], step):
-        block = ref[lo : lo + step]
-        diffs = block.T[:, :, None] - offsets.T[:, None, :]
-        vals[lo : lo + step] = _column_norm(base, diffs) @ weights
+    # Coordinate-major (dim, points), so each block below broadcasts
+    # contiguous rows against the contiguous (dim, nodes) offsets.
+    ref = np.ascontiguousarray((_HOMOG_RADIUS * x[nz] / r[nz][..., None]).T)
+    vals = np.empty(ref.shape[1])
+    # The chunk only bounds the (dim x points x nodes) intermediate; as no
+    # value depends on its batch, any row count gives the same bits.
+    step = max(1, 2_000_000 // (offsets.shape[1] * norm.dim))
+    for lo in range(0, ref.shape[1], step):
+        diffs = ref[:, lo : lo + step, None] - offsets[:, None, :]
+        vals[lo : lo + step] = (_column_norm(base, diffs) * weights).sum(axis=-1)
     out[nz] = vals * r[nz] / _HOMOG_RADIUS
     return out
 
@@ -492,7 +509,7 @@ def modulus_of_convexity(
         return float(analytic_modulus_curve(norm)(eps))
     if method != "numeric":
         raise ValueError(f"unknown method {method!r}")
-    return _numeric_modulus(norm, eps, budget, seed)
+    return float(_numeric_modulus(norm, [eps], budget, seed)[0])
 
 
 def _section_units(norm, u, v, theta):
@@ -506,7 +523,7 @@ def _section_units(norm, u, v, theta):
 def _section_objective(norm, u, v, theta1, eps):
     """1 - ||x + y||/2 where x = x(theta1) and y = x(theta1 + delta) with
     delta bisected in (0, pi] so the chord ||x - y|| equals eps; one lane
-    per row of (u, v, theta1)."""
+    per row of (u, v, theta1), and ``eps`` a scalar or one value per lane."""
     theta1 = np.asarray(theta1, dtype=float)
     x1 = _section_units(norm, u, v, theta1)
     lo = np.zeros_like(theta1)
@@ -521,7 +538,16 @@ def _section_objective(norm, u, v, theta1, eps):
     return np.asarray(norm_eval(norm, x1 + y)) * -0.5 + 1.0
 
 
-def _numeric_modulus(norm, eps, budget, seed) -> float:
+def _numeric_modulus(norm, eps, budget, seed) -> np.ndarray:
+    """Section-search estimates of delta at every value of ``eps`` (1-D),
+    in one lane set.
+
+    Every eps searches the same sections from the same starts (one seed),
+    each lane carrying its own eps, and the golden-section refinement
+    advances all lanes together. As ``norm_eval`` gives each row the bits
+    it has alone, each value equals a search at that eps on its own.
+    """
+    eps = np.asarray(eps, dtype=float)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     dim = norm.dim
     n_random = int(np.clip(budget // 3000, 4, 64))
@@ -540,30 +566,35 @@ def _numeric_modulus(norm, eps, budget, seed) -> float:
         b -= (b @ a) * a
         b /= np.linalg.norm(b)
         sections.append((a, b))
-    n_sec = len(sections)
-    u = np.repeat(np.stack([s[0] for s in sections]), starts, axis=0)
-    v = np.repeat(np.stack([s[1] for s in sections]), starts, axis=0)
-    grid = np.tile(np.linspace(0.0, 2.0 * math.pi, starts, endpoint=False),
-                   n_sec)
-    vals = _section_objective(norm, u, v, grid, eps).reshape(n_sec, starts)
-    best = float(vals.min())
+    n_eps, n_sec = eps.size, len(sections)
+    sec_u = np.stack([s[0] for s in sections])
+    sec_v = np.stack([s[1] for s in sections])
+    # Lanes ordered (eps, section, start).
+    u = np.tile(np.repeat(sec_u, starts, axis=0), (n_eps, 1))
+    v = np.tile(np.repeat(sec_v, starts, axis=0), (n_eps, 1))
+    thetas = np.linspace(0.0, 2.0 * math.pi, starts, endpoint=False)
+    grid = np.tile(thetas, n_eps * n_sec)
+    lane_eps = np.repeat(eps, n_sec * starts)
+    vals = _section_objective(norm, u, v, grid, lane_eps).reshape(
+        n_eps, n_sec, starts)
+    best = vals.min(axis=(1, 2))
 
     # Golden-section refinement of the three best starts per section, all
     # lanes advanced together so each iteration costs one batched objective.
-    order = np.argsort(vals, axis=1)[:, :3]
-    sec_idx = np.repeat(np.arange(n_sec), 3)
-    centers = grid.reshape(n_sec, starts)[
-        np.arange(n_sec)[:, None], order].ravel()
+    order = np.argsort(vals, axis=2)[:, :, :3]
+    centers = thetas[order].ravel()
+    sec_idx = np.tile(np.repeat(np.arange(n_sec), 3), n_eps)
     h = 2.0 * math.pi / starts
-    bu = np.stack([sections[i][0] for i in sec_idx])
-    bv = np.stack([sections[i][1] for i in sec_idx])
+    bu = sec_u[sec_idx]
+    bv = sec_v[sec_idx]
+    lane_eps = np.repeat(eps, n_sec * 3)
     a = centers - h
     b = centers + h
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = _section_objective(norm, bu, bv, c, eps)
-    fd = _section_objective(norm, bu, bv, d, eps)
+    fc = _section_objective(norm, bu, bv, c, lane_eps)
+    fd = _section_objective(norm, bu, bv, d, lane_eps)
     for _ in range(24):
         left = fc < fd  # minimum bracketed in [a, d] vs [c, b]
         a = np.where(left, a, c)
@@ -571,12 +602,13 @@ def _numeric_modulus(norm, eps, budget, seed) -> float:
         carry_pt = np.where(left, c, d)  # survives as the new d (resp. c)
         carry_f = np.where(left, fc, fd)
         probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        f_probe = _section_objective(norm, bu, bv, probe, eps)
+        f_probe = _section_objective(norm, bu, bv, probe, lane_eps)
         c = np.where(left, probe, carry_pt)
         fc = np.where(left, f_probe, carry_f)
         d = np.where(left, carry_pt, probe)
         fd = np.where(left, carry_f, f_probe)
-    return min(best, float(fc.min()), float(fd.min()))
+    refined = np.minimum(fc, fd).reshape(n_eps, -1).min(axis=1)
+    return np.minimum(best, refined)
 
 
 def numeric_modulus_curve(
@@ -589,14 +621,13 @@ def numeric_modulus_curve(
 
     Each grid value is the smallest 1 - ||x+y||/2 the section search found,
     an upper estimate of delta(eps); bounds computed from the curve can come
-    out slightly too high (non-conservative).
+    out slightly too high (non-conservative). One batched search covers the
+    whole grid, and each value equals a search at its eps alone.
     """
     if eps_grid is None:
         eps_grid = np.linspace(0.1, 1.9, 19)
     eps_grid = np.asarray(eps_grid, dtype=float)
-    vals = np.array(
-        [_numeric_modulus(norm, e, budget, seed) for e in eps_grid]
-    )
+    vals = _numeric_modulus(norm, eps_grid, budget, seed)
     return ModulusCurve(
         source="numeric_lower_estimate",
         label=f"numeric({format_norm(norm)})",

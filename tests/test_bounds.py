@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+from waistlab import bounds as bounds_module
 from waistlab.bounds import (
     BoundInputs,
     BoundValue,
@@ -190,6 +192,31 @@ def test_waist_bound_is_zero_where_half_eps_underflows():
     for k in (1, 2):
         w = waist_lower_bound(BoundInputs(n=3, k=k, eps=5e-324, modulus=MOD))
         assert w.value == 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-160, 1e-200, 1e-300])
+def test_near_mass_where_sine_squared_is_subnormal(eps):
+    # k = 1: G is the near angle itself, 2 asin(eps / (4 sqrt 2))
+    near = sine_integrals(1, eps).near_mass
+    assert near == 2.0 * math.asin(eps / (4.0 * math.sqrt(2.0)))
+    w = waist_lower_bound(BoundInputs(n=3, k=1, eps=eps, modulus=MOD))
+    assert w.value > 0.0
+
+
+def test_sine_mass_keeps_the_incomplete_beta_where_sine_squared_is_normal():
+    def incomplete_beta_mass(m, r):
+        a = 0.5 * (m + 1.0)
+        half = 0.5 * special.beta(a, 0.5)
+        below = half * special.betainc(a, 0.5, math.sin(r) ** 2)
+        return float(below if r <= math.pi / 2.0 else 2.0 * half - below)
+
+    smallest = math.sqrt(2.2250738585072014e-308)  # sin^2 at the normal edge
+    radii = [smallest * (1.0 + 1e-15), smallest * 2.0]
+    radii += list(np.geomspace(1e-150, math.pi, 300))
+    for m in range(8):
+        for r in radii:
+            assert math.sin(r) ** 2 >= 2.2250738585072014e-308
+            assert bounds_module._sine_mass(m, r) == incomplete_beta_mass(m, r)
 
 
 def test_waist_bound_grows_with_n():

@@ -3,7 +3,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -137,6 +136,19 @@ def test_z_product_grid_limit(capsys):
 
 def test_unknown_command_exits_2():
     assert main(["frobulate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--eps", "0.5", "--k", "2.5"],
+    ["bound", "--eps", "0.5", "--no-such-flag", "1"],
+    ["bound", "--eps"],
+])
+def test_argparse_usage_errors_print_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert captured.out == ""
 
 
 def test_config_round_trip():
@@ -459,15 +471,16 @@ def test_modulus_prefix_matches_full_grid(monkeypatch):
     calls = []
 
     def fake_modulus(norm, eps, budget, seed):
-        calls.append(eps)
+        eps = np.asarray(eps, dtype=float)
+        calls.extend(eps.tolist())
         # rises with dips, so the running maximum changes values
-        return 0.1 * eps * eps + 0.03 * math.sin(7.0 * eps) + 1e-3 * seed
+        return 0.1 * eps * eps + 0.03 * np.sin(7.0 * eps) + 1e-3 * seed
 
     monkeypatch.setattr(norms, "_numeric_modulus", fake_modulus)
     norm = norms.parse_norm("reg:lp:4:3:w=0.2:d=0")
     full = norms.numeric_modulus_curve(norm, eps_grid=_FULL_GRID,
                                        budget=3000, seed=1)
-    assert np.any(np.diff([fake_modulus(norm, e, 0, 1) for e in _FULL_GRID]) < 0)
+    assert np.any(np.diff(fake_modulus(norm, _FULL_GRID, 0, 1)) < 0)
     for eps in _PREFIX_EPS:
         prefix = _modulus_for(norm, 3000, 1, eps)
         assert _readings(prefix, eps) == _readings(full, eps), eps

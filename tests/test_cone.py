@@ -9,12 +9,14 @@ from waistlab.cone import (
     MeasureEstimate,
     RankDeficientError,
     _fiber_distance,
+    _fiber_frame,
     best_fiber,
     derive_seed,
     fiber_distance_method,
     fiber_points,
     min_norm_distance,
     neighborhood_measure,
+    rng_stream,
     sample_conical,
     sample_in_ball,
     set_measure,
@@ -187,6 +189,40 @@ def test_fiber_points_offset_slice_geometry():
     pts = fiber_points(E3, LAST_COORD, [0.5], 500, seed=5)
     assert np.abs(pts[:, 2] - 0.5).max() <= 1e-12
     assert np.abs(np.hypot(pts[:, 0], pts[:, 1]) - math.sqrt(0.75)).max() <= 1e-10
+
+
+def _fiber_points_full_bisection(norm, f, z, count, seed):
+    """fiber_points with all 80 bisection steps, no early stop."""
+    x0, kernel = _fiber_frame(norm, f, z)
+    rng = rng_stream(seed, 0)
+    dirs = rng.standard_normal((count, kernel.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    v = dirs @ kernel.T
+    lo = np.zeros(count)
+    hi = np.ones(count)
+    for _ in range(64):
+        outside = np.asarray(norm_eval(norm, x0 + hi[:, None] * v)) < 1.0
+        if not np.any(outside):
+            break
+        hi[outside] *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        inside = np.asarray(norm_eval(norm, x0 + mid[:, None] * v)) < 1.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    t = 0.5 * (lo + hi)
+    return x0 + t[:, None] * v
+
+
+@pytest.mark.parametrize("norm, f, z", [
+    (E3, LAST_COORD, [0.3]),
+    (L43, LAST_COORD, [-0.6]),
+    (lp_norm(1.5, 4), LAST_TWO, [0.2, -0.1]),
+    (smooth_norm(lp_norm(1.5, 3), 0.05, 0.01), LAST_COORD, [0.5]),
+])
+def test_fiber_points_bisection_stops_at_its_fixed_point(norm, f, z):
+    got = fiber_points(norm, f, z, 200, seed=9)
+    assert np.array_equal(got, _fiber_points_full_bisection(norm, f, z, 200, 9))
 
 
 def test_fiber_errors():
@@ -412,17 +448,32 @@ def test_lp2_exact_distance_is_the_round_one():
             assert np.allclose(lp2_d, round_d, rtol=0.0, atol=1e-12)
 
 
+def _brute_min_distance(norm, pts, cloud):
+    return np.array([
+        float(np.min(np.asarray(norm_eval(norm, p[None, :] - cloud))))
+        for p in pts
+    ])
+
+
 def test_min_norm_distance_generic_path_matches_brute_force():
     norm = smooth_norm(lp_norm(1.5, 2), 0.05, 0.01)
     rng = np.random.Generator(np.random.Philox(8))
     cloud = rng.standard_normal((200, 2))
     pts = rng.standard_normal((100, 2))
     fast = min_norm_distance(norm, pts, cloud)
-    brute = np.array([
-        float(np.min(np.asarray(norm_eval(norm, p[None, :] - cloud))))
-        for p in pts
-    ])
-    assert np.allclose(fast, brute, atol=1e-10)
+    assert np.array_equal(fast, _brute_min_distance(norm, pts, cloud))
+    # dim 3 on the unit sphere, pruned at eps: every distance at or below
+    # eps is the brute-force one, and the rest lie beyond eps
+    norm = smooth_norm(lp_norm(1.5, 3), 0.05, 0.01)
+    eps = 0.2
+    cloud = sample_conical(norm, 40, seed=5).points
+    pts = sample_conical(norm, 200, seed=6).points
+    fast = min_norm_distance(norm, pts, cloud, upper=eps)
+    brute = _brute_min_distance(norm, pts, cloud)
+    near = brute <= eps
+    assert 0 < near.sum() < pts.shape[0]
+    assert np.array_equal(fast[near], brute[near])
+    assert np.all(fast[~near] > eps)
 
 
 # ---------------------------------------------------------------------------

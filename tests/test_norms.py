@@ -130,19 +130,20 @@ def _row_major_base(base, x):
 
 
 def _row_major_regularized(norm, x):
-    """The mollified norm with (points, nodes, dim) blocks, chunked at the
-    same row count as norm_eval."""
+    """The mollified norm with (points, nodes, dim) blocks and a per-row sum
+    over the nodes. Blocks of 500 rows only bound memory: each row's sum
+    reads that row alone."""
     offsets, weights = norm._quad
+    nodes = offsets.T
     radius = norms_module._HOMOG_RADIUS
     r = np.linalg.norm(x, axis=-1)
     out = np.zeros_like(r)
     nz = r > 0
     ref = radius * x[nz] / r[nz][..., None]
     vals = np.zeros(ref.shape[0])
-    step = 2_000_000 // (offsets.shape[0] * norm.dim)
-    for lo in range(0, ref.shape[0], step):
-        diffs = ref[lo : lo + step][:, None, :] - offsets[None, :, :]
-        vals[lo : lo + step] = _row_major_base(norm.base, diffs) @ weights
+    for lo in range(0, ref.shape[0], 500):
+        diffs = ref[lo : lo + 500][:, None, :] - nodes[None, :, :]
+        vals[lo : lo + 500] = (_row_major_base(norm.base, diffs) * weights).sum(axis=-1)
     out[nz] = vals * r[nz] / radius
     if norm.delta_reg > 0:
         return np.sqrt(out**2 + norm.delta_reg * np.einsum("...i,...i->...", x, x))
@@ -181,7 +182,7 @@ def test_lp_kernel_matches_row_major_formula(dim):
                                   "reg:lp:4:2:w=0.2:d=0"])
 def test_regularized_matches_row_major_formula(text):
     norm = parse_norm(text)
-    step = 2_000_000 // (norm._quad[0].shape[0] * norm.dim)
+    step = 2_000_000 // norm._quad[0].size
     rng = np.random.Generator(np.random.Philox(17))
     for rows in (1, 21, 175, step, step + 1, 3 * step + 5):
         x = rng.standard_normal((rows, norm.dim))
@@ -189,6 +190,20 @@ def test_regularized_matches_row_major_formula(text):
         assert np.array_equal(norm_eval(norm, x), _row_major_regularized(norm, x))
     x = rng.standard_normal((13, 16, norm.dim))
     assert np.array_equal(norm_eval(norm, x), _row_major_regularized(norm, x))
+
+
+@pytest.mark.parametrize("text", ["reg:lp:1.5:3:w=0.05:d=0.01",
+                                  "reg:euclidean:3:w=0.1:d=0.5",
+                                  "reg:lp:4:2:w=0.2:d=0"])
+def test_regularized_row_does_not_depend_on_its_batch(text):
+    norm = parse_norm(text)
+    step = 2_000_000 // norm._quad[0].size
+    rng = np.random.Generator(np.random.Philox(23))
+    for rows in (1, 21, 175, step, step + 1):
+        x = rng.standard_normal((rows, norm.dim))
+        batch = norm_eval(norm, x)
+        for i in range(rows):
+            assert batch[i] == norm_eval(norm, x[i]), (rows, i)
 
 
 @given(p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
@@ -288,6 +303,26 @@ def test_numeric_modulus_dominates_quadratic_estimate_for_small_p():
     for eps in (0.3, 0.8, 1.4):
         num = modulus_of_convexity(norm, eps, method="numeric", budget=15_000)
         assert num >= lp_modulus(1.5, eps) - 1e-4
+
+
+def test_batched_modulus_search_equals_one_value_searches():
+    norm = parse_norm("reg:lp:1.5:3:w=0.05:d=0.01")
+    both = norms_module._numeric_modulus(norm, [0.2, 0.4], 3000, 7)
+    one = [norms_module._numeric_modulus(norm, [e], 3000, 7)[0]
+           for e in (0.2, 0.4)]
+    assert both.tolist() == one
+    assert modulus_of_convexity(norm, 0.4, method="numeric", budget=3000,
+                                seed=7) == one[1]
+    curve = numeric_modulus_curve(norm, [0.2, 0.4], budget=3000, seed=7)
+    assert curve.values.tolist() == one
+
+
+def test_minkowski_p_by_kind():
+    assert euclidean_norm(3).minkowski_p == 2.0
+    assert lp_norm(4, 3).minkowski_p == 4.0
+    assert lp_norm(2, 3).minkowski_p == 2.0
+    assert parse_norm("reg:lp:1.5:3:w=0.05:d=0.01").minkowski_p is None
+    assert parse_norm("reg:euclidean:3:w=0.1:d=0").minkowski_p is None
 
 
 def test_numeric_curve_is_monotone():
