@@ -42,6 +42,7 @@ from .cone import (
 from .needles import needle_suite
 from .norms import (
     NormDescriptor,
+    _numeric_modulus,
     analytic_modulus_curve,
     modulus_of_convexity,
     numeric_modulus_curve,
@@ -292,14 +293,17 @@ def _run_bound(cfg: ExperimentConfig) -> Report:
 def _run_modulus(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     eps_values = _eps_values(cfg)
+    # One section search covers the whole grid; each value equals the
+    # search at its eps alone (modulus_of_convexity with method="numeric").
+    numeric = (_numeric_modulus(norm, eps_values, cfg.budget, cfg.seed)
+               if cfg.method in ("auto", "numeric") else None)
     rows = []
-    for eps in eps_values:
+    for i, eps in enumerate(eps_values):
         row = {"eps": eps}
         if cfg.method in ("auto", "analytic") and norm.has_analytic_modulus:
             row["analytic"] = modulus_of_convexity(norm, eps, method="analytic")
-        if cfg.method in ("auto", "numeric"):
-            row["numeric"] = modulus_of_convexity(
-                norm, eps, method="numeric", budget=cfg.budget, seed=cfg.seed)
+        if numeric is not None:
+            row["numeric"] = float(numeric[i])
         rows.append(row)
     return Report(config=cfg.to_dict(), results={"modulus": rows},
                   status="report")

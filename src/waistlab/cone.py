@@ -428,6 +428,9 @@ def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
         if cand:
             di = norm_eval(norm, points[i][None, :] - cloud[cand])
             out[i] = min(out[i], float(np.min(di)))
+    # A row whose nearest candidate lies beyond ``upper`` keeps that finite
+    # distance above; report it as inf, like the Minkowski query does.
+    out[out > bound] = np.inf
     return out
 
 

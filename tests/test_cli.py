@@ -507,6 +507,27 @@ def test_modulus_prefix_matches_full_grid_on_real_search():
 REG_NORM = "reg:lp:1.5:3:w=0.05:d=0.01"
 
 
+def test_modulus_numeric_column_is_one_batched_search(monkeypatch):
+    calls = []
+    search = cli._numeric_modulus
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(cli, "_numeric_modulus", counted)
+    cfg = ExperimentConfig(command="modulus", norm=REG_NORM,
+                           eps_grid="0.5:1:0.5", budget=3000, seed=0)
+    rows = run_experiment(cfg).results["modulus"]
+    assert len(calls) == 1
+    norm = norms.parse_norm(REG_NORM)
+    assert [r["numeric"] for r in rows] == [
+        norms.modulus_of_convexity(norm, r["eps"], method="numeric",
+                                   budget=3000, seed=0)
+        for r in rows]
+    assert [sorted(r) for r in rows] == [["eps", "numeric"]] * 2
+
+
 def _needle_stdout(capsys, *flags):
     assert main(["needle-suite", "--trials", "30", "--seed", "4", *flags]) == 0
     return capsys.readouterr().out
