@@ -12,7 +12,7 @@ shrinking lunes empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .bounds import (
     sine_integrals,
     waist_lower_bound,
 )
-from .cone import derive_seed, rng_stream, sample_conical, sample_in_ball
+from .cone import rng_stream, sample_conical
 from .norms import (
     ModulusCurve,
     NormDescriptor,
@@ -72,6 +72,9 @@ class ArcDensity:
     orthonormal pair ``plane``, parametrized by the Euclidean angle theta;
     ``values`` is the density with respect to the normalized 1-dimensional
     cone measure of the arc, ``m`` the concavity exponent n - k >= 1.
+    ``section``, if given, is the (directions, radii) pair that
+    ``_section`` returns for the plane at the grid angles, so a caller that
+    has it spares the norm evaluation.
     """
 
     norm: NormDescriptor
@@ -80,8 +83,9 @@ class ArcDensity:
     m: int
     modulus: ModulusCurve
     plane: Optional[tuple] = None
+    section: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, section):
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "grid", grid)
@@ -96,7 +100,9 @@ class ArcDensity:
         if self.plane is None:
             object.__setattr__(self, "plane", _coordinate_plane(self.norm.dim))
         cos, sin = np.cos(grid), np.sin(grid)
-        dirs, radii = _section(self.norm, self.plane, cos, sin)
+        if section is None:
+            section = _section(self.norm, self.plane, cos, sin)
+        dirs, radii = section
         w = _cone_weight(grid, radii)
         object.__setattr__(self, "points", dirs * radii[:, None])
         object.__setattr__(self, "section2d",
@@ -110,9 +116,14 @@ class ArcDensity:
     def from_profile(cls, norm, grid, profile, m, modulus, plane=None
                      ) -> "ArcDensity":
         """Normalize a nonnegative profile on the grid into an ArcDensity."""
-        probe = cls(norm=norm, grid=grid, m=m, modulus=modulus, plane=plane,
-                    values=_normalized_profile(norm, grid, profile, plane))
-        return probe
+        grid = np.asarray(grid, dtype=float)
+        if plane is None:
+            plane = _coordinate_plane(norm.dim)
+        section = _section(norm, plane, np.cos(grid), np.sin(grid))
+        values = _normalize(grid, np.asarray(profile, dtype=float),
+                            _cone_weight(grid, section[1]))
+        return cls(norm=norm, grid=grid, values=values, m=m, modulus=modulus,
+                   plane=plane, section=section)
 
     @property
     def argmax_index(self) -> int:
@@ -208,15 +219,6 @@ def _normalize(grid, profile, w):
     return profile / np.trapezoid(profile * w, grid, axis=-1)[..., None]
 
 
-def _normalized_profile(norm, grid, profile, plane):
-    grid = np.asarray(grid, dtype=float)
-    profile = np.asarray(profile, dtype=float)
-    if plane is None:
-        plane = _coordinate_plane(norm.dim)
-    radii = _section(norm, plane, np.cos(grid), np.sin(grid))[1]
-    return _normalize(grid, profile, _cone_weight(grid, radii))
-
-
 def _section_dist(x, y, z):
     """Euclidean distances from every point of each row's planar section
     curve (x, y) to the row's point at index ``z``."""
@@ -251,24 +253,26 @@ def _mass_below(grid, fw, s):
     out = _row_sums(np.broadcast_to(h * 0.5 * (f0 + f1), full.shape)[full],
                     full)
     enter = at_most[..., :-1] & above[..., 1:]
-    idx, t, fc = _crossings(h, f0, f1, s, enter)
+    idx, t, _, fc = _crossings(h, f0, f1, s, enter)
     out += _row_sums(h[idx] * t * 0.5 * (f0[idx] + fc), enter)
     leave = above[..., :-1] & at_most[..., 1:]
-    idx, t, fc = _crossings(h, f0, f1, s, leave)
-    out += _row_sums(h[idx] * (1.0 - t) * 0.5 * (fc + f1[idx]), leave)
+    idx, _, rest, fc = _crossings(h, f0, f1, s, leave)
+    out += _row_sums(h[idx] * rest * 0.5 * (fc + f1[idx]), leave)
     return out
 
 
 def _crossings(h, f0, f1, s, mask):
     """(row, interval) indices of the masked sign changes of ``s``, row
-    after row, with the crossing fraction t of each interval and the
-    interpolated fw at the crossing."""
+    after row, with the fractions t and 1 - t of each interval before and
+    after the crossing and the interpolated fw at the crossing. 1 - t is
+    s1 / (s1 - s0): where s0 dwarfs s1, t rounds to 1 and 1 - t would
+    lose all of its digits."""
     row, j = np.divmod(np.flatnonzero(mask), mask.shape[-1])
     s = s.reshape(-1, s.shape[-1])
     s0, s1 = s[row, j], s[row, j + 1]
     idx = (row % h.shape[0], j)
     t = -s0 / (s1 - s0)
-    return idx, t, f0[idx] + t * (f1[idx] - f0[idx])
+    return idx, t, s1 / (s1 - s0), f0[idx] + t * (f1[idx] - f0[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +504,16 @@ def random_arc_density(
         b /= np.linalg.norm(b)
         plane = (a, b)
     h = _envelope(grid[None], [phases], [scales])[0]
+    section = _section(norm, _coordinate_plane(norm.dim) if plane is None
+                       else plane, np.cos(grid), np.sin(grid))
     if plane is not None:
         # Section radius enters through the homogeneous extension: the
         # linear functional at the unit-norm point x(theta) is
         # r(theta) * cos offset.
-        h = h * _section(norm, plane, np.cos(grid), np.sin(grid))[1]
-    values = _normalized_profile(norm, grid, np.power(h, m), plane)
+        h = h * section[1]
+    values = _normalize(grid, np.power(h, m), _cone_weight(grid, section[1]))
     return ArcDensity(norm=norm, grid=grid, values=values, m=m,
-                      modulus=modulus, plane=plane)
+                      modulus=modulus, plane=plane, section=section)
 
 
 def _draw_arc(rng, span_range=(0.8, 2.4), funcs_range=(2, 6)):
@@ -696,6 +702,36 @@ def lune_spec(half_angle: float, axis=(0.0, 0.0, 1.0)) -> ConvexCapSpec:
                          half_angle=float(half_angle))
 
 
+def _lune_points(spec: ConvexCapSpec, count: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """``count`` points uniform on the lune ``spec`` of the round 2-sphere.
+
+    In the axis component z and the azimuth phi about the axis, the uniform
+    measure of S^2 is dz dphi / (4 pi) (Archimedes), so on the lune z is
+    U(-1, 1) and phi is U(-alpha, alpha), independently.
+    """
+    axis = np.asarray(spec.axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    u, v = _axis_frame(axis)
+    z = rng.uniform(-1.0, 1.0, count)
+    phi = rng.uniform(-spec.half_angle, spec.half_angle, count)
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    return np.column_stack([z, s * np.cos(phi), s * np.sin(phi)]) @ np.stack(
+        [axis, u, v])
+
+
+# Most points the lune sampler holds at once: a hemisphere lune keeps half
+# of its draws.
+_LUNE_CHUNK = 1_000_000
+
+
+def _chunks(total: int) -> list[int]:
+    """Sizes of the consecutive batches, of at most _LUNE_CHUNK, that make
+    up ``total`` points."""
+    return [min(_LUNE_CHUNK, total - start)
+            for start in range(0, total, _LUNE_CHUNK)]
+
+
 def validate_convexity(spec: ConvexCapSpec, samples: int = 4000,
                        seed: int = 0) -> bool:
     """Sampled geodesic convexity: for random point pairs in the set, the
@@ -753,9 +789,22 @@ def derived_density_estimate(
     the cone over the set, the bounded-density estimate
     sup <= 2^(n+1) / mu_1(S), the small-ball bound 2^(n+2) r / rho, and the
     projected cap lower bound with angle phi(r) = 2 asin(r / (4 sqrt(n+1))).
+
+    ``sample_budget`` counts cone-measure draws per lune. A lune of
+    half-angle alpha holds cone measure alpha / pi, so each lune's accepted
+    count is Binomial(sample_budget, alpha / pi), and the accepted points
+    are drawn uniformly on the lune directly, as rejection from the budget
+    would leave them. The radial law draws sample_budget // 4 points of
+    the ball the same way. Only round-sphere norms are accepted: the exact
+    sampler, the limit sin(theta) / 2 and the constants rho = 2 and
+    mu_1(S) = 1/2 hold there alone.
     """
     if not specs:
         raise ValueError("need at least one spec")
+    for spec in specs:
+        if not spec.norm.is_round:
+            raise ValueError(
+                f"lune reconstruction needs a round-sphere norm, got {spec.norm}")
     norm = specs[0].norm
     n = norm.sphere_dim
     if n != 2:
@@ -769,23 +818,18 @@ def derived_density_estimate(
     axis = np.asarray(specs[0].axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
 
+    # Stream paths under ``seed``: validate_convexity takes 0 and 7, the
+    # probes 5; lune idx draws from (11, idx) and the radial law from (12,).
     densities = []
     accepted_counts = []
-    chunk = 1_000_000
     for idx, spec in enumerate(specs):
+        rng = rng_stream(seed, 11, idx)
+        accepted = int(rng.binomial(sample_budget, spec.half_angle / math.pi))
         counts = np.zeros(bins)
-        accepted = 0
-        drawn = 0
-        piece = 0
-        while drawn < sample_budget:
-            take = min(chunk, sample_budget - drawn)
-            pts = sample_conical(norm, take, derive_seed(seed, idx, piece)).points
-            keep = pts[spec.contains(pts)]
-            theta = np.arccos(np.clip(keep @ axis, -1.0, 1.0))
+        for size in _chunks(accepted):
+            pts = _lune_points(spec, size, rng)
+            theta = np.arccos(np.clip(pts @ axis, -1.0, 1.0))
             counts += np.histogram(theta, bins=edges)[0]
-            accepted += keep.shape[0]
-            drawn += take
-            piece += 1
         if accepted < 1000:
             raise EmptyConvexSetError(
                 f"insufficient acceptance: {accepted} points in budget")
@@ -809,22 +853,26 @@ def derived_density_estimate(
     sup_density = float(densities[-1].max() * 2.0 * math.pi)
     sup_bound = 2.0 ** (n + 1) / 0.5
 
-    # Radial mass law of the cone over the smallest lune.
-    ball_pts = sample_in_ball(norm, sample_budget // 4, derive_seed(seed, 99, 0))
-    r = np.linalg.norm(ball_pts, axis=-1)
-    ok_r = r > 0
-    dirs = ball_pts[ok_r] / r[ok_r, None]
-    in_cone = specs[-1].contains(dirs)
-    radii = r[ok_r][in_cone]
+    # Radial mass law of the cone over the smallest lune. Of sample_budget
+    # // 4 points uniform in the ball, Binomial(., alpha / pi) lie in the
+    # cone, and their radii are U^(1/dim), independent of the directions.
+    rng = rng_stream(seed, 12)
+    in_cone = int(rng.binomial(sample_budget // 4,
+                               specs[-1].half_angle / math.pi))
+    shells = (0.5, 0.75)
+    below = np.zeros(len(shells), dtype=np.int64)
+    for size in _chunks(in_cone):
+        radii = rng.random(size) ** (1.0 / norm.dim)
+        below += [np.count_nonzero(radii <= t) for t in shells]
     homog_rows = []
     homog_ok = True
-    for t in (0.5, 0.75):
-        obs = float(np.mean(radii <= t))
+    for t, hits in zip(shells, below.tolist()):
+        obs = hits / in_cone
         exp = t ** (n + 1)
-        sigma = math.sqrt(exp * (1.0 - exp) / radii.size)
+        sigma = math.sqrt(exp * (1.0 - exp) / in_cone)
         homog_rows.append((t, obs, exp, sigma))
         homog_ok = homog_ok and abs(obs - exp) <= 3.0 * sigma
-    lo_m, hi_m = float(np.mean(radii <= 0.5)), float(np.mean(radii <= 0.75))
+    lo_m, hi_m = homog_rows[0][1], homog_rows[1][1]
     radial_exponent = math.log(hi_m / lo_m) / math.log(0.75 / 0.5)
 
     rho = 2.0  # norm diameter of the half-circle support (antipodal chord)
@@ -996,7 +1044,7 @@ def _suite_block(rng, count, n_range, eps_choices, grid_size, f_upper,
     ball, within = _mass_below(grid, values * w,
                                dist - np.stack([eps, 2.0 * eps])[:, :, None])
     outer = 1.0 - within
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(ball > 0, outer / ball, math.inf)
         ratio_margin = ratio_bound + QUADRATURE_TOL - ratio
     ball_margin = ball - ball_bound + QUADRATURE_TOL

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from waistlab import cli, needles
-from waistlab.cone import rng_stream
+from waistlab.cone import rng_stream, sample_conical
 from waistlab.needles import (
     ArcDensity,
     ConvexCapSpec,
@@ -25,6 +27,7 @@ from waistlab.norms import (
     euclidean_norm,
     lp_modulus_curve,
     lp_norm,
+    norm_eval,
 )
 
 MOD = euclidean_modulus_curve()
@@ -373,3 +376,99 @@ def test_hemisphere_lune_matches_unconditioned_marginal():
     limit = 0.5 * np.sin(diag.bin_centers)
     width = math.pi / diag.bin_centers.size
     assert float(np.sum(np.abs(diag.densities[-1] - limit)) * width) <= 0.02
+
+
+def test_derived_density_rejects_non_round_norm():
+    spec = ConvexCapSpec(axis=np.array([0.0, 0.0, 1.0]), half_angle=0.2,
+                         norm=lp_norm(4, 3))
+    with pytest.raises(ValueError, match="round-sphere norm, got lp:4:3"):
+        derived_density_estimate([spec], 100_000, seed=1)
+
+
+def _chi2_pvalue(a, b, edges) -> float:
+    """Two-sample chi-square p-value of the binned samples a and b."""
+    table = np.array([np.histogram(a, bins=edges)[0],
+                      np.histogram(b, bins=edges)[0]])
+    return float(chi2_contingency(table)[1])
+
+
+@pytest.mark.parametrize("half_angle, axis, seed", [
+    (0.2, (0.0, 0.0, 1.0), 41),
+    (0.3, (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0), 42),
+    (math.pi / 2, (0.0, 0.0, 1.0), 43),
+])
+def test_exact_lune_sampler_matches_rejection(half_angle, axis, seed):
+    # the exact lune points and the cone draws that land in the lune have
+    # one law: colatitude on 40 bins, azimuth about the axis on 20 bins
+    spec = lune_spec(half_angle, axis)
+    drawn = sample_conical(euclidean_norm(3), 400_000, seed).points
+    kept = drawn[spec.contains(drawn)]
+    exact = needles._lune_points(spec, 60_000, rng_stream(seed, 1))
+    assert np.allclose(np.linalg.norm(exact, axis=1), 1.0, atol=1e-12)
+    assert np.mean(spec.contains(exact)) > 1.0 - 1e-4
+    a = np.asarray(axis) / np.linalg.norm(axis)
+    u, v = needles._axis_frame(a)
+
+    def angles(pts):
+        theta = np.arccos(np.clip(pts @ a, -1.0, 1.0))
+        return theta, np.arctan2(pts @ v, pts @ u)
+
+    (t_kept, az_kept), (t_exact, az_exact) = angles(kept), angles(exact)
+    assert _chi2_pvalue(t_kept, t_exact, np.linspace(0.0, math.pi, 41)) > 1e-3
+    assert _chi2_pvalue(az_kept, az_exact,
+                        np.linspace(-half_angle, half_angle, 21)) > 1e-3
+
+
+def test_lune_accepted_counts_are_binomial_in_the_budget():
+    budget = 2_000_000
+    specs = [lune_spec(a) for a in (math.pi / 2, 0.3, 0.05)]
+    _, diag = derived_density_estimate(specs, budget, seed=17)
+    for alpha, accepted in zip(diag.alphas, diag.accepted):
+        p = alpha / math.pi
+        assert abs(accepted - budget * p) <= 4.0 * math.sqrt(budget * p * (1 - p))
+
+
+@pytest.mark.parametrize("norm", [euclidean_norm(3), lp_norm(4, 3)],
+                         ids=str)
+def test_arc_density_evaluates_its_section_norm_once(monkeypatch, norm):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return norm_eval(*args)
+
+    monkeypatch.setattr(needles, "norm_eval", counting)
+    grid = np.linspace(0.2, 1.9, 257)
+    plane = needles._coordinate_plane(3) if norm.is_round else (
+        np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, 1.0]))
+    made = [ArcDensity.from_profile(norm, grid, np.sin(grid) ** 2, m=2,
+                                    modulus=MOD, plane=plane)]
+    assert len(calls) == 1
+    made.append(random_arc_density(rng_stream(5, 0), m=1, norm=norm))
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for d in made:
+        # a density that evaluates its own section has the same bits
+        fresh = ArcDensity(norm=d.norm, grid=d.grid, values=d.values, m=d.m,
+                           modulus=d.modulus, plane=d.plane)
+        for name in ("section2d", "cone_weight", "points"):
+            assert np.array_equal(getattr(d, name), getattr(fresh, name))
+    # the profile is normalized against that same cone weight
+    assert np.array_equal(made[0].values, needles._normalize(
+        grid, np.sin(grid) ** 2, made[0].cone_weight))
+
+
+def test_needle_suite_ball_mass_survives_tiny_eps():
+    # the leave crossing weight s1 / (s1 - s0) keeps the ball mass positive
+    # where 1 - t would round to 0 and give margins of -inf
+    reports = needle_suite(640, seed=1, eps_choices=(1e-120,))
+    assert [r["violations"] for r in reports] == [0, 0, 0, 0]
+    assert all(r["worst_margin"] is None or r["worst_margin"] > 0
+               for r in reports)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-310])
+def test_needle_suite_tiny_eps_raises_no_warning(eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        needle_suite(64, seed=1, eps_choices=(eps,))
