@@ -34,6 +34,7 @@ from .cone import (
     EmptyFiberError,
     EmptySetError,
     best_fiber,
+    cap_neighborhood_measure,
     derive_seed,
     fiber_distance_method,
     neighborhood_measure,
@@ -352,13 +353,20 @@ def _run_verify_iso(cfg: ExperimentConfig) -> Report:
     calib = sample_conical(norm, min(cfg.samples, 200_000),
                            derive_seed(cfg.seed, 0))
     tau = float(np.quantile(calib.points[:, -1], 1.0 - cfg.cap_mass))
-    cap = lambda pts: pts[:, -1] >= tau
-    cap_c = lambda pts: pts[:, -1] < tau
+    f = _coordinate_projection(norm.dim, 1)
+    method = fiber_distance_method(norm, f)
     try:
-        est_a, est_ac = (
-            neighborhood_measure(norm, part, cfg.eps, cfg.samples,
-                                 cfg.fiber_points, derive_seed(cfg.seed, path))
-            for path, part in ((1, cap), (2, cap_c)))
+        if method == "exact":
+            est_a, est_ac = cap_neighborhood_measure(
+                norm, f, tau, cfg.eps, cfg.samples, cfg.seed)
+        else:
+            cap = lambda pts: pts[:, -1] >= tau
+            cap_c = lambda pts: pts[:, -1] < tau
+            est_a, est_ac = (
+                neighborhood_measure(norm, part, cfg.eps, cfg.samples,
+                                     cfg.fiber_points,
+                                     derive_seed(cfg.seed, path))
+                for path, part in ((1, cap), (2, cap_c)))
     except EmptySetError as exc:
         raise ConfigError(
             f"no sample landed in the cap or its complement with --samples "
@@ -373,6 +381,7 @@ def _run_verify_iso(cfg: ExperimentConfig) -> Report:
         "neighborhood_A": est_a.to_dict(),
         "neighborhood_Ac": est_ac.to_dict(),
         "max_neighborhood": best,
+        "fiber_distance": method,
         "assertion": "max(mu(A+eps), mu(A^c+eps)) >= waist_bound - 3*std_error",
     }
     return Report(config=cfg.to_dict(), results=results,

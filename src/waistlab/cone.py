@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .norms import (
     NormDescriptor,
@@ -47,6 +46,7 @@ __all__ = [
     "min_norm_distance",
     "tube_measure",
     "best_fiber",
+    "cap_neighborhood_measure",
     "neighborhood_measure",
 ]
 
@@ -307,20 +307,20 @@ def _coordinate_columns(f) -> Optional[np.ndarray]:
 
 
 def fiber_distance_method(norm: NormDescriptor, f) -> str:
-    """How the tube estimators measure distance to a fiber of the linear
-    map ``f``.
+    """How the tube and cap estimators measure distance to a fiber of the
+    linear map ``f``.
 
-    "exact": the distance has a closed form, so the tube estimate is
-    unbiased. That holds on the round sphere (euclidean and lp:2 norms)
-    with any full-rank map, where the fiber is a round subsphere, and on
-    lp norms when ``f`` is a coordinate map (each row one nonzero entry,
-    possibly scaled or signed, in distinct columns), where the fiber is an
-    l_p sphere in the unmapped coordinates. "cloud" (every other pair: lp
-    norms with other maps, and regularized norms): the distance to a
-    finite fiber point cloud, which can only overestimate the true
-    distance, so the estimate is conservative.
+    "exact": the distance has a closed form, so the estimate is unbiased.
+    That holds on the round sphere (euclidean and lp:2 norms) with any
+    full-rank map, where the fiber is a round subsphere, and on l_p norms
+    (any norm with a ``minkowski_p``) when ``f`` is a coordinate map (each
+    row one nonzero entry, possibly scaled or signed, in distinct columns),
+    where the fiber is an l_p sphere in the unmapped coordinates. "cloud"
+    (every other pair: l_p norms with other maps, and regularized norms):
+    the distance to a finite fiber point cloud, which can only overestimate
+    the true distance, so the estimate is conservative.
     """
-    if norm.is_round or (norm.kind == "lp" and
+    if norm.is_round or (norm.minkowski_p is not None and
                          _coordinate_columns(f) is not None):
         return "exact"
     return "cloud"
@@ -360,6 +360,19 @@ def _lp_fiber_distance(points: np.ndarray, p: float, columns: np.ndarray,
     return (np.abs(along) ** p + across) ** (1.0 / p)
 
 
+def _exact_fiber_distance(norm: NormDescriptor, f, z
+                          ) -> Callable[[np.ndarray], np.ndarray]:
+    """Closed-form distance function to the fiber {||x|| = 1, f x = z}, for
+    a (norm, map) pair whose ``fiber_distance_method`` is "exact". Raises as
+    ``fiber_points`` does on a rank-deficient map or an empty fiber."""
+    x0, kernel = _fiber_frame(norm, f, z)
+    if norm.is_round:
+        return lambda points: _round_fiber_distance(points, x0, kernel)
+    columns = _coordinate_columns(f)
+    return lambda points: _lp_fiber_distance(points, norm.p, columns,
+                                             x0[columns])
+
+
 def _fiber_distance(norm: NormDescriptor, f, z, eps: float,
                     fiber_budget: int, seed: int
                     ) -> Callable[[np.ndarray], np.ndarray]:
@@ -368,12 +381,7 @@ def _fiber_distance(norm: NormDescriptor, f, z, eps: float,
     come back as inf. Raises as ``fiber_points`` does on a rank-deficient
     map or an empty fiber."""
     if fiber_distance_method(norm, f) == "exact":
-        x0, kernel = _fiber_frame(norm, f, z)
-        if norm.is_round:
-            return lambda points: _round_fiber_distance(points, x0, kernel)
-        columns = _coordinate_columns(f)
-        return lambda points: _lp_fiber_distance(points, norm.p, columns,
-                                                 x0[columns])
+        return _exact_fiber_distance(norm, f, z)
     cloud = fiber_points(norm, f, z, fiber_budget, seed)
     return lambda points: min_norm_distance(norm, points, cloud, upper=eps)
 
@@ -390,6 +398,10 @@ def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
     exceeds it are reported as inf (much faster when only a threshold test
     is needed).
     """
+    # Only the cloud paths reach the KD tree; importing it here keeps
+    # scipy.spatial out of every run that measures distances exactly.
+    from scipy.spatial import cKDTree
+
     bound = math.inf if upper is None else float(upper)
     if norm.minkowski_p is not None:
         dist, _ = cKDTree(cloud).query(points, k=1, p=norm.minkowski_p,
@@ -509,6 +521,61 @@ def best_fiber(
     return z_grid[best_i], estimates[best_i], kept
 
 
+def cap_neighborhood_measure(
+    norm: NormDescriptor,
+    f,
+    tau: float,
+    eps: float,
+    sample_budget: int,
+    seed: int,
+) -> tuple[MeasureEstimate, MeasureEstimate]:
+    """Estimate the cone measures of the eps-neighborhoods of the cap
+    A = {f x >= tau} of a one-row map ``f`` and of its complement, with
+    exact distances.
+
+    For y outside A the nearest point of A lies on the boundary fiber
+    {f x = tau}. On the round sphere A is a spherical cap. On an l_p
+    sphere with the last-coordinate map, take y_last = b < tau and
+    a = |y_R|_p; then d(y, A)^p is the minimum over t in [tau, 1] of
+    g(t) = |a - r(t)|^p + |t - b|^p with r(t) = (1 - |t|^p)^(1/p), as
+    a = r(b). Where r(t) < a (then t > 0) both terms grow with t. Where
+    r(t) >= a (which needs b < 0), both terms of g' are >= 0 for t <= 0,
+    and g'(t) >= p [(t - b)^(p-1) - (t (1 - a / r))^(p-1)] >= 0 for t > 0,
+    as t - b >= t. So g is nondecreasing and its minimum is at t = tau.
+    Reflecting x_last gives the complement, and permuting, scaling and
+    signing coordinates gives every coordinate map. So both distances are
+    the closed-form distance to that fiber, for any (norm, f) that
+    ``fiber_distance_method`` calls "exact".
+
+    One batch at the seed path (seed, 1) serves both sets: a point counts
+    for A if it lies in A or within eps of the boundary, and for the
+    complement if it lies outside A or within eps. Each estimate is
+    unbiased with its binomial standard error. Raises EmptySetError when
+    the batch has no point in A or none outside it.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    f = np.atleast_2d(np.asarray(f, dtype=float))
+    if f.shape[0] != 1:
+        raise ValueError(f"a cap needs a one-row map, got {f.shape[0]} rows")
+    if fiber_distance_method(norm, f) != "exact":
+        raise ValueError(
+            f"no closed-form cap distance on {norm} with this map; use "
+            "neighborhood_measure")
+    batch = sample_conical(norm, sample_budget, derive_seed(seed, 1))
+    in_a = batch.points @ f[0] >= tau
+    if in_a.all() or not in_a.any():
+        raise EmptySetError(
+            "no sample points landed in the cap or in its complement")
+    near = _exact_fiber_distance(norm, f, [tau])(batch.points) <= eps
+    return (
+        MeasureEstimate.from_hits(int((in_a | near).sum()), sample_budget,
+                                  seed=seed),
+        MeasureEstimate.from_hits(int((~in_a | near).sum()), sample_budget,
+                                  seed=seed),
+    )
+
+
 def neighborhood_measure(
     norm: NormDescriptor,
     indicator: Callable,
@@ -524,7 +591,9 @@ def neighborhood_measure(
     samples, then fresh samples are counted if they either satisfy the
     indicator (A is always inside its own neighborhood) or lie within eps of
     the cloud. Cloud distances overestimate distances to A, so the estimate
-    is again a conservative lower bound.
+    is a conservative lower bound. ``verify-iso`` takes this path only on
+    regularized norms; a cap on a round or l_p sphere has the exact, unbiased
+    ``cap_neighborhood_measure``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -23,7 +23,7 @@ from .bounds import (
     sine_integrals,
     waist_lower_bound,
 )
-from .cone import rng_stream, sample_conical
+from .cone import derive_seed, rng_stream, sample_conical
 from .norms import (
     ModulusCurve,
     NormDescriptor,
@@ -809,8 +809,8 @@ def derived_density_estimate(
     n = norm.sphere_dim
     if n != 2:
         raise ValueError("desk-scale reconstruction runs on the 2-sphere")
-    for spec in specs:
-        if not validate_convexity(spec, seed=seed):
+    for idx, spec in enumerate(specs):
+        if not validate_convexity(spec, seed=derive_seed(seed, 13, idx)):
             raise NonConvexSpecError("spec failed convexity validation")
 
     edges = np.linspace(0.0, math.pi, bins + 1)
@@ -818,8 +818,10 @@ def derived_density_estimate(
     axis = np.asarray(specs[0].axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
 
-    # Stream paths under ``seed``: validate_convexity takes 0 and 7, the
-    # probes 5; lune idx draws from (11, idx) and the radial law from (12,).
+    # Stream paths under ``seed``: the probes take 5, lune idx draws from
+    # (11, idx) and the radial law from (12,). The convexity check of spec
+    # idx runs at its own seed derive_seed(seed, 13, idx), so the specs'
+    # checks draw distinct batches; none of them feeds the estimate.
     densities = []
     accepted_counts = []
     for idx, spec in enumerate(specs):

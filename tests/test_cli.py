@@ -3,7 +3,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,10 +273,51 @@ def test_verify_iso_runs_at_nearby_seeds_share_no_batch(monkeypatch):
         return seeds
 
     real = cone.sample_conical
-    # the calibration batch and two batches per neighborhood estimate
+    # the calibration batch and the one batch both exact neighborhood
+    # estimates share
     at_0, at_7 = batch_seeds(0), batch_seeds(7)
-    assert len(set(at_0)) == len(set(at_7)) == 5
+    assert len(set(at_0)) == len(set(at_7)) == 2
     assert not set(at_0) & set(at_7)
+
+
+@pytest.mark.parametrize("norm, method", [
+    ("euclidean:3", "exact"), ("lp:2:3", "exact"), ("lp:4:3", "exact"),
+    ("reg:lp:1.5:3:w=0.05:d=0.01", "cloud")])
+def test_verify_iso_reports_its_distance_method(norm, method):
+    report = run_experiment(ExperimentConfig(
+        command="verify-iso", norm=norm, eps=0.5, samples=500,
+        fiber_points=100, budget=3000, seed=2))
+    assert report.results["fiber_distance"] == method
+
+
+def test_exact_runs_leave_scipy_spatial_unimported():
+    # only the cloud distance builds a KD tree, so only it imports
+    # scipy.spatial
+    code = """
+import sys
+import numpy as np
+from waistlab import cli, cone, norms
+for command in ("verify-iso", "verify-waist"):
+    report = cli.run_experiment(cli.ExperimentConfig(
+        command=command, norm="lp:4:3", eps=0.3, samples=2000,
+        fiber_points=200, z_grid="-0.4:0.4:0.4", seed=1))
+    assert report.results["fiber_distance"] == "exact"
+assert "scipy.spatial" not in sys.modules
+norm = norms.lp_norm(4, 3)
+cloud = cone.sample_conical(norm, 50, seed=1).points
+points = cone.sample_conical(norm, 20, seed=2).points
+dist = cone.min_norm_distance(norm, points, cloud)
+brute = norms.norm_eval(norm, points[:, None, :] - cloud[None]).min(axis=1)
+assert np.allclose(dist, brute)
+assert "scipy.spatial" in sys.modules
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_compare_csv_one_row_per_eps(tmp_path):

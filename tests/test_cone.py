@@ -11,6 +11,7 @@ from waistlab.cone import (
     _fiber_distance,
     _fiber_frame,
     best_fiber,
+    cap_neighborhood_measure,
     derive_seed,
     fiber_distance_method,
     fiber_points,
@@ -567,3 +568,81 @@ def test_neighborhood_measure_deterministic():
     a = neighborhood_measure(E3, ind, 0.4, 30_000, 3_000, seed=46)
     b = neighborhood_measure(E3, ind, 0.4, 30_000, 3_000, seed=46)
     assert a == b
+
+
+def _cap_distance(norm, tau, points):
+    return _exact_distance(norm, LAST_COORD, [tau])(points)
+
+
+@pytest.mark.parametrize("norm", [lp_norm(1.5, 3), L43, E3], ids=str)
+@pytest.mark.parametrize("tau", [-0.5, 0.0, 0.3, 0.7])
+def test_cap_distance_is_the_brute_force_minimum_over_the_cap(norm, tau):
+    # the distance from y to {x_last >= tau} is the minimum over t of
+    # (|a - r(t)|^p + |t - b|^p)^(1/p), a = |y_R|_p, b = y_last and
+    # r(t) = (1 - |t|^p)^(1/p); its complement takes t on the other side
+    p = norm.minkowski_p
+    pts = sample_conical(norm, 4_000, seed=71).points
+    a = np.sum(np.abs(pts[:, :-1]) ** p, axis=1) ** (1.0 / p)
+    b = pts[:, -1]
+    exact = _cap_distance(norm, tau, pts)
+    for outside, ts in ((b < tau, np.linspace(tau, 1.0, 4001)),
+                        (b >= tau, np.linspace(-1.0, tau, 4001))):
+        r = (1.0 - np.abs(ts) ** p) ** (1.0 / p)
+        g = (np.abs(a[outside, None] - r) ** p +
+             np.abs(ts - b[outside, None]) ** p) ** (1.0 / p)
+        brute = g.min(axis=1)
+        # t = tau is a grid point, so the grid minimum cannot exceed it
+        assert outside.sum() > 100
+        assert np.allclose(exact[outside], brute, rtol=1e-12, atol=1e-15)
+
+
+def test_round_cap_distance_is_the_chord_to_the_boundary_circle():
+    tau = 0.3
+    pts = sample_conical(E3, 2_000, seed=72).points
+    gap = np.abs(np.arccos(pts[:, -1]) - math.acos(tau))
+    assert np.allclose(_cap_distance(E3, tau, pts), 2.0 * np.sin(gap / 2.0),
+                       atol=1e-12)
+
+
+def test_cap_neighborhood_round_sphere_oracle():
+    # on S^2 the cap {x_3 >= tau} has angular radius acos(tau); its chordal
+    # eps-neighborhood adds r = 2 asin(eps / 2), and a cap of angular radius
+    # theta has measure (1 - cos theta) / 2; the complement is the cap of
+    # radius pi - acos(tau) about the other pole
+    tau, eps = 0.3, 0.5
+    r = 2.0 * math.asin(eps / 2.0)
+    est_a, est_ac = cap_neighborhood_measure(E3, LAST_COORD, tau, eps,
+                                             200_000, seed=73)
+    expected_a = (1.0 - math.cos(math.acos(tau) + r)) / 2.0
+    expected_ac = (1.0 - math.cos(math.pi - math.acos(tau) + r)) / 2.0
+    assert abs(est_a.mean - expected_a) <= 3.0 * est_a.std_error
+    assert abs(est_ac.mean - expected_ac) <= 3.0 * est_ac.std_error
+
+
+@pytest.mark.parametrize("norm", [E3, L43], ids=str)
+def test_exact_cap_distance_never_exceeds_the_cloud_distance(norm):
+    # a cloud inside the cap can only overestimate the distance to it, so
+    # the exact estimate sits at or above the cloud one
+    tau = 0.2
+    pts = sample_conical(norm, 20_000, seed=74).points
+    cloud = pts[pts[:, -1] >= tau][:3_000]
+    probe = sample_conical(norm, 5_000, seed=75).points
+    probe = probe[probe[:, -1] < tau]
+    cloud_d = min_norm_distance(norm, probe, cloud)
+    assert np.all(_cap_distance(norm, tau, probe) <= cloud_d + 1e-12)
+
+
+def test_cap_neighborhood_measure_contract():
+    one_point = lambda norm: cap_neighborhood_measure(norm, LAST_COORD, 0.3,
+                                                      0.5, 1, seed=76)
+    with pytest.raises(EmptySetError):
+        one_point(E3)
+    with pytest.raises(ValueError, match="one-row map"):
+        cap_neighborhood_measure(E4, LAST_TWO, 0.0, 0.5, 1_000, seed=76)
+    reg = smooth_norm(lp_norm(1.5, 3), 0.05, 0.01)
+    with pytest.raises(ValueError, match="no closed-form cap distance"):
+        cap_neighborhood_measure(reg, LAST_COORD, 0.0, 0.5, 1_000, seed=76)
+    # the whole sphere lies within eps = 2 of any point
+    est_a, est_ac = cap_neighborhood_measure(L43, LAST_COORD, 0.0, 2.0,
+                                             1_000, seed=76)
+    assert est_a.mean == est_ac.mean == 1.0

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 import warnings
 
@@ -359,6 +361,35 @@ def test_lune_density_reconstruction_small_budget():
         assert mass >= lower
     assert diag.radial_exponent == pytest.approx(3.0, abs=0.15)
     assert diag.density_exponent == pytest.approx(1.0, abs=0.15)
+
+
+def test_lune_convexity_checks_draw_distinct_batches(monkeypatch):
+    seeds = []
+
+    def recording(spec, samples=4000, seed=0):
+        seeds.append(seed)
+        return validate_convexity(spec, samples, seed)
+
+    monkeypatch.setattr(needles, "validate_convexity", recording)
+    specs = [lune_spec(a) for a in (0.2, 0.1, 0.05)]
+    derived_density_estimate(specs, 200_000, seed=8)
+    assert len(seeds) == len(set(seeds)) == 3
+    batches = [sample_conical(euclidean_norm(3), 4000, s).points
+               for s in seeds]
+    assert not np.array_equal(batches[0], batches[1])
+    assert not np.array_equal(batches[1], batches[2])
+
+
+def test_lune_diagnostics_do_not_depend_on_the_convexity_draws():
+    # the convexity checks draw no point the estimate uses, so giving each
+    # spec its own seed leaves the diagnostics bit for bit as they were
+    specs = [lune_spec(a) for a in (0.2, 0.1)]
+    _, diag = derived_density_estimate(specs, 400_000, seed=8)
+    payload = json.dumps(
+        dataclasses.asdict(diag), sort_keys=True,
+        default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item())
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "9b06ef5a443455ed4212d96b0118b1bdd10fcbecfd858851ed666b6f9a48fab0")
 
 
 def test_lune_symmetric_density():
