@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -725,3 +726,55 @@ def test_main_fuzz_exit_codes(argv):
         assert rc == 0, (rc, lines)
         assert out.getvalue()
         assert all(line.startswith("PASS (") for line in lines), lines
+
+
+_REG = "reg:lp:1.5:3:w=0.05:d=0.01"
+_REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
+
+
+# One small report per command and distance path, pinned by the sha256 of
+# its emitted bytes: a refactor that keeps reports byte-identical keeps
+# every digest.
+@pytest.mark.parametrize("config, fmt, digest", [
+    (dict(command="bound", norm="lp:4:3", eps_grid="0.2:1.0:0.4"), "json",
+     "24d39e682564ff5650d3b2de578fd99523435f6e6dd43204d6b264dbec87ad33"),
+    (dict(command="compare", norm="lp:1.5:5", eps_grid="0.1:1.9:0.6"), "json",
+     "1658eddf2d08fe635c4ba792fdd6c9c9a141af6ea8d84d9c934a62230f9a2426"),
+    (dict(command="compare", norm=_REG, eps=0.5, budget=3000), "json",
+     "0fd481c23ca8bb6f86890c7ea323ad29f37b5197db00402fba2a6019287a18d6"),
+    (dict(command="modulus", norm="lp:4:3", eps_grid="0.2:1.0:0.4",
+          budget=3000), "json",
+     "b6ffd30955a320ec8c3ad105ea655a5c5db7dbc72ba80a5a68142a6549a4d10f"),
+    (dict(command="modulus", norm=_REG, eps_grid="0.4:1.2:0.8",
+          budget=3000), "csv",
+     "e185a26593bd61ae9c6f60a4c3d60d9856a46252269cb929d40a97cbc318d68f"),
+    (dict(command="verify-waist", norm="euclidean:3", eps=0.5, samples=2000,
+          z_grid="-0.4:0.4:0.2", seed=1), "json",
+     "6370270e4081be01cc8d7c3fb3939c317cc6e746deec6516ec3d68697bd34598"),
+    (dict(command="verify-waist", norm="lp:4:3", eps=0.3, samples=2000,
+          z_grid="-0.4:0.4:0.2", seed=2), "json",
+     "4fd7c7bac4d2bd063340ccf1850c850623c6ff25cc506b1c448daa3c07251711"),
+    (dict(command="verify-waist", norm="euclidean:4", k=2, eps=0.5,
+          samples=2000, z_grid="-0.3:0.3:0.3", seed=3), "json",
+     "dc747d8cb5b4c1ad18b5999f30dd5a65f6a53117b7caf1165378a8ac1ccf7079"),
+    (dict(command="verify-waist", norm=_REG, eps=0.5, z_grid="-0.4:0.4:0.4",
+          seed=4, **_REG_BUDGETS), "json",
+     "8b493ccd70f5b2648524959d808c70512c2eac36b36e3e799aa17d92393b08fc"),
+    (dict(command="verify-iso", norm="euclidean:3", eps=0.5, samples=2000,
+          seed=5), "json",
+     "3360885f8e4efcc73fc4b19c85609b40e4bcfe18890274ca760e23b5680bee4b"),
+    (dict(command="verify-iso", norm="lp:4:3", eps=0.3, samples=2000,
+          seed=6), "json",
+     "710cba6f2f4c01878c89eba2754e74cd1e7f24757356d9db63f94a9be97292ff"),
+    (dict(command="verify-iso", norm=_REG, eps=0.5, seed=7, **_REG_BUDGETS),
+     "json",
+     "2867f18423154a0ef91b85059ef19c003544631dd9ba5cddbbea1298ece8d63e"),
+    (dict(command="needle-suite", trials=100, seed=8), "json",
+     "8717898580f55a629e9b1c9fd43bfc3b82783f2f84c4b3a63886ff627c23e66d"),
+], ids=["bound", "compare-lp", "compare-reg", "modulus-json", "modulus-csv",
+        "waist-euclidean", "waist-lp", "waist-k2", "waist-reg",
+        "iso-euclidean", "iso-lp", "iso-reg", "needle-suite"])
+def test_golden_report_digests(config, fmt, digest):
+    payload = emit_report(run_experiment(ExperimentConfig(**config)), None,
+                          fmt)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
