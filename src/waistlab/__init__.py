@@ -8,7 +8,6 @@ from .norms import (  # noqa: F401
     ModulusCurve,
     NormDescriptor,
     euclidean_norm,
-    euclidean_sandwich,
     format_norm,
     lp_norm,
     modulus_of_convexity,
@@ -37,7 +36,6 @@ from .cone import (  # noqa: F401
     neighborhood_measure,
     sample_conical,
     set_measure,
-    tube_measure,
 )
 from .needles import (  # noqa: F401
     ArcDensity,

@@ -209,28 +209,18 @@ def sphere_tube_volume(n: int, k: int, r: float) -> float:
     return float(special.betainc(0.5 * k, 0.5 * (n - k + 1), x))
 
 
-def projection_lower_bound(
-    n: int, k: int, eps: float, radius_mode: str = "geodesic"
-) -> BoundValue:
+def projection_lower_bound(n: int, k: int, eps: float) -> BoundValue:
     """Waist lower bound obtained by radially projecting the round-sphere
-    tube theorem: (n+1)^(-n-1) * tube fraction at radius eps/(n+1).
-
-    ``radius_mode`` selects whether eps/(n+1) is read as a geodesic radius
-    (default) or as a chord converted to the geodesic angle 2 asin(c/2).
-    """
+    tube theorem: (n+1)^(-n-1) * tube fraction at the geodesic radius
+    eps/(n+1)."""
     if eps <= 0 or eps > 2:
         raise ValueError(f"eps must lie in (0, 2], got {eps}")
-    r = eps / (n + 1.0)
-    if radius_mode == "chordal":
-        r = 2.0 * math.asin(min(1.0, r / 2.0))
-    elif radius_mode != "geodesic":
-        raise ValueError("radius_mode must be 'geodesic' or 'chordal'")
-    tube = sphere_tube_volume(n, k, min(r, math.pi / 2.0))
+    tube = sphere_tube_volume(n, k, min(eps / (n + 1.0), math.pi / 2.0))
     value = (n + 1.0) ** (-(n + 1.0)) * tube
     return BoundValue(
         value=value,
         kind="projection",
-        inputs={"n": n, "k": k, "eps": eps, "radius_mode": radius_mode},
+        inputs={"n": n, "k": k, "eps": eps, "radius_mode": "geodesic"},
     )
 
 
@@ -256,19 +246,18 @@ def gromov_milman_bound(n: int, eps: float, modulus: ModulusCurve) -> BoundValue
     )
 
 
-def round_sphere_reference(n: int, k: int, eps: float,
-                           radius_mode: str = "chordal") -> BoundValue:
+def round_sphere_reference(n: int, k: int, eps: float) -> BoundValue:
     """Round-sphere waist constant: the tube fraction around an equatorial
     codimension-k subsphere at radius eps. On the round sphere the norm
-    distance is chordal, hence the default conversion 2 asin(eps/2)."""
+    distance is chordal, so eps is the geodesic angle 2 asin(eps/2)."""
     if eps <= 0 or eps > 2:
         raise ValueError(f"eps must lie in (0, 2], got {eps}")
-    r = 2.0 * math.asin(min(1.0, eps / 2.0)) if radius_mode == "chordal" else eps
+    r = 2.0 * math.asin(min(1.0, eps / 2.0))
     value = sphere_tube_volume(n, k, min(r, math.pi / 2.0))
     return BoundValue(
         value=value,
         kind="round_sphere_reference",
-        inputs={"n": n, "k": k, "eps": eps, "radius_mode": radius_mode},
+        inputs={"n": n, "k": k, "eps": eps, "radius_mode": "chordal"},
     )
 
 
@@ -282,7 +271,6 @@ def bound_table(
     eps_grid,
     modulus: ModulusCurve,
     f_upper: str = F_UPPER_PI,
-    radius_mode: str = "geodesic",
 ) -> list[dict]:
     """Rows (eps, w, w2, gm, b_exponent, n, k, f_upper) over an eps grid.
 
@@ -294,7 +282,7 @@ def bound_table(
         eps = float(eps)
         w = waist_lower_bound(BoundInputs(n=n, k=k, eps=eps, modulus=modulus,
                                           f_upper=f_upper)).value
-        w2 = projection_lower_bound(n, k, eps, radius_mode=radius_mode).value
+        w2 = projection_lower_bound(n, k, eps).value
         gm = gromov_milman_bound(n, eps, modulus).value
         rows.append({
             "eps": eps, "w": w, "w2": w2, "gm": gm,
@@ -323,17 +311,15 @@ def ratio_loglog_slope(
     l: int,
     k: int,
     modulus: ModulusCurve,
-    r_lo: float = 1e-4,
-    r_hi: float = 1e-2,
-    points: int = 25,
     f_upper: str = F_UPPER_PI,
 ) -> float:
-    """Least-squares slope of log(w_l(r)/w_k(r)) against log r.
+    """Least-squares slope of log(w_l(r)/w_k(r)) against log r, over 25
+    geometrically spaced radii from 1e-4 to 1e-2.
 
     For l < k the ratio diverges as r -> 0 with slope l - k, reflecting the
     near-cap mass scaling r^m of the codimension-m bound.
     """
-    rs = np.geomspace(r_lo, r_hi, points)
+    rs = np.geomspace(1e-4, 1e-2, 25)
     ratios = []
     for r in rs:
         wl = waist_lower_bound(BoundInputs(n=n, k=l, eps=float(r),

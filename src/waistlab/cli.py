@@ -37,7 +37,6 @@ from .cone import (
     cap_neighborhood_measure,
     derive_seed,
     fiber_distance_method,
-    neighborhood_measure,
     sample_conical,
 )
 from .needles import needle_suite
@@ -354,19 +353,9 @@ def _run_verify_iso(cfg: ExperimentConfig) -> Report:
                            derive_seed(cfg.seed, 0))
     tau = float(np.quantile(calib.points[:, -1], 1.0 - cfg.cap_mass))
     f = _coordinate_projection(norm.dim, 1)
-    method = fiber_distance_method(norm, f)
     try:
-        if method == "exact":
-            est_a, est_ac = cap_neighborhood_measure(
-                norm, f, tau, cfg.eps, cfg.samples, cfg.seed)
-        else:
-            cap = lambda pts: pts[:, -1] >= tau
-            cap_c = lambda pts: pts[:, -1] < tau
-            est_a, est_ac = (
-                neighborhood_measure(norm, part, cfg.eps, cfg.samples,
-                                     cfg.fiber_points,
-                                     derive_seed(cfg.seed, path))
-                for path, part in ((1, cap), (2, cap_c)))
+        est_a, est_ac = cap_neighborhood_measure(
+            norm, f, tau, cfg.eps, cfg.samples, cfg.fiber_points, cfg.seed)
     except EmptySetError as exc:
         raise ConfigError(
             f"no sample landed in the cap or its complement with --samples "
@@ -381,7 +370,7 @@ def _run_verify_iso(cfg: ExperimentConfig) -> Report:
         "neighborhood_A": est_a.to_dict(),
         "neighborhood_Ac": est_ac.to_dict(),
         "max_neighborhood": best,
-        "fiber_distance": method,
+        "fiber_distance": fiber_distance_method(norm, f),
         "assertion": "max(mu(A+eps), mu(A^c+eps)) >= waist_bound - 3*std_error",
     }
     return Report(config=cfg.to_dict(), results=results,
@@ -389,12 +378,12 @@ def _run_verify_iso(cfg: ExperimentConfig) -> Report:
 
 
 def _run_needle_suite(cfg: ExperimentConfig) -> Report:
-    eps_choices = ((0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-                   if cfg.eps is None and cfg.eps_grid is None
-                   else _eps_values(cfg))
+    # Without --eps or --eps-grid the suite draws from its own default eps.
+    given = ({} if cfg.eps is None and cfg.eps_grid is None
+             else {"eps_choices": _eps_values(cfg)})
     n_hi = cfg.n if cfg.n is not None else 8
     reports = needle_suite(cfg.trials, cfg.seed, n_range=(2, max(2, n_hi)),
-                           eps_choices=eps_choices, f_upper=cfg.f_upper)
+                           f_upper=cfg.f_upper, **given)
     ok = all(r["violations"] == 0 for r in reports)
     return Report(config=cfg.to_dict(), results={"lemma_reports": reports},
                   status="pass" if ok else "fail")
@@ -403,9 +392,8 @@ def _run_needle_suite(cfg: ExperimentConfig) -> Report:
 def _run_compare(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
-    eps_values = (_parse_grid(cfg.eps_grid) if cfg.eps_grid is not None
-                  else np.array([cfg.eps]))
-    modulus = _modulus_for(norm, cfg.budget, cfg.seed, float(eps_values.max()))
+    eps_values = _eps_values(cfg)
+    modulus = _modulus_for(norm, cfg.budget, cfg.seed, max(eps_values))
     rows = bound_table(n, cfg.k, eps_values, modulus, f_upper=cfg.f_upper)
     slopes = {}
     for l, k in ((1, 2), (1, 3), (2, 3)):

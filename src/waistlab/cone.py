@@ -25,8 +25,10 @@ import numpy as np
 
 from .norms import (
     NormDescriptor,
+    derive_seed,
     norm_eval,
     radial_project,
+    rng_stream,
     sandwich_bounds,
 )
 
@@ -39,12 +41,10 @@ __all__ = [
     "rng_stream",
     "derive_seed",
     "sample_conical",
-    "sample_in_ball",
     "set_measure",
     "fiber_points",
     "fiber_distance_method",
     "min_norm_distance",
-    "tube_measure",
     "best_fiber",
     "cap_neighborhood_measure",
     "neighborhood_measure",
@@ -61,23 +61,6 @@ class RankDeficientError(ValueError):
 
 class EmptySetError(ValueError):
     """No sample points landed in the target set within budget."""
-
-
-def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(seed),
-                                  spawn_key=tuple(int(p) for p in path))
-
-
-def rng_stream(seed: int, *path: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, path), so substreams are
-    reproducible independently of execution order or worker count."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
-
-
-def derive_seed(seed: int, *path: int) -> int:
-    """Integer seed keyed by (seed, path), for a callee that takes a seed
-    rather than a generator; the same key always gives the same seed."""
-    return int(_seed_sequence(seed, path).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -202,16 +185,6 @@ def sample_conical(norm: NormDescriptor, count: int, seed: int,
     else:
         raise ValueError(f"unknown sampling method {method!r}")
     return SampleBatch(norm=norm, seed=seed, points=pts, count=count)
-
-
-def sample_in_ball(norm: NormDescriptor, count: int, seed: int) -> np.ndarray:
-    """Uniform samples in the closed unit ball of ``norm`` (cone sample times
-    a radius factor U^(1/dim)); used for homogeneity checks of the cone
-    measure before projection."""
-    batch = sample_conical(norm, count, seed)
-    rng = rng_stream(seed, 1)
-    radii = rng.random(count) ** (1.0 / norm.dim)
-    return batch.points * radii[:, None]
 
 
 def set_measure(batch: SampleBatch, indicator: Callable) -> MeasureEstimate:
@@ -446,36 +419,6 @@ def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
     return out
 
 
-def tube_measure(
-    norm: NormDescriptor,
-    f,
-    z,
-    eps: float,
-    sample_budget: int,
-    fiber_budget: int,
-    seed: int,
-) -> MeasureEstimate:
-    """Estimate the cone measure of the eps-neighborhood (norm distance) of
-    the fiber {f x = z} on the sphere.
-
-    The distance to the fiber is exact on the round sphere (euclidean and
-    lp:2 norms) with any map, and on lp norms when ``f`` is a coordinate
-    map; there the estimate is unbiased and ``fiber_budget`` is unused.
-    Every other (norm, map) pair takes distances to a finite fiber point
-    cloud of ``fiber_budget`` points, which can only overestimate the true
-    distance, so the estimate is a lower bound in expectation (the
-    conservative direction for checking waist bounds). See
-    ``fiber_distance_method``.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    distance = _fiber_distance(norm, f, z, eps, fiber_budget,
-                               derive_seed(seed, 1))
-    batch = sample_conical(norm, sample_budget, derive_seed(seed, 2))
-    return MeasureEstimate.from_hits(int((distance(batch.points) <= eps).sum()),
-                                     sample_budget, seed=seed)
-
-
 def best_fiber(
     norm: NormDescriptor,
     f,
@@ -485,15 +428,20 @@ def best_fiber(
     fiber_budget: int,
     seed: int,
 ) -> tuple[np.ndarray, MeasureEstimate, list[MeasureEstimate]]:
-    """Grid argmax of the tube measure over fiber locations.
+    """Grid argmax of the tube measure, the cone measure of the
+    eps-neighborhood (norm distance) of the fiber {f x = z}, over fiber
+    locations z.
 
     One shared cone-measure batch is used for every grid point (cheaper and
     lower-variance for comparisons). Distances to each fiber are measured
-    as in ``tube_measure``: exactly on the round sphere with any map and on
-    lp norms with a coordinate map, otherwise against a fiber cloud drawn
-    from a per-z substream. Ties break toward the first grid entry; grid
-    points with empty fibers are skipped. Returns
-    (z_star, best_estimate, all_estimates).
+    as ``fiber_distance_method`` names. "exact" (the round sphere with any
+    map, lp norms with a coordinate map): the estimate is unbiased and
+    ``fiber_budget`` is unused. "cloud": distances to a fiber cloud of
+    ``fiber_budget`` points drawn from a per-z substream, which can only
+    overestimate the true distance, so each estimate is a lower bound in
+    expectation (the conservative direction for checking waist bounds).
+    Ties break toward the first grid entry; grid points with empty fibers
+    are skipped. Returns (z_star, best_estimate, all_estimates).
     """
     z_grid = [np.atleast_1d(np.asarray(z, dtype=float)) for z in z_grid]
     if not z_grid:
@@ -527,14 +475,15 @@ def cap_neighborhood_measure(
     tau: float,
     eps: float,
     sample_budget: int,
+    cloud_budget: int,
     seed: int,
 ) -> tuple[MeasureEstimate, MeasureEstimate]:
     """Estimate the cone measures of the eps-neighborhoods of the cap
     A = {f x >= tau} of a one-row map ``f`` and of its complement, with
-    exact distances.
+    distances measured as ``fiber_distance_method`` names.
 
-    For y outside A the nearest point of A lies on the boundary fiber
-    {f x = tau}. On the round sphere A is a spherical cap. On an l_p
+    "exact": for y outside A the nearest point of A lies on the boundary
+    fiber {f x = tau}. On the round sphere A is a spherical cap. On an l_p
     sphere with the last-coordinate map, take y_last = b < tau and
     a = |y_R|_p; then d(y, A)^p is the minimum over t in [tau, 1] of
     g(t) = |a - r(t)|^p + |t - b|^p with r(t) = (1 - |t|^p)^(1/p), as
@@ -545,25 +494,36 @@ def cap_neighborhood_measure(
     Reflecting x_last gives the complement, and permuting, scaling and
     signing coordinates gives every coordinate map. So both distances are
     the closed-form distance to that fiber, for any (norm, f) that
-    ``fiber_distance_method`` calls "exact".
+    ``fiber_distance_method`` calls "exact". One batch at the seed path
+    (seed, 1) serves both sets: a point counts for A if it lies in A or
+    within eps of the boundary, and for the complement if it lies outside
+    A or within eps. Each estimate is unbiased with its binomial standard
+    error.
 
-    One batch at the seed path (seed, 1) serves both sets: a point counts
-    for A if it lies in A or within eps of the boundary, and for the
-    complement if it lies outside A or within eps. Each estimate is
-    unbiased with its binomial standard error. Raises EmptySetError when
-    the batch has no point in A or none outside it.
+    "cloud": each set takes ``neighborhood_measure`` with ``cloud_budget``
+    cloud points, A at the seed derive_seed(seed, 1) and the complement at
+    derive_seed(seed, 2); both estimates are conservative.
+
+    Raises EmptySetError when the exact batch, or the cloud batch of either
+    set, has no point in that set.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     f = np.atleast_2d(np.asarray(f, dtype=float))
     if f.shape[0] != 1:
         raise ValueError(f"a cap needs a one-row map, got {f.shape[0]} rows")
-    if fiber_distance_method(norm, f) != "exact":
-        raise ValueError(
-            f"no closed-form cap distance on {norm} with this map; use "
-            "neighborhood_measure")
+    row = f[0]
+    if fiber_distance_method(norm, f) == "cloud":
+        return (
+            neighborhood_measure(norm, lambda pts: pts @ row >= tau, eps,
+                                 sample_budget, cloud_budget,
+                                 derive_seed(seed, 1)),
+            neighborhood_measure(norm, lambda pts: pts @ row < tau, eps,
+                                 sample_budget, cloud_budget,
+                                 derive_seed(seed, 2)),
+        )
     batch = sample_conical(norm, sample_budget, derive_seed(seed, 1))
-    in_a = batch.points @ f[0] >= tau
+    in_a = batch.points @ row >= tau
     if in_a.all() or not in_a.any():
         raise EmptySetError(
             "no sample points landed in the cap or in its complement")
@@ -591,9 +551,8 @@ def neighborhood_measure(
     samples, then fresh samples are counted if they either satisfy the
     indicator (A is always inside its own neighborhood) or lie within eps of
     the cloud. Cloud distances overestimate distances to A, so the estimate
-    is a conservative lower bound. ``verify-iso`` takes this path only on
-    regularized norms; a cap on a round or l_p sphere has the exact, unbiased
-    ``cap_neighborhood_measure``.
+    is a conservative lower bound. ``cap_neighborhood_measure`` takes this
+    path where a cap has no closed-form distance.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -131,14 +131,14 @@ class ArcDensity:
 
     def dist_to_index(self, idx: int) -> np.ndarray:
         """Norm distances from every grid point to grid point ``idx``."""
-        if self.norm.kind == "euclidean":
+        if self.norm.is_round:
             return _section_dist(self.section2d[None, :, 0],
                                  self.section2d[None, :, 1],
                                  np.array([idx]))[0]
         return np.asarray(norm_eval(self.norm, self.points - self.points[idx]))
 
     def pair_dist(self, idx_i: np.ndarray, idx_j: np.ndarray) -> np.ndarray:
-        if self.norm.kind == "euclidean":
+        if self.norm.is_round:
             d = self.section2d[idx_i] - self.section2d[idx_j]
             return np.hypot(d[:, 0], d[:, 1])
         return np.asarray(norm_eval(self.norm, self.points[idx_i] - self.points[idx_j]))
@@ -287,21 +287,18 @@ class WeakConcavityReport:
     worst_margin: float = math.inf   # min over pairs of rhs + tol - lhs
 
 
-def is_weakly_concave(d: ArcDensity, tol: float = WEAK_CONCAVITY_TOL,
-                      pair_stride: int = 1) -> WeakConcavityReport:
+def is_weakly_concave(d: ArcDensity, tol: float = WEAK_CONCAVITY_TOL
+                      ) -> WeakConcavityReport:
     """Check the corrected midpoint concavity of f^(1/m) over grid pairs.
 
     For each pair (x, y) with radial midpoint z = (x+y)/2 / ||(x+y)/2||,
     requires (f^(1/m)(x) + f^(1/m)(y)) / 2 <= (1 - delta(||x-y||)) f^(1/m)(z)
     plus a slack of tol*(1 + rhs) absorbing the grid interpolation of z.
-    ``pair_stride`` subsamples pairs for bulk runs.
     """
     g = d.grid
     n = g.size
     hroot = np.power(d.values, 1.0 / d.m)
     idx_i, idx_j = np.triu_indices(n, k=1)
-    if pair_stride > 1:
-        idx_i, idx_j = idx_i[::pair_stride], idx_j[::pair_stride]
     dist = d.pair_dist(idx_i, idx_j)
     mid = 0.5 * (d.section2d[idx_i] + d.section2d[idx_j])
     theta_mid = np.arctan2(mid[:, 1], mid[:, 0])
@@ -478,8 +475,6 @@ def random_arc_density(
     m: int,
     norm: Optional[NormDescriptor] = None,
     grid_size: int = 1024,
-    span_range: tuple = (0.8, 2.4),
-    funcs_range: tuple = (2, 6),
     modulus: Optional[ModulusCurve] = None,
     plane: Optional[tuple] = None,
 ) -> ArcDensity:
@@ -494,9 +489,9 @@ def random_arc_density(
         norm = euclidean_norm(m + 2)  # ambient n + 1 with k = 1
     if modulus is None:
         modulus = euclidean_modulus_curve()
-    length, start, phases, scales = _draw_arc(rng, span_range, funcs_range)
+    length, start, phases, scales = _draw_arc(rng)
     grid = start + np.linspace(0.0, length, grid_size)
-    if plane is None and norm.kind != "euclidean":
+    if plane is None and not norm.is_round:
         a = rng.standard_normal(norm.dim)
         a /= np.linalg.norm(a)
         b = rng.standard_normal(norm.dim)
@@ -516,15 +511,15 @@ def random_arc_density(
                       modulus=modulus, plane=plane, section=section)
 
 
-def _draw_arc(rng, span_range=(0.8, 2.4), funcs_range=(2, 6)):
-    """Draw an arc and its linear functionals: length, start angle, and the
-    functionals' phases and scales. The phases keep every functional
-    positive on the arc [start, start + length]."""
-    length = rng.uniform(*span_range)
+def _draw_arc(rng):
+    """Draw an arc and its linear functionals: length in [0.8, 2.4], start
+    angle, and the phases and scales of 2 to 6 functionals. The phases keep
+    every functional positive on the arc [start, start + length]."""
+    length = rng.uniform(0.8, 2.4)
     start = rng.uniform(0.0, 2.0 * math.pi)
     lo = start + length - math.pi / 2.0 + 0.05
     hi = start + math.pi / 2.0 - 0.05
-    n_funcs = int(rng.integers(funcs_range[0], funcs_range[1] + 1))
+    n_funcs = int(rng.integers(2, 7))
     phases = rng.uniform(lo, hi, size=n_funcs)
     scales = np.exp(rng.uniform(math.log(0.3), math.log(3.0), size=n_funcs))
     return length, start, phases, scales
@@ -620,11 +615,11 @@ def random_cap_density(
     cap_angle: float = 0.9,
     t_points: int = 160,
     omega_points: int = 320,
-    funcs_range: tuple = (2, 5),
     modulus: Optional[ModulusCurve] = None,
 ) -> CapDensity:
     """Weakly m-concave density on a geodesic cap, built like the arc
-    generator from a minimum of linear functionals positive on the cone."""
+    generator from a minimum of 2 to 5 linear functionals positive on the
+    cone."""
     if not (0 < cap_angle < math.pi / 2):
         raise ValueError("cap_angle must lie in (0, pi/2)")
     if modulus is None:
@@ -634,7 +629,7 @@ def random_cap_density(
     pts = np.stack([np.outer(np.sin(t), np.cos(om)),
                     np.outer(np.sin(t), np.sin(om)),
                     np.outer(np.cos(t), np.ones_like(om))], axis=-1)
-    n_funcs = int(rng.integers(funcs_range[0], funcs_range[1] + 1))
+    n_funcs = int(rng.integers(2, 6))
     margin = 0.1
     h = np.full(pts.shape[:2], np.inf)
     for _ in range(n_funcs):
@@ -940,6 +935,8 @@ def derived_density_estimate(
 # against 1.71 s in blocks of 256 (8 interleaved runs, 2-vCPU host), and
 # the suite's peak memory fell from about 34 MB to 10 MB.
 _SUITE_BLOCK = 64
+# Grid points per suite needle, as in random_arc_density's default.
+_SUITE_GRID = 1024
 _SUITE_LEMMAS = ("max_structure", "decay", "mass_ratio", "ball_mass")
 
 
@@ -948,7 +945,6 @@ def needle_suite(
     seed: int,
     n_range: tuple = (2, 8),
     eps_choices: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
-    grid_size: int = 1024,
     f_upper: str = F_UPPER_PI,
 ) -> list[dict]:
     """Run the lemma-chain checks over random weakly concave arc needles
@@ -967,7 +963,7 @@ def needle_suite(
     worst = dict.fromkeys(_SUITE_LEMMAS, math.inf)
     for first in range(0, trials, _SUITE_BLOCK):
         block = _suite_block(rng, min(_SUITE_BLOCK, trials - first), n_range,
-                             eps_choices, grid_size, f_upper, modulus, bounds)
+                             eps_choices, f_upper, modulus, bounds)
         for name, (bad, margin) in block.items():
             violations[name] += int(np.count_nonzero(bad))
             if margin is not None:
@@ -983,8 +979,8 @@ def needle_suite(
     } for name in _SUITE_LEMMAS]
 
 
-def _suite_block(rng, count, n_range, eps_choices, grid_size, f_upper,
-                 modulus, bounds) -> dict:
+def _suite_block(rng, count, n_range, eps_choices, f_upper, modulus,
+                 bounds) -> dict:
     """Draw and check ``count`` needles: {lemma: (violated, margin)}, one
     entry per trial (margin None for max_structure)."""
     k = 1
@@ -1000,12 +996,10 @@ def _suite_block(rng, count, n_range, eps_choices, grid_size, f_upper,
         phases.append(p)
         scales.append(c)
     m = n - k
-    if grid_size < 3:
-        raise ValueError("grid must be 1-D with at least 3 points")
     # C order, so reductions along a row run over contiguous memory, as on
     # a lone needle's 1-D arrays (linspace along axis 1 is Fortran-ordered)
     grid = starts[:, None] + np.ascontiguousarray(
-        np.linspace(0.0, lengths, grid_size, axis=1))
+        np.linspace(0.0, lengths, _SUITE_GRID, axis=1))
     h = _envelope(grid, phases, scales)
     # One power call per exponent: with an array of exponents np.power
     # rounds differently from the scalar-exponent call of a lone needle.

@@ -2,7 +2,8 @@
 
 Provides norm descriptors (Euclidean, l_p, regularized/smoothed variants),
 norm evaluation, moduli of convexity (closed forms plus a numeric estimator
-over 2-D sections), radial projection, and Euclidean sandwich constants.
+over 2-D sections), radial projection, Euclidean sandwich constants, and
+the seeded random streams every estimator draws from.
 
 All objects are immutable after construction and every operation is a pure
 function, so everything here is safe to call from concurrent workers.
@@ -30,7 +31,9 @@ __all__ = [
     "format_norm",
     "norm_eval",
     "radial_project",
-    "euclidean_sandwich",
+    "sandwich_bounds",
+    "rng_stream",
+    "derive_seed",
     "euclidean_modulus",
     "lp_modulus",
     "euclidean_modulus_curve",
@@ -48,6 +51,23 @@ class DimensionMismatchError(ValueError):
 
 class UnsupportedNormError(ValueError):
     """Operation not available for this norm kind."""
+
+
+def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed),
+                                  spawn_key=tuple(int(p) for p in path))
+
+
+def rng_stream(seed: int, *path: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, path), so substreams are
+    reproducible independently of execution order or worker count."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+
+
+def derive_seed(seed: int, *path: int) -> int:
+    """Integer seed keyed by (seed, path), for a callee that takes a seed
+    rather than a generator; the same key always gives the same seed."""
+    return int(_seed_sequence(seed, path).generate_state(1)[0])
 
 
 # Gauss-Legendre nodes per axis for the mollifying ball quadrature.
@@ -340,33 +360,23 @@ def radial_project(norm: NormDescriptor, x) -> np.ndarray:
     return x / np.asarray(n)[..., None] if x.ndim > 1 else x / n
 
 
-def euclidean_sandwich(norm: NormDescriptor) -> tuple[float, float]:
-    """Extremal constants (c1, c2) with c1*|x|_2 <= ||x|| <= c2*|x|_2.
+def sandwich_bounds(norm: NormDescriptor) -> tuple[float, float]:
+    """Constants (c1, c2) with c1*|x|_2 <= ||x|| <= c2*|x|_2, for every norm
+    kind, for envelopes and prefilters.
 
-    For l_p the constants are the closed-form extremes d^(1/p - 1/2) and 1
-    (attained on the diagonal and on basis vectors), so c2/c1 <= sqrt(dim).
+    Euclidean and l_p norms take the extremal closed forms: for l_p they are
+    d^(1/p - 1/2) and 1 (attained on the diagonal and on basis vectors), so
+    c2/c1 <= sqrt(dim). Regularized norms follow from their base's
+    constants: averaging the base norm over a ball of radius w perturbs it
+    by at most c2_base * w / R relative to the Euclidean length (R the
+    homogenization radius), and the delta term adds in quadrature.
     """
     if norm.kind == "euclidean":
         return 1.0, 1.0
     if norm.kind == "lp":
         t = norm.dim ** (1.0 / norm.p - 0.5)
         return min(1.0, t), max(1.0, t)
-    raise UnsupportedNormError(
-        "euclidean_sandwich has closed forms only for euclidean and lp kinds"
-    )
-
-
-def sandwich_bounds(norm: NormDescriptor) -> tuple[float, float]:
-    """(c1, c2) valid for any supported kind, for envelopes and prefilters.
-
-    For regularized norms the constants follow from the base's closed form:
-    averaging the base norm over a ball of radius w perturbs it by at most
-    c2_base * w / R relative to the Euclidean length (R the homogenization
-    radius), and the delta term adds in quadrature.
-    """
-    if norm.kind in ("euclidean", "lp"):
-        return euclidean_sandwich(norm)
-    b1, b2 = euclidean_sandwich(norm.base)
+    b1, b2 = sandwich_bounds(norm.base)
     slack = b2 * norm.mollifier_width / _HOMOG_RADIUS
     lo = max(0.0, b1 - slack)
     hi = b2 + slack
@@ -548,7 +558,7 @@ def _numeric_modulus(norm, eps, budget, seed) -> np.ndarray:
     it has alone, each value equals a search at that eps on its own.
     """
     eps = np.asarray(eps, dtype=float)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = rng_stream(seed)
     dim = norm.dim
     n_random = int(np.clip(budget // 3000, 4, 64))
     starts = int(np.clip(budget // (n_random * 30), 16, 96))

@@ -201,7 +201,7 @@ def test_criterion_6_small_radius_asymptotics():
     worst = 0.0
     slopes = {}
     for l, k in ((1, 2), (1, 3), (2, 3)):
-        slope = ratio_loglog_slope(5, l, k, MOD, r_lo=1e-4, r_hi=1e-2)
+        slope = ratio_loglog_slope(5, l, k, MOD)
         slopes[(l, k)] = slope
         worst = max(worst, abs(slope - (l - k)))
     ok = worst <= 0.1

@@ -307,13 +307,6 @@ def test_projection_bound_small_eps():
     assert projection_lower_bound(4, 1, 1e-9).value < 1e-10
 
 
-def test_projection_bound_chordal_option_close_to_geodesic():
-    g = projection_lower_bound(3, 1, 0.8, radius_mode="geodesic").value
-    c = projection_lower_bound(3, 1, 0.8, radius_mode="chordal").value
-    assert c >= g  # chord -> angle conversion enlarges the radius
-    assert c == pytest.approx(g, rel=0.02)
-
-
 def test_projection_vs_waist_large_n_comparison():
     # w2 collapses super-exponentially while w climbs toward 1.
     eps, k = 0.5, 1

@@ -588,6 +588,14 @@ def test_needle_suite_eps_is_a_one_value_grid(capsys):
                                  "--eps-grid", "0.1:0.6:0.1")
 
 
+@pytest.mark.parametrize("command", ["bound", "modulus", "compare"])
+def test_eps_wins_over_eps_grid(command):
+    results = [run_experiment(ExperimentConfig(
+        command=command, norm="lp:4:3", budget=3000, **grid)).results
+        for grid in ({"eps": 0.5}, {"eps": 0.5, "eps_grid": "0.2:1.0:0.4"})]
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("content", ["[1]", '"x"', "null", "3"])
 def test_config_file_not_an_object_exits_2(content, tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"

@@ -19,9 +19,7 @@ from waistlab.cone import (
     neighborhood_measure,
     rng_stream,
     sample_conical,
-    sample_in_ball,
     set_measure,
-    tube_measure,
 )
 from waistlab.norms import euclidean_norm, lp_norm, norm_eval, smooth_norm
 
@@ -117,8 +115,8 @@ def test_tube_measure_codimension_two_oracle():
     # on [0, 1], so the eps-tube has measure 1 - (1 - eps^2/2)^2.
     f = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     eps = 0.5
-    est = tube_measure(euclidean_norm(4), f, [0.0, 0.0], eps,
-                       200_000, 20_000, seed=23)
+    est = best_fiber(euclidean_norm(4), f, eps, [[0.0, 0.0]],
+                     200_000, 20_000, seed=23)[1]
     expected = 1.0 - (1.0 - eps**2 / 2.0) ** 2
     assert abs(est.mean - expected) <= 3.0 * est.std_error + 1e-3
 
@@ -151,22 +149,6 @@ def test_measure_estimate_contract():
                              "count": 1000, "seed": 9}
     with pytest.raises(ValueError):
         MeasureEstimate(mean=1.2, std_error=0.0, count=10)
-
-
-def test_cone_measure_homogeneity_under_scaling():
-    # Cone volume of t * co(A) scales as t^(n+1); checked with uniform-in-ball
-    # samples before projection, on a cap set A.
-    for norm, seed in ((E3, 21), (lp_norm(4, 3), 22)):
-        pts = sample_in_ball(norm, 400_000, seed)
-        r = np.asarray(norm_eval(norm, pts))
-        ok = r > 0
-        direction_in_cap = pts[ok, 2] / r[ok] >= 0.4
-        base = direction_in_cap.mean()
-        for t in (0.5, 0.8):
-            obs = (direction_in_cap & (r[ok] <= t)).mean()
-            expected = t**norm.dim * base
-            sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / ok.sum())
-            assert abs(obs - expected) <= 3.5 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +216,6 @@ def test_fiber_errors():
         fiber_points(E3, rank_one, [0.0, 0.0], 10, seed=1)
     # the exact euclidean path checks the rank too
     with pytest.raises(RankDeficientError):
-        tube_measure(E3, rank_one, [0.0, 0.0], 0.5, 100, 10, seed=1)
-    with pytest.raises(RankDeficientError):
         best_fiber(E3, rank_one, 0.5, [[0.0, 0.0]], 100, 10, seed=1)
 
 
@@ -247,8 +227,8 @@ def test_square_map_has_no_fiber_to_sample():
         fiber_points(E3, np.eye(3), [0.0, 0.0, 0.5], 3, seed=1)
     for norm in (E3, L43):
         with pytest.raises(ValueError, match="fewer than 3 rows"):
-            tube_measure(norm, np.eye(3), [0.0, 0.0, 0.5], 0.3, 100, 10,
-                         seed=1)
+            best_fiber(norm, np.eye(3), 0.3, [[0.0, 0.0, 0.5]], 100, 10,
+                       seed=1)
 
 
 def _exact_distance(norm, f, z):
@@ -482,24 +462,27 @@ def test_min_norm_distance_generic_path_matches_brute_force():
 # ---------------------------------------------------------------------------
 
 def test_tube_measure_equator_band_oracle():
-    est = tube_measure(E3, LAST_COORD, [0.0], 0.5, 200_000, 10_000, seed=31)
+    est = best_fiber(E3, LAST_COORD, 0.5, [[0.0]], 200_000, 10_000,
+                     seed=31)[1]
     # The distance to the round fiber is exact, so the estimate is unbiased;
     # the 5e-4 is slack on top of 3 sigma, not a bias allowance.
     assert abs(est.mean - _band_measure(0.5)) <= 3.0 * est.std_error + 5e-4
 
 
 def test_tube_measure_whole_sphere_at_diameter():
-    est = tube_measure(E3, LAST_COORD, [0.0], 2.0, 20_000, 2_000, seed=32)
+    est = best_fiber(E3, LAST_COORD, 2.0, [[0.0]], 20_000, 2_000, seed=32)[1]
     assert est.mean == 1.0
 
 
 def test_tube_measure_boundary_slice_is_positive():
-    est = tube_measure(E3, LAST_COORD, [0.999], 0.3, 50_000, 2_000, seed=33)
+    est = best_fiber(E3, LAST_COORD, 0.3, [[0.999]], 50_000, 2_000,
+                     seed=33)[1]
     assert est.mean > 0.0
 
 
 def test_tube_measure_monotone_in_eps():
-    vals = [tube_measure(E3, LAST_COORD, [0.0], eps, 50_000, 3_000, seed=34).mean
+    vals = [best_fiber(E3, LAST_COORD, eps, [[0.0]], 50_000, 3_000,
+                       seed=34)[1].mean
             for eps in (0.2, 0.4, 0.6, 0.8)]
     assert np.all(np.diff(vals) >= 0.0)
 
@@ -612,7 +595,7 @@ def test_cap_neighborhood_round_sphere_oracle():
     tau, eps = 0.3, 0.5
     r = 2.0 * math.asin(eps / 2.0)
     est_a, est_ac = cap_neighborhood_measure(E3, LAST_COORD, tau, eps,
-                                             200_000, seed=73)
+                                             200_000, 1, seed=73)
     expected_a = (1.0 - math.cos(math.acos(tau) + r)) / 2.0
     expected_ac = (1.0 - math.cos(math.pi - math.acos(tau) + r)) / 2.0
     assert abs(est_a.mean - expected_a) <= 3.0 * est_a.std_error
@@ -634,15 +617,25 @@ def test_exact_cap_distance_never_exceeds_the_cloud_distance(norm):
 
 def test_cap_neighborhood_measure_contract():
     one_point = lambda norm: cap_neighborhood_measure(norm, LAST_COORD, 0.3,
-                                                      0.5, 1, seed=76)
+                                                      0.5, 1, 1, seed=76)
     with pytest.raises(EmptySetError):
         one_point(E3)
     with pytest.raises(ValueError, match="one-row map"):
-        cap_neighborhood_measure(E4, LAST_TWO, 0.0, 0.5, 1_000, seed=76)
-    reg = smooth_norm(lp_norm(1.5, 3), 0.05, 0.01)
-    with pytest.raises(ValueError, match="no closed-form cap distance"):
-        cap_neighborhood_measure(reg, LAST_COORD, 0.0, 0.5, 1_000, seed=76)
+        cap_neighborhood_measure(E4, LAST_TWO, 0.0, 0.5, 1_000, 100, seed=76)
     # the whole sphere lies within eps = 2 of any point
     est_a, est_ac = cap_neighborhood_measure(L43, LAST_COORD, 0.0, 2.0,
-                                             1_000, seed=76)
+                                             1_000, 100, seed=76)
     assert est_a.mean == est_ac.mean == 1.0
+    # a regularized norm has no closed-form cap distance: each set takes
+    # neighborhood_measure, A at the seed path (seed, 1) and its complement
+    # at (seed, 2)
+    reg = smooth_norm(lp_norm(1.5, 3), 0.05, 0.01)
+    tau, eps, seed = 0.1, 0.5, 76
+    got = cap_neighborhood_measure(reg, LAST_COORD, tau, eps, 600, 150, seed)
+    want = (
+        neighborhood_measure(reg, lambda pts: pts[:, -1] >= tau, eps, 600,
+                             150, derive_seed(seed, 1)),
+        neighborhood_measure(reg, lambda pts: pts[:, -1] < tau, eps, 600,
+                             150, derive_seed(seed, 2)),
+    )
+    assert [e.to_dict() for e in got] == [e.to_dict() for e in want]

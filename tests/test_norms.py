@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waistlab import cone
 from waistlab import norms as norms_module
 from waistlab.norms import (
     DimensionMismatchError,
@@ -13,7 +14,6 @@ from waistlab.norms import (
     euclidean_modulus,
     euclidean_modulus_curve,
     euclidean_norm,
-    euclidean_sandwich,
     format_norm,
     lp_modulus,
     lp_modulus_curve,
@@ -23,6 +23,8 @@ from waistlab.norms import (
     numeric_modulus_curve,
     parse_norm,
     radial_project,
+    rng_stream,
+    sandwich_bounds,
     smooth_norm,
 )
 
@@ -408,12 +410,18 @@ def test_radial_projection_two_lipschitz(norm):
 # ---------------------------------------------------------------------------
 
 def test_sandwich_examples():
-    assert euclidean_sandwich(euclidean_norm(5)) == (1.0, 1.0)
-    c1, c2 = euclidean_sandwich(lp_norm(4, 2))
+    assert sandwich_bounds(euclidean_norm(5)) == (1.0, 1.0)
+    c1, c2 = sandwich_bounds(lp_norm(4, 2))
     assert (c1, c2) == pytest.approx((2 ** -0.25, 1.0))
-    assert euclidean_sandwich(lp_norm(2, 17)) == pytest.approx((1.0, 1.0))
-    with pytest.raises(UnsupportedNormError):
-        euclidean_sandwich(smooth_norm(lp_norm(4, 2), 0.05, 0.01))
+    assert sandwich_bounds(lp_norm(2, 17)) == pytest.approx((1.0, 1.0))
+    # regularized norms take the same function, with their base's constants
+    norm = smooth_norm(lp_norm(4, 3), 0.05, 0.01)
+    c1, c2 = sandwich_bounds(norm)
+    x = rng_stream(5).standard_normal((2_000, norm.dim))
+    e = np.linalg.norm(x, axis=-1)
+    v = np.asarray(norm_eval(norm, x))
+    assert np.all(v >= c1 * e - 1e-9)
+    assert np.all(v <= c2 * e + 1e-9)
 
 
 def test_sandwich_constants_match_circle_brute_force():
@@ -421,14 +429,14 @@ def test_sandwich_constants_match_circle_brute_force():
     theta = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
     pts = np.column_stack([np.cos(theta), np.sin(theta)])  # |x|_2 = 1
     vals = np.asarray(norm_eval(norm, pts))
-    c1, c2 = euclidean_sandwich(norm)
+    c1, c2 = sandwich_bounds(norm)
     assert vals.min() == pytest.approx(c1, abs=1e-8)
     assert vals.max() == pytest.approx(c2, abs=1e-8)
 
 
 @pytest.mark.parametrize("norm", [lp_norm(1.5, 3), lp_norm(4, 5)])
 def test_sandwich_property_random_vectors(norm):
-    c1, c2 = euclidean_sandwich(norm)
+    c1, c2 = sandwich_bounds(norm)
     assert c2 / c1 <= math.sqrt(norm.dim) + 1e-12
     x = RNG.standard_normal((1_000_000, norm.dim))
     e = np.linalg.norm(x, axis=-1)
@@ -471,3 +479,19 @@ def test_smooth_norm_rejects_bad_inputs():
         smooth_norm(euclidean_norm(5), 0.1, 0.1)
     with pytest.raises(ValueError):
         smooth_norm(euclidean_norm(3), -0.1, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Seeded streams
+# ---------------------------------------------------------------------------
+
+def test_rng_stream_without_a_path_is_the_plain_seed_sequence():
+    # the numeric modulus draws its sections from rng_stream(seed), the
+    # stream it built from SeedSequence(seed) directly before
+    for seed in (0, 7, 2**40):
+        plain = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed)))
+        assert np.array_equal(rng_stream(seed).standard_normal(16),
+                              plain.standard_normal(16))
+    assert cone.rng_stream is rng_stream
+    assert cone.derive_seed is norms_module.derive_seed
