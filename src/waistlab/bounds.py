@@ -8,7 +8,6 @@ comparisons and small-radius asymptotics.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -32,16 +31,12 @@ __all__ = [
     "gromov_milman_bound",
     "round_sphere_reference",
     "bound_table",
-    "table_to_csv",
-    "TABLE_COLUMNS",
     "ratio_loglog_slope",
 ]
 
 F_UPPER_PI = "pi"
 F_UPPER_HALF_PI = "halfpi"
 _F_UPPER_VALUES = {F_UPPER_PI: math.pi, F_UPPER_HALF_PI: math.pi / 2.0}
-
-TABLE_COLUMNS = ("eps", "w", "w2", "gm", "b_exponent", "n", "k", "f_upper")
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +285,6 @@ def bound_table(
             "n": n, "k": k, "f_upper": f_upper,
         })
     return rows
-
-
-def table_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(TABLE_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(_csv_cell(row[c]) for c in TABLE_COLUMNS) + "\n")
-    return buf.getvalue()
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
 
 
 def ratio_loglog_slope(

@@ -27,7 +27,6 @@ from .bounds import (
     projection_lower_bound,
     ratio_loglog_slope,
     round_sphere_reference,
-    table_to_csv,
     waist_lower_bound,
 )
 from .cone import (
@@ -39,7 +38,7 @@ from .cone import (
     fiber_distance_method,
     sample_conical,
 )
-from .needles import needle_suite
+from .needles import SUITE_MAX_N, needle_suite
 from .norms import (
     NormDescriptor,
     _numeric_modulus,
@@ -126,8 +125,10 @@ class ExperimentConfig:
         if self.command == "needle-suite":
             # here n is the top of the needle dimension range, not tied to
             # a particular norm
-            if self.n is not None and self.n < 2:
-                raise ConfigError("needle-suite requires n >= 2")
+            if self.n is not None and not 2 <= self.n <= SUITE_MAX_N:
+                raise ConfigError(
+                    f"needle-suite requires 2 <= n <= {SUITE_MAX_N}, got "
+                    f"n={self.n}")
             if descriptor.kind != "euclidean":
                 raise ConfigError(
                     "needle-suite draws euclidean k = 1 needles only, got "
@@ -382,7 +383,7 @@ def _run_needle_suite(cfg: ExperimentConfig) -> Report:
     given = ({} if cfg.eps is None and cfg.eps_grid is None
              else {"eps_choices": _eps_values(cfg)})
     n_hi = cfg.n if cfg.n is not None else 8
-    reports = needle_suite(cfg.trials, cfg.seed, n_range=(2, max(2, n_hi)),
+    reports = needle_suite(cfg.trials, cfg.seed, n_range=(2, n_hi),
                            f_upper=cfg.f_upper, **given)
     ok = all(r["violations"] == 0 for r in reports)
     return Report(config=cfg.to_dict(), results={"lemma_reports": reports},
@@ -429,20 +430,31 @@ def run_experiment(config: ExperimentConfig) -> Report:
     return report
 
 
+def _csv(rows: list[dict], columns: list[str]) -> str:
+    """A header line of ``columns``, then one line per row: "" for a
+    missing cell, a float to 17 significant digits, anything else as
+    str."""
+    def cell(row, col):
+        if col not in row:
+            return ""
+        v = row[col]
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+    lines = [",".join(columns)]
+    lines += [",".join(cell(row, c) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def emit_report(report: Report, path: Optional[str], fmt: str) -> str:
     """Serialize a report. Output is byte-stable for identical (config, seed):
     volatile fields such as wall time are excluded from the payload."""
     if fmt == "csv":
         if "table" in report.results:
-            payload = table_to_csv(report.results["table"])
+            # bound_table's columns, in its row order
+            rows = report.results["table"]
+            payload = _csv(rows, list(rows[0]))
         elif "modulus" in report.results:
             rows = report.results["modulus"]
-            cols = sorted({c for row in rows for c in row})
-            lines = [",".join(cols)]
-            for row in rows:
-                lines.append(",".join(
-                    format(row[c], ".17g") if c in row else "" for c in cols))
-            payload = "\n".join(lines) + "\n"
+            payload = _csv(rows, sorted({c for row in rows for c in row}))
         else:
             raise ConfigError(f"command {report.config.get('command')!r} has "
                               "no CSV form; use --format json")

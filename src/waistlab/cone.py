@@ -482,23 +482,22 @@ def cap_neighborhood_measure(
     A = {f x >= tau} of a one-row map ``f`` and of its complement, with
     distances measured as ``fiber_distance_method`` names.
 
-    "exact": for y outside A the nearest point of A lies on the boundary
-    fiber {f x = tau}. On the round sphere A is a spherical cap. On an l_p
-    sphere with the last-coordinate map, take y_last = b < tau and
-    a = |y_R|_p; then d(y, A)^p is the minimum over t in [tau, 1] of
-    g(t) = |a - r(t)|^p + |t - b|^p with r(t) = (1 - |t|^p)^(1/p), as
-    a = r(b). Where r(t) < a (then t > 0) both terms grow with t. Where
-    r(t) >= a (which needs b < 0), both terms of g' are >= 0 for t <= 0,
-    and g'(t) >= p [(t - b)^(p-1) - (t (1 - a / r))^(p-1)] >= 0 for t > 0,
-    as t - b >= t. So g is nondecreasing and its minimum is at t = tau.
-    Reflecting x_last gives the complement, and permuting, scaling and
-    signing coordinates gives every coordinate map. So both distances are
-    the closed-form distance to that fiber, for any (norm, f) that
-    ``fiber_distance_method`` calls "exact". One batch at the seed path
-    (seed, 1) serves both sets: a point counts for A if it lies in A or
-    within eps of the boundary, and for the complement if it lies outside
-    A or within eps. Each estimate is unbiased with its binomial standard
-    error.
+    "exact": for y outside A, in any norm, some nearest point of A lies on
+    the boundary fiber {f x = tau}. Let a in A be nearest to y; as f y <
+    tau <= f a, a != y. The unit sphere meets span(y, a) (any plane through
+    y if a = -y) in the unit circle of that normed plane, and a lies on a
+    half circle from y to -y. On the arc of that half circle from y to a,
+    the linear f goes from below tau to at least tau, so it crosses tau at
+    some x. By the monotonicity lemma (Martini, Swanepoel and Weiss, Expo.
+    Math. 19, 2001), ||y - x|| does not decrease as x runs along a half
+    circle from y to -y, so ||y - x|| <= ||y - a|| and x is nearest too.
+    The same holds for the complement with -f. So both distances are the
+    distance to that fiber, which has a closed form for every (norm, f)
+    that ``fiber_distance_method`` calls "exact". One batch at the seed
+    path (seed, 1) serves both sets: a point counts for A if it lies in A
+    or within eps of the boundary, and for the complement if it lies
+    outside A or within eps. Each estimate is unbiased with its binomial
+    standard error.
 
     "cloud": each set takes ``neighborhood_measure`` with ``cloud_budget``
     cloud points, A at the seed derive_seed(seed, 1) and the complement at

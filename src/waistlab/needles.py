@@ -11,9 +11,10 @@ shrinking lunes empirically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "validate_convexity",
     "derived_density_estimate",
     "needle_suite",
+    "SUITE_MAX_N",
 ]
 
 # Default slack for midpoint-interpolated concavity checks; sized to dominate
@@ -58,6 +60,9 @@ __all__ = [
 WEAK_CONCAVITY_TOL = 1e-6
 # Slack for direct quadrature comparisons in the lemma-chain checks.
 QUADRATURE_TOL = 1e-9
+# How far below the maximum a grid value still counts as near-maximal, and
+# how deep a dip must be to count as a local minimum.
+MAX_STRUCTURE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +76,14 @@ class ArcDensity:
     The arc is the section of the sphere by the 2-plane spanned by the
     orthonormal pair ``plane``, parametrized by the Euclidean angle theta;
     ``values`` is the density with respect to the normalized 1-dimensional
-    cone measure of the arc, ``m`` the concavity exponent n - k >= 1.
+    cone measure of the arc, ``m`` the concavity exponent n - k >= 1 with
+    k = 1.
     ``section``, if given, is the (directions, radii) pair that
     ``_section`` returns for the plane at the grid angles, so a caller that
     has it spares the norm evaluation.
     """
 
+    k: ClassVar[int] = 1
     norm: NormDescriptor
     grid: np.ndarray
     values: np.ndarray
@@ -94,9 +101,14 @@ class ArcDensity:
             raise ValueError("grid must be 1-D with at least 3 points")
         if values.shape != grid.shape:
             raise ValueError("values must match grid shape")
-        failure = _arc_failure(grid[None], values[None], np.array([self.m]))
-        if failure is not None:
-            raise ValueError(failure[1])
+        if np.any(np.diff(grid) <= 0):
+            raise ValueError("grid must be strictly increasing")
+        if np.any(values < 0):
+            raise ValueError("density values must be nonnegative")
+        if self.m < 1:
+            raise ValueError("m = n - k must be >= 1")
+        if grid[-1] - grid[0] >= math.pi:
+            raise ValueError("arc must span less than half a section circle")
         if self.plane is None:
             object.__setattr__(self, "plane", _coordinate_plane(self.norm.dim))
         cos, sin = np.cos(grid), np.sin(grid)
@@ -108,9 +120,9 @@ class ArcDensity:
         object.__setattr__(self, "section2d",
                            np.column_stack([radii * cos, radii * sin]))
         object.__setattr__(self, "cone_weight", w)
-        failure = _total_failure(np.array([np.trapezoid(values * w, grid)]))
-        if failure is not None:
-            raise ValueError(failure[1])
+        total = np.trapezoid(values * w, grid)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"density must integrate to 1, got {total:.12f}")
 
     @classmethod
     def from_profile(cls, norm, grid, profile, m, modulus, plane=None
@@ -143,49 +155,21 @@ class ArcDensity:
             return np.hypot(d[:, 0], d[:, 1])
         return np.asarray(norm_eval(self.norm, self.points[idx_i] - self.points[idx_j]))
 
-    def mass_where(self, inside_signed: np.ndarray) -> float:
-        """Measure of {theta : s(theta) <= 0} for a grid-sampled signed
-        function s, with linear interpolation at sign crossings."""
-        return float(_mass_below(
+    def ball_and_outer_mass(self, eps: float) -> tuple[float, float]:
+        """(mu(B(z, eps)), mu(B(z, 2 eps)^c)) in norm distance around the
+        density maximum z, by trapezoid quadrature with linear
+        interpolation at the balls' edges."""
+        dist = self.dist_to_index(self.argmax_index)
+        ball, within = _mass_below(
             self.grid[None], (self.values * self.cone_weight)[None],
-            np.asarray(inside_signed, dtype=float)[None])[0])
+            dist - np.array([eps, 2.0 * eps])[:, None, None])[:, 0]
+        return float(ball), float(1.0 - within)
 
 
 # The row kernels below take (B, G) arrays, one arc per row, and give each
 # row the bits it has alone: elementwise ufuncs, reductions along the last
 # axis and sums over each row's own compacted entries. The single-needle
 # functions call them on one-row batches and ``needle_suite`` on blocks.
-
-_ARC_CHECKS = (
-    "grid must be strictly increasing",
-    "density values must be nonnegative",
-    "m = n - k must be >= 1",
-    "arc must span less than half a section circle",
-)
-
-
-def _arc_failure(grid, values, m) -> Optional[tuple[int, str]]:
-    """The first row that fails one of ArcDensity's shape-free checks, with
-    the message of the first check it fails; None if every row passes."""
-    bad = np.column_stack([
-        np.any(np.diff(grid, axis=-1) <= 0, axis=-1),
-        np.any(values < 0, axis=-1),
-        m < 1,
-        grid[:, -1] - grid[:, 0] >= math.pi,
-    ])
-    rows = np.flatnonzero(bad.any(axis=1))
-    if rows.size == 0:
-        return None
-    return int(rows[0]), _ARC_CHECKS[int(np.argmax(bad[rows[0]]))]
-
-
-def _total_failure(total) -> Optional[tuple[int, str]]:
-    """The first row whose density does not integrate to 1, with the
-    message; None if every row does."""
-    rows = np.flatnonzero(np.abs(total - 1.0) > 1e-9)
-    if rows.size == 0:
-        return None
-    return int(rows[0]), f"density must integrate to 1, got {total[rows[0]]:.12f}"
 
 
 def _coordinate_plane(dim: int) -> tuple:
@@ -287,13 +271,13 @@ class WeakConcavityReport:
     worst_margin: float = math.inf   # min over pairs of rhs + tol - lhs
 
 
-def is_weakly_concave(d: ArcDensity, tol: float = WEAK_CONCAVITY_TOL
-                      ) -> WeakConcavityReport:
+def is_weakly_concave(d: ArcDensity) -> WeakConcavityReport:
     """Check the corrected midpoint concavity of f^(1/m) over grid pairs.
 
     For each pair (x, y) with radial midpoint z = (x+y)/2 / ||(x+y)/2||,
     requires (f^(1/m)(x) + f^(1/m)(y)) / 2 <= (1 - delta(||x-y||)) f^(1/m)(z)
-    plus a slack of tol*(1 + rhs) absorbing the grid interpolation of z.
+    plus a slack of WEAK_CONCAVITY_TOL * (1 + rhs) absorbing the grid
+    interpolation of z.
     """
     g = d.grid
     n = g.size
@@ -306,7 +290,7 @@ def is_weakly_concave(d: ArcDensity, tol: float = WEAK_CONCAVITY_TOL
     theta_mid += 2.0 * math.pi * np.round((center - theta_mid) / (2.0 * math.pi))
     lhs = 0.5 * (hroot[idx_i] + hroot[idx_j])
     rhs = (1.0 - np.asarray(d.modulus(dist))) * np.interp(theta_mid, g, hroot)
-    margin = rhs + tol * (1.0 + np.abs(rhs)) - lhs
+    margin = rhs + WEAK_CONCAVITY_TOL * (1.0 + np.abs(rhs)) - lhs
     bad = margin < 0
     worst = float(margin.min()) if margin.size else math.inf
     if not np.any(bad):
@@ -326,27 +310,28 @@ class MaxStructureReport:
     argmax_index: int
 
 
-def max_structure_check(d: ArcDensity, atol: float = 1e-9) -> MaxStructureReport:
+def max_structure_check(d: ArcDensity) -> MaxStructureReport:
     """A weakly concave density has one maximum point and no local minima.
 
-    On the grid, the near-maximum set (within ``atol``) must be one
-    contiguous run of indices (a smooth peak straddled by two grid points is
-    fine; two separated near-max plateaus are not), and no interior point may
-    be a strict local minimum beyond ``atol``.
+    On the grid, the near-maximum set (within MAX_STRUCTURE_TOL) must be
+    one contiguous run of indices (a smooth peak straddled by two grid
+    points is fine; two separated near-max plateaus are not), and no
+    interior point may be a strict local minimum beyond that tolerance.
     """
-    unique, minima, argmax = _max_structure(d.values[None], atol)
+    unique, minima, argmax = _max_structure(d.values[None])
     return MaxStructureReport(unique_max=bool(unique[0]),
                               local_minima=int(minima[0]),
                               argmax_index=int(argmax[0]))
 
 
-def _max_structure(v, atol):
+def _max_structure(v):
     """Row kernel of :func:`max_structure_check`: (unique max, local minima
     count, argmax index) per row."""
-    near = v >= (v.max(axis=1) - atol)[:, None]
+    tol = MAX_STRUCTURE_TOL
+    near = v >= (v.max(axis=1) - tol)[:, None]
     runs = near[:, 0] + np.count_nonzero(near[:, 1:] & ~near[:, :-1], axis=1)
     inner = v[:, 1:-1]
-    minima = (inner < v[:, :-2] - atol) & (inner < v[:, 2:] - atol)
+    minima = (inner < v[:, :-2] - tol) & (inner < v[:, 2:] - tol)
     return runs == 1, np.count_nonzero(minima, axis=1), np.argmax(v, axis=1)
 
 
@@ -358,22 +343,23 @@ class DecayReport:
     worst_margin: float = math.inf
 
 
-def decay_bound_check(d: ArcDensity, z_index: int, eps: float,
-                      tol: float = QUADRATURE_TOL) -> DecayReport:
-    """Decay estimate away from the maximum: every grid point x with
-    ||x - z|| >= 2 eps must satisfy
+def decay_bound_check(d: ArcDensity, eps: float) -> DecayReport:
+    """Decay estimate away from the density maximum z (the grid argmax):
+    every grid point x with ||x - z|| >= 2 eps must satisfy
 
         f(x) <= (1 - 2 delta(eps))^m * min f on the [z, x] segment within
                 the eps-ball around z,
 
-    the minimum taken over grid points (including z itself). Vacuously true
-    if nothing lies outside the 2 eps ball.
+    the minimum taken over grid points (including z itself), up to a slack
+    of QUADRATURE_TOL. Vacuously true if nothing lies outside the 2 eps
+    ball.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    z = d.argmax_index
     ok, checked, worst = _decay(
-        d.values[None], d.dist_to_index(z_index)[None], np.array([z_index]),
-        np.array([eps]), np.array([_shrink(d.modulus, eps, d.m)]), tol)
+        d.values[None], d.dist_to_index(z)[None], np.array([z]),
+        np.array([eps]), np.array([_shrink(d.modulus, eps, d.m)]))
     return DecayReport(ok=bool(ok[0]), checked=int(checked[0]),
                        vacuous=bool(checked[0] == 0),
                        worst_margin=float(worst[0]))
@@ -384,7 +370,7 @@ def _shrink(modulus: ModulusCurve, eps: float, m: int) -> float:
     return max(0.0, 1.0 - 2.0 * float(modulus(eps))) ** m
 
 
-def _decay(v, dist, z, eps, factor, tol):
+def _decay(v, dist, z, eps, factor):
     """Row kernel of :func:`decay_bound_check`: (ok, checked, worst margin)
     per row, for the rows' centers ``z``, radii ``eps`` and factors."""
     idx = np.arange(v.shape[1])
@@ -399,7 +385,8 @@ def _decay(v, dist, z, eps, factor, tol):
         m_in = np.where(in_ball, v, np.inf).min(axis=1)
         m_in = np.where(in_ball.any(axis=1), m_in, v[rows, z])
         out = side & far
-        margin = np.where(out, (factor * m_in + tol)[:, None] - v, np.inf)
+        margin = np.where(out, (factor * m_in + QUADRATURE_TOL)[:, None] - v,
+                          np.inf)
         side_worst = margin.min(axis=1)
         checked += np.count_nonzero(out, axis=1)
         worst = np.minimum(worst, side_worst)
@@ -417,37 +404,26 @@ class NeedleBoundsReport:
     ball_ok: bool
 
 
-def needle_ratio_and_ball(d, eps: float, n: int, k: int = 1,
-                          f_upper: str = F_UPPER_PI,
-                          tol: float = QUADRATURE_TOL) -> NeedleBoundsReport:
+def needle_ratio_and_ball(d, eps: float) -> NeedleBoundsReport:
     """Quadrature check of the mass-ratio and ball-mass estimates around the
-    density maximum z:
+    density maximum z of an ArcDensity (k = 1) or CapDensity (k = 2), with
+    n = m + k:
 
         mu(B(z, 2 eps)^c) / mu(B(z, eps))
             <= (1 - 2 delta(eps))^(n-k) (k+1)^(k+1) * far_mass / near_mass
 
     and mu(B(z, eps)) >= the waist lower bound at eps, with the sine masses
-    taken at eps. Dispatches on ArcDensity (k = 1) or CapDensity (k = 2).
+    taken at eps up to pi, each up to a slack of QUADRATURE_TOL.
     """
-    if isinstance(d, CapDensity):
-        if k != 2:
-            raise ValueError("CapDensity needles have k = 2")
-        ball, outer = d.ball_and_outer_mass(eps)
-    else:
-        if k != 1:
-            raise ValueError("ArcDensity needles have k = 1")
-        dist = d.dist_to_index(d.argmax_index)
-        ball = d.mass_where(dist - eps)
-        outer = 1.0 - d.mass_where(dist - 2.0 * eps)
-    if d.m != n - k:
-        raise ValueError(f"density has m={d.m}, expected n-k={n - k}")
-    _, ratio_bound, ball_bound = _needle_bounds(n, k, eps, d.modulus, f_upper)
+    ball, outer = d.ball_and_outer_mass(eps)
+    _, ratio_bound, ball_bound = _needle_bounds(d.m + d.k, d.k, eps,
+                                                d.modulus, F_UPPER_PI)
     ratio = outer / ball if ball > 0 else math.inf
     return NeedleBoundsReport(
         ratio=ratio, ratio_bound=ratio_bound,
         ball_mass=ball, ball_bound=ball_bound,
-        ratio_ok=bool(ratio <= ratio_bound + tol),
-        ball_ok=bool(ball >= ball_bound - tol),
+        ratio_ok=bool(ratio <= ratio_bound + QUADRATURE_TOL),
+        ball_ok=bool(ball >= ball_bound - QUADRATURE_TOL),
     )
 
 
@@ -476,14 +452,15 @@ def random_arc_density(
     norm: Optional[NormDescriptor] = None,
     grid_size: int = 1024,
     modulus: Optional[ModulusCurve] = None,
-    plane: Optional[tuple] = None,
 ) -> ArcDensity:
     """Draw a weakly m-concave arc density.
 
     The 1-homogeneous extension is the minimum of finitely many linear
     functionals kept positive on the cone over the arc; its restriction to
     the arc, raised to the power m and normalized, is weakly m-concave by
-    construction for any valid modulus curve of the norm.
+    construction for any valid modulus curve of the norm. The arc lies in
+    the first coordinate plane of a round sphere, and in a random plane of
+    any other.
     """
     if norm is None:
         norm = euclidean_norm(m + 2)  # ambient n + 1 with k = 1
@@ -491,24 +468,41 @@ def random_arc_density(
         modulus = euclidean_modulus_curve()
     length, start, phases, scales = _draw_arc(rng)
     grid = start + np.linspace(0.0, length, grid_size)
-    if plane is None and not norm.is_round:
+    if norm.is_round:
+        plane = _coordinate_plane(norm.dim)
+    else:
         a = rng.standard_normal(norm.dim)
         a /= np.linalg.norm(a)
         b = rng.standard_normal(norm.dim)
         b -= (b @ a) * a
         b /= np.linalg.norm(b)
         plane = (a, b)
-    h = _envelope(grid[None], [phases], [scales])[0]
-    section = _section(norm, _coordinate_plane(norm.dim) if plane is None
-                       else plane, np.cos(grid), np.sin(grid))
-    if plane is not None:
+    values, dirs, radii, _ = _arc_rows(grid[None], [phases], [scales],
+                                       np.array([m]), norm, plane)
+    return ArcDensity(norm=norm, grid=grid, values=values[0], m=m,
+                      modulus=modulus, plane=plane, section=(dirs[0], radii[0]))
+
+
+def _arc_rows(grid, phases, scales, m, norm, plane):
+    """Arc densities for a (B, G) block of grids in one plane of ``norm``:
+    the row's envelope of its functionals (``_envelope``), raised to the
+    row's exponent in ``m`` and normalized against the cone weight. Returns
+    (values, directions, section radii, cone weight)."""
+    h = _envelope(grid, phases, scales)
+    dirs, radii = _section(norm, plane, np.cos(grid), np.sin(grid))
+    if not norm.is_round:
         # Section radius enters through the homogeneous extension: the
         # linear functional at the unit-norm point x(theta) is
-        # r(theta) * cos offset.
-        h = h * section[1]
-    values = _normalize(grid, np.power(h, m), _cone_weight(grid, section[1]))
-    return ArcDensity(norm=norm, grid=grid, values=values, m=m,
-                      modulus=modulus, plane=plane, section=section)
+        # r(theta) * cos offset. On the round sphere r is 1.
+        h = h * radii
+    # One power call per exponent: with an array of exponents np.power
+    # rounds differently from the scalar-exponent call of a lone row.
+    profile = np.empty_like(grid)
+    for mi in np.unique(m).tolist():
+        rows = np.flatnonzero(m == mi)
+        profile[rows] = np.power(h[rows], mi)
+    w = _cone_weight(grid, radii)
+    return _normalize(grid, profile, w), dirs, radii, w
 
 
 def _draw_arc(rng):
@@ -555,8 +549,10 @@ def _envelope(grid, phases, scales):
 @dataclass(frozen=True)
 class CapDensity:
     """A density on a geodesic cap of the round 2-sphere, on a polar grid
-    (t = geodesic angle from the cap center, omega = azimuth)."""
+    (t = geodesic angle from the cap center, omega = azimuth), with
+    k = 2."""
 
+    k: ClassVar[int] = 2
     cap_angle: float
     t_grid: np.ndarray
     omega_grid: np.ndarray
@@ -609,23 +605,13 @@ class CapDensity:
         return ball, outer
 
 
-def random_cap_density(
-    rng: np.random.Generator,
-    m: int,
-    cap_angle: float = 0.9,
-    t_points: int = 160,
-    omega_points: int = 320,
-    modulus: Optional[ModulusCurve] = None,
-) -> CapDensity:
-    """Weakly m-concave density on a geodesic cap, built like the arc
-    generator from a minimum of 2 to 5 linear functionals positive on the
-    cone."""
-    if not (0 < cap_angle < math.pi / 2):
-        raise ValueError("cap_angle must lie in (0, pi/2)")
-    if modulus is None:
-        modulus = euclidean_modulus_curve()
-    t = np.linspace(0.0, cap_angle, t_points)
-    om = np.linspace(0.0, 2.0 * math.pi, omega_points)
+def random_cap_density(rng: np.random.Generator, m: int) -> CapDensity:
+    """Weakly m-concave density on a geodesic cap of angle 0.9, on a
+    160 x 320 polar grid, built like the arc generator from a minimum of 2
+    to 5 linear functionals positive on the cone."""
+    cap_angle = 0.9
+    t = np.linspace(0.0, cap_angle, 160)
+    om = np.linspace(0.0, 2.0 * math.pi, 320)
     pts = np.stack([np.outer(np.sin(t), np.cos(om)),
                     np.outer(np.sin(t), np.sin(om)),
                     np.outer(np.cos(t), np.ones_like(om))], axis=-1)
@@ -635,7 +621,7 @@ def random_cap_density(
     for _ in range(n_funcs):
         # Functional directions confined to a cap around the pole keep the
         # minimum positive on the cone over the needle cap.
-        tilt = rng.uniform(0.0, max(1e-3, math.pi / 2.0 - cap_angle - margin))
+        tilt = rng.uniform(0.0, math.pi / 2.0 - cap_angle - margin)
         az = rng.uniform(0.0, 2.0 * math.pi)
         c = np.array([math.sin(tilt) * math.cos(az),
                       math.sin(tilt) * math.sin(az), math.cos(tilt)])
@@ -645,7 +631,7 @@ def random_cap_density(
     weight = np.sin(t)[:, None] * np.ones_like(om)[None, :]
     vals = vals / np.trapezoid(np.trapezoid(vals * weight, om, axis=1), t)
     return CapDensity(cap_angle=cap_angle, t_grid=t, omega_grid=om,
-                      values=vals, m=m, modulus=modulus)
+                      values=vals, m=m, modulus=euclidean_modulus_curve())
 
 
 # ---------------------------------------------------------------------------
@@ -727,11 +713,11 @@ def _chunks(total: int) -> list[int]:
             for start in range(0, total, _LUNE_CHUNK)]
 
 
-def validate_convexity(spec: ConvexCapSpec, samples: int = 4000,
-                       seed: int = 0) -> bool:
-    """Sampled geodesic convexity: for random point pairs in the set, the
-    normalized convex combinations must stay in the set."""
-    batch = sample_conical(spec.norm, samples, seed)
+def validate_convexity(spec: ConvexCapSpec, seed: int = 0) -> bool:
+    """Sampled geodesic convexity: for random pairs of the points of 4000
+    cone-measure draws that land in the set, the normalized convex
+    combinations must stay in the set."""
+    batch = sample_conical(spec.norm, 4000, seed)
     inside = batch.points[spec.contains(batch.points)]
     if inside.shape[0] < 8:
         raise EmptyConvexSetError("too few sample points land in the set")
@@ -773,17 +759,16 @@ def derived_density_estimate(
     specs: Sequence[ConvexCapSpec],
     sample_budget: int,
     seed: int,
-    bins: int = 40,
-    probes: int = 20,
 ) -> tuple[ArcDensity, DerivedDensityDiagnostics]:
     """Empirical density of the measure derived from a shrinking family of
-    lunes on the round 2-sphere.
+    lunes about one axis on the round 2-sphere.
 
-    Samples the cone measure conditioned on each lune, bins the colatitude,
-    and checks: convergence along the family, the cubic radial mass law of
-    the cone over the set, the bounded-density estimate
-    sup <= 2^(n+1) / mu_1(S), the small-ball bound 2^(n+2) r / rho, and the
-    projected cap lower bound with angle phi(r) = 2 asin(r / (4 sqrt(n+1))).
+    Samples the cone measure conditioned on each lune, bins the colatitude
+    about the shared axis into 40 bins, and checks: convergence along the
+    family, the cubic radial mass law of the cone over the set, the
+    bounded-density estimate sup <= 2^(n+1) / mu_1(S), and at 20 random
+    probes the small-ball bound 2^(n+2) r / rho and the projected cap lower
+    bound with angle phi(r) = 2 asin(r / (4 sqrt(n+1))).
 
     ``sample_budget`` counts cone-measure draws per lune. A lune of
     half-angle alpha holds cone measure alpha / pi, so each lune's accepted
@@ -804,14 +789,22 @@ def derived_density_estimate(
     n = norm.sphere_dim
     if n != 2:
         raise ValueError("desk-scale reconstruction runs on the 2-sphere")
+    axis = np.asarray(specs[0].axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    for spec in specs[1:]:
+        other = np.asarray(spec.axis, dtype=float)
+        if not np.allclose(other / np.linalg.norm(other), axis,
+                           rtol=0.0, atol=1e-12):
+            raise ValueError(
+                f"every lune of a family needs the axis {specs[0].axis}, "
+                f"got {spec.axis}")
     for idx, spec in enumerate(specs):
         if not validate_convexity(spec, seed=derive_seed(seed, 13, idx)):
             raise NonConvexSpecError("spec failed convexity validation")
 
+    bins = 40
     edges = np.linspace(0.0, math.pi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    axis = np.asarray(specs[0].axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
 
     # Stream paths under ``seed``: the probes take 5, lune idx draws from
     # (11, idx) and the radial law from (12,). The convexity check of spec
@@ -879,7 +872,7 @@ def derived_density_estimate(
     cap_rows = []
     ok = homog_ok and sup_density <= sup_bound
     width = edges[1] - edges[0]
-    for _ in range(probes):
+    for _ in range(20):
         theta_x = float(rng.uniform(0.1, math.pi - 0.1))
         r_probe = float(rng.uniform(0.05, 0.8))
         half = 2.0 * math.asin(min(1.0, r_probe / 2.0))
@@ -938,6 +931,15 @@ _SUITE_BLOCK = 64
 # Grid points per suite needle, as in random_arc_density's default.
 _SUITE_GRID = 1024
 _SUITE_LEMMAS = ("max_structure", "decay", "mass_ratio", "ball_mass")
+# Largest needle dimension the suite draws. _draw_arc keeps every envelope
+# in [0.3 sin 0.05, 3]: scales lie in [0.3, 3], and each functional's phase
+# sits at least 0.05 inside a quarter turn of both arc ends, so its cosine
+# is at least cos(pi/2 - 0.05) = sin 0.05 on the arc. Hence every h^m with
+# m = n - 1 <= 168 is a normal float (0.014994^168 is about 2.6e-307, above
+# the smallest normal 2.2e-308, and 3^168 is far below the largest), and
+# every drawn density normalizes to 1. At m = 169 the power can be
+# subnormal and lose the digits the normalization needs.
+SUITE_MAX_N = 169
 
 
 def needle_suite(
@@ -951,25 +953,34 @@ def needle_suite(
     (k = 1) and summarize one report per check:
     {lemma, trials, violations, worst_margin, seed}.
 
-    Needles are drawn and checked in blocks of trials with the row kernels
-    of the single-needle checks; every trial has the draws, values and
-    margins it would have alone.
+    Each trial draws n from ``n_range`` (2 <= lo <= hi <= SUITE_MAX_N) and
+    eps from ``eps_choices`` (each in (0, 2]). Needles are drawn and
+    checked in blocks of trials with the row kernels of the single-needle
+    checks; every trial has the draws, values and margins it would have
+    alone.
     """
+    eps_choices = tuple(float(e) for e in eps_choices)
+    if not eps_choices or not all(0.0 < e <= 2.0 for e in eps_choices):
+        raise ValueError(
+            f"every eps choice must lie in (0, 2], got {eps_choices}")
+    if not 2 <= n_range[0] <= n_range[1] <= SUITE_MAX_N:
+        raise ValueError(
+            f"n_range must satisfy 2 <= lo <= hi <= {SUITE_MAX_N}, got "
+            f"{tuple(n_range)}")
     rng = rng_stream(seed, 0)
     modulus = euclidean_modulus_curve()
-    eps_choices = tuple(float(e) for e in eps_choices)
-    bounds = {}  # (n, eps) -> _needle_bounds terms
+    terms = functools.cache(lambda n, eps: _needle_bounds(
+        n, ArcDensity.k, eps, modulus, f_upper))
     violations = dict.fromkeys(_SUITE_LEMMAS, 0)
     worst = dict.fromkeys(_SUITE_LEMMAS, math.inf)
     for first in range(0, trials, _SUITE_BLOCK):
         block = _suite_block(rng, min(_SUITE_BLOCK, trials - first), n_range,
-                             eps_choices, f_upper, modulus, bounds)
+                             eps_choices, terms)
         for name, (bad, margin) in block.items():
             violations[name] += int(np.count_nonzero(bad))
             if margin is not None:
-                # min over trials, skipping NaN margins like the builtin min
                 worst[name] = min(worst[name], float(
-                    np.fmin.reduce(margin, initial=math.inf)))
+                    np.min(margin, initial=math.inf)))
     return [{
         "lemma": name,
         "trials": trials,
@@ -979,11 +990,10 @@ def needle_suite(
     } for name in _SUITE_LEMMAS]
 
 
-def _suite_block(rng, count, n_range, eps_choices, f_upper, modulus,
-                 bounds) -> dict:
+def _suite_block(rng, count, n_range, eps_choices, terms) -> dict:
     """Draw and check ``count`` needles: {lemma: (violated, margin)}, one
-    entry per trial (margin None for max_structure)."""
-    k = 1
+    entry per trial (margin None for max_structure). ``terms(n, eps)``
+    gives the _needle_bounds terms of a trial."""
     n = np.empty(count, dtype=int)
     eps = np.empty(count)
     lengths = np.empty(count)
@@ -995,54 +1005,31 @@ def _suite_block(rng, count, n_range, eps_choices, f_upper, modulus,
         lengths[i], starts[i], p, c = _draw_arc(rng)
         phases.append(p)
         scales.append(c)
-    m = n - k
     # C order, so reductions along a row run over contiguous memory, as on
     # a lone needle's 1-D arrays (linspace along axis 1 is Fortran-ordered)
     grid = starts[:, None] + np.ascontiguousarray(
         np.linspace(0.0, lengths, _SUITE_GRID, axis=1))
-    h = _envelope(grid, phases, scales)
-    # One power call per exponent: with an array of exponents np.power
-    # rounds differently from the scalar-exponent call of a lone needle.
-    profile = np.empty_like(grid)
-    for mi in np.unique(m).tolist():
-        rows = np.flatnonzero(m == mi)
-        profile[rows] = np.power(h[rows], mi)
     # Each trial's arc lies in the plane of the first two coordinates of
     # R^(n+1). There its euclidean norm is the 2-D one, bit for bit: the
     # other coordinates are exact zeros, which add nothing to the sum of
-    # squares.
-    cos, sin = np.cos(grid), np.sin(grid)
-    radii = _section(euclidean_norm(2), _coordinate_plane(2), cos, sin)[1]
-    w = _cone_weight(grid, radii)
-    values = _normalize(grid, profile, w)
-    # The earliest invalid density; on a tie the check ArcDensity makes
-    # first. Then trial by trial, as lone needles meet their errors: the eps
-    # terms of the trials before that density, then its failure.
-    failure = min((f for f in (_arc_failure(grid, values, m), _total_failure(
-        np.trapezoid(values * w, grid, axis=1))) if f is not None),
-        key=lambda f: f[0], default=None)
-    terms = np.empty((count, 3))
-    for i in range(count if failure is None else failure[0]):
-        key = (int(n[i]), float(eps[i]))
-        if key not in bounds:
-            if key[1] <= 0:
-                raise ValueError("eps must be positive")
-            bounds[key] = _needle_bounds(key[0], k, key[1], modulus, f_upper)
-        terms[i] = bounds[key]
-    if failure is not None:
-        raise ValueError(failure[1])
-    shrink, ratio_bound, ball_bound = terms.T
+    # squares. The 2-D directions are (cos, sin) exactly.
+    values, dirs, radii, w = _arc_rows(grid, phases, scales, n - ArcDensity.k,
+                                       euclidean_norm(2), _coordinate_plane(2))
+    shrink, ratio_bound, ball_bound = np.array(
+        [terms(*key) for key in zip(n.tolist(), eps.tolist())]).T
 
-    unique, minima, z = _max_structure(values, 1e-9)
-    dist = _section_dist(radii * cos, radii * sin, z)
-    decay_ok, _, decay_worst = _decay(values, dist, z, eps, shrink,
-                                      QUADRATURE_TOL)
+    unique, minima, z = _max_structure(values)
+    dist = _section_dist(radii * dirs[..., 0], radii * dirs[..., 1], z)
+    decay_ok, _, decay_worst = _decay(values, dist, z, eps, shrink)
     ball, within = _mass_below(grid, values * w,
                                dist - np.stack([eps, 2.0 * eps])[:, :, None])
     outer = 1.0 - within
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(ball > 0, outer / ball, math.inf)
-        ratio_margin = ratio_bound + QUADRATURE_TOL - ratio
+        # A vacuous bound (inf where the near sine mass underflows) holds
+        # with margin inf, also where the ratio overflows to inf.
+        ratio_margin = np.where(np.isinf(ratio_bound), math.inf,
+                                ratio_bound + QUADRATURE_TOL - ratio)
     ball_margin = ball - ball_bound + QUADRATURE_TOL
     return {
         "max_structure": (~unique | (minima > 0), None),

@@ -18,9 +18,9 @@ from waistlab.bounds import (
     round_sphere_reference,
     sine_integrals,
     sphere_tube_volume,
-    table_to_csv,
     waist_lower_bound,
 )
+from waistlab.cli import ExperimentConfig, emit_report, run_experiment
 from waistlab.cone import sample_conical
 from waistlab.norms import euclidean_modulus_curve, euclidean_norm
 
@@ -364,9 +364,9 @@ def test_bound_table_single_row_and_ranges():
 
 
 def test_bound_table_csv_header_contract():
-    rows = bound_table(3, 1, np.linspace(0.2, 1.0, 5), MOD)
-    text = table_to_csv(rows)
-    lines = text.strip().split("\n")
+    report = run_experiment(ExperimentConfig(
+        command="compare", norm="euclidean:4", eps_grid="0.2:1.0:0.2"))
+    lines = emit_report(report, None, "csv").strip().split("\n")
     assert lines[0] == "eps,w,w2,gm,b_exponent,n,k,f_upper"
     assert len(lines) == 6
 

@@ -347,6 +347,20 @@ def test_needle_suite_json_array(tmp_path):
         assert r["violations"] == 0
 
 
+@pytest.mark.parametrize("n", ["1", "170", "1000"])
+def test_needle_suite_n_outside_its_domain_exits_2(n, capsys):
+    rc = main(["needle-suite", "--n", n, "--trials", "1000", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: needle-suite requires 2 <= n <= 169, got n={n}\n"
+
+
+def test_needle_suite_largest_n_passes(capsys):
+    assert main(["needle-suite", "--n", "169", "--trials", "200",
+                 "--seed", "1"]) == 0
+    assert capsys.readouterr().err.startswith("PASS")
+
+
 @pytest.mark.parametrize("flag, value", [("--norm", "lp:4:3"), ("--k", "2")])
 def test_needle_suite_rejects_unsupported_flags(flag, value, capsys):
     rc = main(["needle-suite", flag, value, "--trials", "5"])
@@ -748,6 +762,8 @@ _REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
      "24d39e682564ff5650d3b2de578fd99523435f6e6dd43204d6b264dbec87ad33"),
     (dict(command="compare", norm="lp:1.5:5", eps_grid="0.1:1.9:0.6"), "json",
      "1658eddf2d08fe635c4ba792fdd6c9c9a141af6ea8d84d9c934a62230f9a2426"),
+    (dict(command="compare", norm="lp:1.5:5", eps_grid="0.1:1.9:0.6"), "csv",
+     "419afa5ecb5214bf23c7e40efb3c3178fa82dcf56f870ef55bd24faa5d997d6e"),
     (dict(command="compare", norm=_REG, eps=0.5, budget=3000), "json",
      "0fd481c23ca8bb6f86890c7ea323ad29f37b5197db00402fba2a6019287a18d6"),
     (dict(command="modulus", norm="lp:4:3", eps_grid="0.2:1.0:0.4",
@@ -779,7 +795,7 @@ _REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
      "2867f18423154a0ef91b85059ef19c003544631dd9ba5cddbbea1298ece8d63e"),
     (dict(command="needle-suite", trials=100, seed=8), "json",
      "8717898580f55a629e9b1c9fd43bfc3b82783f2f84c4b3a63886ff627c23e66d"),
-], ids=["bound", "compare-lp", "compare-reg", "modulus-json", "modulus-csv",
+], ids=["bound", "compare-lp", "compare-csv", "compare-reg", "modulus-json", "modulus-csv",
         "waist-euclidean", "waist-lp", "waist-k2", "waist-reg",
         "iso-euclidean", "iso-lp", "iso-reg", "needle-suite"])
 def test_golden_report_digests(config, fmt, digest):

@@ -21,7 +21,13 @@ from waistlab.cone import (
     sample_conical,
     set_measure,
 )
-from waistlab.norms import euclidean_norm, lp_norm, norm_eval, smooth_norm
+from waistlab.norms import (
+    euclidean_norm,
+    lp_norm,
+    norm_eval,
+    parse_norm,
+    smooth_norm,
+)
 
 E3 = euclidean_norm(3)
 E4 = euclidean_norm(4)
@@ -585,6 +591,26 @@ def test_round_cap_distance_is_the_chord_to_the_boundary_circle():
     gap = np.abs(np.arccos(pts[:, -1]) - math.acos(tau))
     assert np.allclose(_cap_distance(E3, tau, pts), 2.0 * np.sin(gap / 2.0),
                        atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "norm", ["lp:1.2:2", "lp:4:2", "reg:lp:1.5:2:w=0.05:d=0.01"])
+def test_norm_distance_grows_along_half_circles(norm):
+    # The monotonicity lemma that cap_neighborhood_measure's boundary
+    # argument rests on: on the unit circle of a normed plane, ||y - x||
+    # does not decrease as x runs along either half circle from y to -y.
+    norm = parse_norm(norm)
+
+    def circle(theta):
+        u = np.column_stack([np.cos(theta), np.sin(theta)])
+        return u / np.asarray(norm_eval(norm, u))[:, None]
+
+    half = np.linspace(0.0, math.pi, 2000)
+    for anchor in (0.0, 0.3, 1.1, 2.5, 4.0):
+        y = circle(np.array([anchor]))
+        for way in (1.0, -1.0):
+            dist = np.asarray(norm_eval(norm, circle(anchor + way * half) - y))
+            assert np.all(np.diff(dist) >= -1e-12), (anchor, way)
 
 
 def test_cap_neighborhood_round_sphere_oracle():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -150,23 +151,20 @@ def test_generator_densities_have_clean_max_structure():
 
 @pytest.mark.parametrize("m,eps", [(1, 0.2), (3, 0.2), (2, 0.45)])
 def test_cos_decay_bound(m, eps):
-    d = _cos_density(m)
-    rep = decay_bound_check(d, max_structure_check(d).argmax_index, eps)
+    rep = decay_bound_check(_cos_density(m), eps)
     assert rep.ok
     assert not rep.vacuous
 
 
 def test_decay_vacuous_when_ball_covers_arc():
-    d = _cos_density(1)
-    rep = decay_bound_check(d, max_structure_check(d).argmax_index, 1.4)
+    rep = decay_bound_check(_cos_density(1), 1.4)
     assert rep.ok
     assert rep.vacuous
 
 
 def test_decay_requires_positive_eps():
-    d = _cos_density(1)
     with pytest.raises(ValueError):
-        decay_bound_check(d, 0, 0.0)
+        decay_bound_check(_cos_density(1), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +173,7 @@ def test_decay_requires_positive_eps():
 
 def test_cos_needle_ratio_and_ball():
     d = _cos_density(2)  # n = 3, k = 1
-    rep = needle_ratio_and_ball(d, 0.3, n=3, k=1)
+    rep = needle_ratio_and_ball(d, 0.3)
     assert rep.ratio_ok and rep.ball_ok
     assert rep.ratio <= rep.ratio_bound
     assert rep.ball_mass >= rep.ball_bound
@@ -183,22 +181,16 @@ def test_cos_needle_ratio_and_ball():
 
 def test_ratio_bound_vacuous_where_near_mass_underflows():
     # the near sine mass is 0 at the smallest eps; so is the waist bound
-    nb = needle_ratio_and_ball(_cos_density(2), 5e-324, n=3, k=1)
+    nb = needle_ratio_and_ball(_cos_density(2), 5e-324)
     assert nb.ratio_bound == math.inf and nb.ratio_ok
     assert nb.ball_bound == 0.0 and nb.ball_ok
 
 
 def test_ratio_zero_when_double_ball_covers_arc():
     d = _cos_density(1)
-    rep = needle_ratio_and_ball(d, 1.2, n=2, k=1)
+    rep = needle_ratio_and_ball(d, 1.2)
     assert rep.ratio == pytest.approx(0.0, abs=1e-12)
     assert rep.ratio_ok
-
-
-def test_needle_dimension_consistency_enforced():
-    d = _cos_density(2)
-    with pytest.raises(ValueError, match="m="):
-        needle_ratio_and_ball(d, 0.3, n=5, k=1)
 
 
 def test_random_needles_satisfy_ratio_and_ball_bounds():
@@ -207,7 +199,7 @@ def test_random_needles_satisfy_ratio_and_ball_bounds():
         n = int(rng.integers(2, 9))
         eps = float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
         d = random_arc_density(rng, m=n - 1, grid_size=512)
-        rep = needle_ratio_and_ball(d, eps, n=n, k=1)
+        rep = needle_ratio_and_ball(d, eps)
         assert rep.ratio_ok and rep.ball_ok
 
 
@@ -215,7 +207,7 @@ def test_cap_needle_k2_bounds():
     rng = rng_stream(66, 0)
     for m in (1, 2):
         capd = random_cap_density(rng, m=m)
-        rep = needle_ratio_and_ball(capd, 0.3, n=m + 2, k=2)
+        rep = needle_ratio_and_ball(capd, 0.3)
         assert rep.ratio_ok and rep.ball_ok
 
 
@@ -228,6 +220,52 @@ def test_needle_suite_report_shape():
         assert r["violations"] == 0
         assert r["seed"] == 9
         assert r["worst_margin"] is None or type(r["worst_margin"]) is float
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_range=(1, 8)), dict(n_range=(5, 4)), dict(n_range=(2, 170)),
+    dict(n_range=(600, 600)), dict(eps_choices=(0.0,)),
+    dict(eps_choices=(0.3, 2.5)), dict(eps_choices=()),
+], ids=str)
+def test_needle_suite_checks_its_domain(kwargs):
+    with pytest.raises(ValueError, match="n_range|eps"):
+        needle_suite(3000, seed=1, **kwargs)
+
+
+def test_suite_max_n_keeps_every_envelope_power_normal():
+    low = 0.3 * math.sin(0.05)
+    assert low ** (needles.SUITE_MAX_N - 1) >= sys.float_info.min
+    assert low ** needles.SUITE_MAX_N < sys.float_info.min
+    # the drawn envelopes keep to [low, 3]
+    rng = rng_stream(3, 0)
+    for _ in range(200):
+        length, start, phases, scales = needles._draw_arc(rng)
+        grid = start + np.linspace(0.0, length, 1024)
+        h = needles._envelope(grid[None], [phases], [scales])
+        assert low <= h.min() and h.max() <= 3.0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_needle_suite_at_the_largest_n(seed):
+    reports = needle_suite(2000, seed, n_range=(169, 169))
+    assert [r["violations"] for r in reports] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("eps", [1e-308, 1e-310, 5e-324])
+def test_vacuous_ratio_bound_has_margin_inf(eps):
+    # the near sine mass underflows, so the ratio bound is inf; where the
+    # ratio overflows too, the margin is inf, not inf - inf
+    def terms(n, e):
+        return needles._needle_bounds(n, 1, e, MOD, "pi")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        block = needles._suite_block(rng_stream(1, 0), 64, (2, 8), (eps,),
+                                     terms)
+    for bad, margin in block.values():
+        assert not bad.any()
+        assert margin is None or not np.isnan(margin).any()
+    assert np.all(block["mass_ratio"][1] == math.inf)
 
 
 # Worst margins (decay, mass_ratio, ball_mass) of suite runs, as the
@@ -366,9 +404,9 @@ def test_lune_density_reconstruction_small_budget():
 def test_lune_convexity_checks_draw_distinct_batches(monkeypatch):
     seeds = []
 
-    def recording(spec, samples=4000, seed=0):
+    def recording(spec, seed=0):
         seeds.append(seed)
-        return validate_convexity(spec, samples, seed)
+        return validate_convexity(spec, seed)
 
     monkeypatch.setattr(needles, "validate_convexity", recording)
     specs = [lune_spec(a) for a in (0.2, 0.1, 0.05)]
@@ -407,6 +445,15 @@ def test_hemisphere_lune_matches_unconditioned_marginal():
     limit = 0.5 * np.sin(diag.bin_centers)
     width = math.pi / diag.bin_centers.size
     assert float(np.sum(np.abs(diag.densities[-1] - limit)) * width) <= 0.02
+
+
+def test_lune_family_shares_one_axis():
+    specs = [lune_spec(0.2), lune_spec(0.1, axis=(1.0, 0.0, 0.0))]
+    with pytest.raises(ValueError, match="axis"):
+        derived_density_estimate(specs, 400_000, seed=8)
+    # the axes are compared after normalizing
+    specs = [lune_spec(0.2), lune_spec(0.1, axis=(0.0, 0.0, 2.0))]
+    assert derived_density_estimate(specs, 100_000, seed=8)[1].accepted
 
 
 def test_derived_density_rejects_non_round_norm():
