@@ -75,6 +75,8 @@ _MOLLIFIER_NODES = 8
 _SMOOTH_MAX_DIM = 4
 # Radius of the reference sphere used to re-homogenize the mollified norm.
 _HOMOG_RADIUS = 10.0
+# Doubles in one block of the mollified-norm kernel (256 KiB).
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -108,11 +110,19 @@ class NormDescriptor:
                 raise ValueError("regularized norm requires a base norm")
             if self.base.dim != self.dim:
                 raise DimensionMismatchError("base norm dimension mismatch")
-            if self.mollifier_width < 0 or self.delta_reg < 0:
-                raise ValueError("mollifier_width and delta_reg must be >= 0")
-            object.__setattr__(
-                self, "_quad", _ball_quadrature(self.dim, self.mollifier_width)
-            )
+            w, d = self.mollifier_width, self.delta_reg
+            if not (0.0 <= w < math.inf and 0.0 <= d < math.inf):
+                raise ValueError(
+                    f"regularized norm requires finite w >= 0 and d >= 0, "
+                    f"got w={w}, d={d}"
+                )
+            if sandwich_bounds(self)[0] == 0.0:
+                b1, b2 = sandwich_bounds(self.base)
+                raise ValueError(
+                    f"regularized norm with d=0 requires w < "
+                    f"{_HOMOG_RADIUS * b1 / b2:.6g} so that c1 > 0, got w={w}"
+                )
+            object.__setattr__(self, "_quad", _ball_quadrature(self.dim, w))
         else:
             raise ValueError(f"unknown norm kind {self.kind!r}")
 
@@ -176,8 +186,9 @@ def parse_norm(text: str) -> NormDescriptor:
 
     Any string not of that form raises ``ValueError("malformed norm
     string ...")``. A well-formed string naming an unsupported norm keeps its
-    own message: p outside (1, inf), or smoothing above dim 4
-    (:class:`UnsupportedNormError`).
+    own message: p outside (1, inf), w or d not finite and >= 0, a
+    regularized norm with no positive lower sandwich constant, or smoothing
+    above dim 4 (:class:`UnsupportedNormError`).
     """
     parts = text.strip().split(":")
     try:
@@ -201,14 +212,16 @@ def parse_norm(text: str) -> NormDescriptor:
             opts = dict(item.split("=", 1) for item in rest)
             if sorted(opts) != ["d", "w"]:
                 raise ValueError
-            return smooth_norm(base, float(opts["w"]), float(opts["d"]))
-        raise ValueError
+            width, delta = float(opts["w"]), float(opts["d"])
+        else:
+            raise ValueError
     except UnsupportedNormError:
         raise
     except (ValueError, IndexError) as exc:
         if "1 < p < inf" in str(exc):
             raise
         raise ValueError(f"malformed norm string {text!r}") from exc
+    return smooth_norm(base, width, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +247,8 @@ def norm_eval(norm: NormDescriptor, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def _column_norm(norm: NormDescriptor, cols: np.ndarray) -> np.ndarray:
+def _column_norm(norm: NormDescriptor, cols: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Evaluate a euclidean or l_p norm on coordinate-major input: ``cols``
     has shape (dim, ...), one array per coordinate.
 
@@ -242,36 +256,60 @@ def _column_norm(norm: NormDescriptor, cols: np.ndarray) -> np.ndarray:
     numpy's per-row cost on a short last axis. :func:`_column_sum` keeps
     numpy's summation order, so the values equal the row-major
     ``np.linalg.norm`` and ``sum(axis=-1)`` formulas bit for bit.
+
+    A caller that passes ``out`` (shape ``cols.shape[1:]``) also hands over
+    ``cols``: both are overwritten, and the norms land in ``out``.
     """
+    own = None if out is None else cols
     if norm.kind == "euclidean":
-        return np.sqrt(_column_sum(cols * cols))
-    # Factor out the max component so huge/tiny inputs neither overflow
-    # nor underflow before the 1/p root.
-    ax = np.abs(cols)
-    m = np.maximum(ax[0], ax[1])
+        sums = _column_sum(np.multiply(cols, cols, out=own), out=out)
+        return np.sqrt(sums, out=sums)
+    return _lp_of_abs(np.abs(cols, out=own), norm.p, out)
+
+
+def _lp_of_abs(ax: np.ndarray, p: float,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The l_p norm of coordinate-major absolute values ``ax``, shape
+    (dim, ...), which the caller owns: they are overwritten.
+
+    The max component is factored out, so huge or tiny inputs neither
+    overflow nor underflow before the 1/p root. A row whose max is 0, inf
+    or NaN has that max as its norm, and only the other rows are scaled.
+    """
+    m = np.maximum(ax[0], ax[1], out=out)
     for col in ax[2:]:
         np.maximum(m, col, out=m)
-    nz = m > 0
-    if nz.all():
-        return _scaled_lp(ax, m, norm.p)
-    out = np.zeros_like(m)
-    out[nz] = _scaled_lp(ax[:, nz], m[nz], norm.p)
-    return out
-
-
-def _scaled_lp(ax: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
-    # Overwrites ``ax``, which the caller owns.
+    ok, all_ok = _finite_positive(m)
+    if not all_ok:
+        if ok.any():
+            m[ok] = _lp_of_abs(ax[:, ok], p)
+        return m
     ax /= m
-    return m * np.power(_column_sum(np.power(ax, p, out=ax)), 1.0 / p)
+    # Given ``out``, ``ax`` is the caller's C-contiguous block and its first
+    # coordinate takes the sums. Otherwise ``ax`` may be strided like the
+    # caller's rows, and a fresh contiguous array is faster.
+    sums = _column_sum(np.power(ax, p, out=ax),
+                       out=None if out is None else ax[0])
+    np.power(sums, 1.0 / p, out=sums)
+    return np.multiply(m, sums, out=m)
 
 
-def _column_sum(cols: np.ndarray) -> np.ndarray:
+def _finite_positive(v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Mask of the entries of ``v`` in (0, inf), and whether it holds them
+    all (NaN is in no interval)."""
+    ok = v > 0
+    ok &= v < math.inf
+    return ok, np.count_nonzero(ok) == ok.size
+
+
+def _column_sum(cols: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum at least two arrays stacked on the leading axis, in the order of
     numpy's pairwise summation along a contiguous row: left to right below
-    8 terms, eight interleaved partial sums up to 128, halves beyond."""
+    8 terms, eight interleaved partial sums up to 128, halves beyond. The
+    result goes to ``out`` if given, which may be ``cols[0]``."""
     n = cols.shape[0]
     if n < 8:
-        out = cols[0] + cols[1]
+        out = np.add(cols[0], cols[1], out=out)
         for col in cols[2:]:
             out += col
         return out
@@ -280,12 +318,13 @@ def _column_sum(cols: np.ndarray) -> np.ndarray:
         r = cols[:8].copy()
         for lo in range(8, full, 8):
             r += cols[lo : lo + 8]
-        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        out = np.add((r[0] + r[1]) + (r[2] + r[3]),
+                     (r[4] + r[5]) + (r[6] + r[7]), out=out)
         for col in cols[full:]:
             out += col
         return out
     half = n // 2 - (n // 2) % 8
-    return _column_sum(cols[:half]) + _column_sum(cols[half:])
+    return np.add(_column_sum(cols[:half]), _column_sum(cols[half:]), out=out)
 
 
 def _ball_quadrature(dim: int, width: float):
@@ -308,37 +347,50 @@ def _ball_quadrature(dim: int, width: float):
 
 
 def _mollified_base(norm: NormDescriptor, x: np.ndarray) -> np.ndarray:
-    """Smoothed base norm: average the base norm over a Euclidean ball of
-    radius ``mollifier_width``, evaluated on the reference sphere and extended
+    """Smoothed base norm of the rows of ``x`` (shape (points, dim)):
+    average the base norm over a Euclidean ball of radius
+    ``mollifier_width``, evaluated on the reference sphere and extended
     positively 1-homogeneous.
 
     Each row's value depends on that row alone, bit for bit, whatever the
     batch around it: every step is elementwise or a reduction along one
     row's own nodes.
     """
-    base = norm.base
     offsets, weights = norm._quad  # type: ignore[attr-defined]
+    dim, nodes = offsets.shape
     r = np.linalg.norm(x, axis=-1)
-    out = np.zeros_like(r)
-    nz = r > 0
-    if not np.any(nz):
-        return out
+    # A row of Euclidean length 0, inf or NaN has that length as its value.
+    ok, all_ok = _finite_positive(r)
+    if not all_ok:
+        if ok.any():
+            r[ok] = _mollified_base(norm, x[ok])
+        return r
     # Coordinate-major (dim, points), so each block below broadcasts
     # contiguous rows against the contiguous (dim, nodes) offsets.
-    ref = np.ascontiguousarray((_HOMOG_RADIUS * x[nz] / r[nz][..., None]).T)
-    vals = np.empty(ref.shape[1])
-    # The chunk only bounds the (dim x points x nodes) intermediate; as no
-    # value depends on its batch, any row count gives the same bits.
-    step = max(1, 2_000_000 // (offsets.shape[1] * norm.dim))
-    for lo in range(0, ref.shape[1], step):
-        diffs = ref[:, lo : lo + step, None] - offsets[:, None, :]
-        vals[lo : lo + step] = (_column_norm(base, diffs) * weights).sum(axis=-1)
-    out[nz] = vals * r[nz] / _HOMOG_RADIUS
-    return out
+    ref = np.ascontiguousarray((_HOMOG_RADIUS * x / r[:, None]).T)
+    count = ref.shape[1]
+    vals = np.empty(count)
+    # A block of rows spans about _BLOCK_ELEMENTS (dim, rows, nodes) doubles,
+    # so the two buffers below stay in a core's cache and every step of the
+    # base norm writes into them instead of allocating. No value depends on
+    # its block, so any block size gives the same bits.
+    step = max(1, _BLOCK_ELEMENTS // (dim * nodes))
+    block = np.empty((dim, min(step, count), nodes))
+    acc = np.empty(block.shape[1:])
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        diffs, base_vals = block[:, : hi - lo], acc[: hi - lo]
+        np.subtract(ref[:, lo:hi, None], offsets[:, None, :], out=diffs)
+        _column_norm(norm.base, diffs, out=base_vals)
+        base_vals *= weights
+        np.sum(base_vals, axis=-1, out=vals[lo:hi])
+    vals *= r
+    vals /= _HOMOG_RADIUS
+    return vals
 
 
 def _regularized_eval(norm: NormDescriptor, x: np.ndarray) -> np.ndarray:
-    smoothed = _mollified_base(norm, x)
+    smoothed = _mollified_base(norm, x.reshape(-1, norm.dim)).reshape(x.shape[:-1])
     if norm.delta_reg > 0:
         return np.sqrt(smoothed**2 + norm.delta_reg * np.einsum("...i,...i->...", x, x))
     return smoothed
@@ -603,8 +655,11 @@ def _numeric_modulus(norm, eps, budget, seed) -> np.ndarray:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = _section_objective(norm, bu, bv, c, lane_eps)
-    fd = _section_objective(norm, bu, bv, d, lane_eps)
+    # Both starting probes in one call: lanes are independent, so each
+    # half has the bits of its own call.
+    fc, fd = np.split(_section_objective(
+        norm, np.tile(bu, (2, 1)), np.tile(bv, (2, 1)), np.concatenate([c, d]),
+        np.tile(lane_eps, 2)), 2)
     for _ in range(24):
         left = fc < fd  # minimum bracketed in [a, d] vs [c, b]
         a = np.where(left, a, c)
@@ -665,8 +720,6 @@ def smooth_norm(
         raise UnsupportedNormError(
             f"smooth_norm supports dim <= {_SMOOTH_MAX_DIM}, got {norm.dim}"
         )
-    if mollifier_width < 0 or delta_reg < 0:
-        raise ValueError("mollifier_width and delta_reg must be >= 0")
     return NormDescriptor(
         kind="regularized",
         dim=norm.dim,

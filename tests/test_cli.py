@@ -49,6 +49,23 @@ def test_bad_norm_string_exits_2_with_one_line(norm, message, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["bound", "verify-waist", "verify-iso"])
+@pytest.mark.parametrize("norm, message", [
+    ("reg:lp:1.5:3:w=10:d=0", "so that c1 > 0"),
+    ("reg:lp:1.5:3:w=9.99:d=0", "so that c1 > 0"),
+    ("reg:lp:1.5:3:w=nan:d=0.01", "finite w >= 0 and d >= 0"),
+    ("reg:lp:1.5:3:w=inf:d=0.01", "finite w >= 0 and d >= 0"),
+    ("reg:lp:1.5:3:w=0.05:d=nan", "finite w >= 0 and d >= 0"),
+])
+def test_regularized_norm_outside_its_domain_exits_2(command, norm, message,
+                                                      capsys):
+    rc = main([command, "--norm", norm, "--k", "1", "--eps", "0.5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["verify-waist", "verify-iso"])
 def test_verify_without_eps_exits_2(command, capsys):
     rc = main([command, "--norm", "euclidean:3", "--k", "1",

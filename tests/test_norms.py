@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,14 +180,24 @@ def test_lp_kernel_matches_row_major_formula(dim):
                               np.linalg.norm(x, axis=-1))
 
 
-@pytest.mark.parametrize("text", ["reg:lp:1.5:3:w=0.05:d=0.01",
-                                  "reg:euclidean:3:w=0.1:d=0.5",
-                                  "reg:lp:4:2:w=0.2:d=0"])
+REG_NORMS = ["reg:lp:1.5:3:w=0.05:d=0.01", "reg:euclidean:3:w=0.1:d=0.5",
+             "reg:lp:4:2:w=0.2:d=0", "reg:lp:1.5:4:w=0.05:d=0.01"]
+
+
+def _block_rows(norm):
+    """Rows per block of the mollified kernel, and the chunk of the kernel
+    it replaced (2e6 doubles); both row counts stay under test."""
+    size = norm._quad[0].size  # dim * nodes
+    return max(1, norms_module._BLOCK_ELEMENTS // size), 2_000_000 // size
+
+
+@pytest.mark.parametrize("text", REG_NORMS)
 def test_regularized_matches_row_major_formula(text):
     norm = parse_norm(text)
-    step = 2_000_000 // norm._quad[0].size
+    block, old_step = _block_rows(norm)
     rng = np.random.Generator(np.random.Philox(17))
-    for rows in (1, 21, 175, step, step + 1, 3 * step + 5):
+    for rows in (1, 21, 175, block - 1, block, block + 1, 4 * block + 3,
+                 old_step, old_step + 1, 3 * old_step + 5):
         x = rng.standard_normal((rows, norm.dim))
         x[::9] = 0.0
         assert np.array_equal(norm_eval(norm, x), _row_major_regularized(norm, x))
@@ -194,18 +205,56 @@ def test_regularized_matches_row_major_formula(text):
     assert np.array_equal(norm_eval(norm, x), _row_major_regularized(norm, x))
 
 
-@pytest.mark.parametrize("text", ["reg:lp:1.5:3:w=0.05:d=0.01",
-                                  "reg:euclidean:3:w=0.1:d=0.5",
-                                  "reg:lp:4:2:w=0.2:d=0"])
+@pytest.mark.parametrize("text", REG_NORMS)
 def test_regularized_row_does_not_depend_on_its_batch(text):
     norm = parse_norm(text)
-    step = 2_000_000 // norm._quad[0].size
+    block, old_step = _block_rows(norm)
     rng = np.random.Generator(np.random.Philox(23))
-    for rows in (1, 21, 175, step, step + 1):
+    for rows in (1, 21, 175, block - 1, block, block + 1, 4 * block + 3,
+                 old_step, old_step + 1):
         x = rng.standard_normal((rows, norm.dim))
         batch = norm_eval(norm, x)
         for i in range(rows):
             assert batch[i] == norm_eval(norm, x[i]), (rows, i)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_regularized_eval_memory_is_bounded(dim):
+    # The kernel works in fixed blocks; a whole-batch (dim, rows, nodes)
+    # temporary of 12 000 rows would take 45 MiB at dim 3.
+    norm = parse_norm(f"reg:lp:1.5:{dim}:w=0.05:d=0.01")
+    x = rng_stream(31).standard_normal((12_000, dim))
+    tracemalloc.start()
+    try:
+        norm_eval(norm, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("text", ["euclidean:3", "lp:1.5:3", "lp:4:9",
+                                  "lp:2:2"] + REG_NORMS)
+def test_non_finite_rows(text):
+    # NaN anywhere gives NaN, else an inf gives inf, without a warning
+    # (the suite turns RuntimeWarnings into errors); finite rows keep the
+    # bits they have alone.
+    norm = parse_norm(text)
+    x = rng_stream(37).standard_normal((8, norm.dim))
+    x[0, 0] = np.nan
+    x[1, -1] = np.inf
+    x[2, :2] = (-np.inf, np.nan)
+    x[3] = np.nan
+    x[4] = -np.inf
+    x[5] = 0.0
+    x[5, 1] = np.inf
+    got = norm_eval(norm, x)
+    assert np.isnan(got[[0, 2, 3]]).all()
+    assert (got[[1, 4, 5]] == np.inf).all()
+    for i in (6, 7):
+        assert got[i] == norm_eval(norm, x[i])
+    assert np.isnan(norm_eval(norm, x[0]))
+    assert norm_eval(norm, x[1]) == np.inf
 
 
 @given(p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
@@ -317,6 +366,25 @@ def test_batched_modulus_search_equals_one_value_searches():
                                 seed=7) == one[1]
     curve = numeric_modulus_curve(norm, [0.2, 0.4], budget=3000, seed=7)
     assert curve.values.tolist() == one
+
+
+def test_section_objective_lanes_are_independent():
+    # _numeric_modulus evaluates its two starting golden-section probes in
+    # one call over stacked lanes; each half must equal its own call
+    norm = parse_norm("reg:lp:1.5:3:w=0.05:d=0.01")
+    rng = rng_stream(41)
+    u = rng.standard_normal((42, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = rng.standard_normal((42, 3))
+    v -= np.sum(u * v, axis=1, keepdims=True) * u
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    c, d = rng.uniform(0.0, 2.0 * math.pi, (2, 42))
+    eps = rng.uniform(0.2, 1.8, 42)
+    objective = norms_module._section_objective
+    both = objective(norm, np.tile(u, (2, 1)), np.tile(v, (2, 1)),
+                     np.concatenate([c, d]), np.tile(eps, 2))
+    assert np.array_equal(both[:42], objective(norm, u, v, c, eps))
+    assert np.array_equal(both[42:], objective(norm, u, v, d, eps))
 
 
 def test_minkowski_p_by_kind():
@@ -479,6 +547,29 @@ def test_smooth_norm_rejects_bad_inputs():
         smooth_norm(euclidean_norm(5), 0.1, 0.1)
     with pytest.raises(ValueError):
         smooth_norm(euclidean_norm(3), -0.1, 0.1)
+
+
+@pytest.mark.parametrize("w, d", [("nan", "0.01"), ("inf", "0.01"),
+                                  ("0.05", "nan"), ("0.05", "inf"),
+                                  ("-inf", "0.01"), ("0.05", "-0.01")])
+def test_regularized_norm_needs_finite_nonnegative_w_and_d(w, d):
+    with pytest.raises(ValueError, match="finite w >= 0 and d >= 0"):
+        parse_norm(f"reg:lp:1.5:3:w={w}:d={d}")
+    with pytest.raises(ValueError, match="finite w >= 0 and d >= 0"):
+        smooth_norm(lp_norm(1.5, 3), float(w), float(d))
+
+
+def test_regularized_norm_needs_a_positive_lower_constant():
+    # reg:lp:1.5:3 with d = 0 has c1 = max(0, 1 - 3^(1/6) w / 10): zero from
+    # w = 8.3268 on, where the rejection sampler's radius 1/c1 is infinite
+    limit = 10.0 / 3 ** (1 / 6)
+    for w in (limit, 9.99, 10.0, 1e6):
+        with pytest.raises(ValueError, match="so that c1 > 0"):
+            parse_norm(f"reg:lp:1.5:3:w={w!r}:d=0")
+    ok = parse_norm("reg:lp:1.5:3:w=8.3:d=0")
+    assert sandwich_bounds(ok)[0] > 0
+    # a positive d keeps c1 >= sqrt(d) > 0 at any finite width
+    assert sandwich_bounds(parse_norm("reg:lp:1.5:3:w=10:d=0.01"))[0] == 0.1
 
 
 # ---------------------------------------------------------------------------
