@@ -32,8 +32,8 @@ from .cone import (  # noqa: F401
     MeasureEstimate,
     SampleBatch,
     best_fiber,
+    cap_neighborhood_measure,
     fiber_points,
-    neighborhood_measure,
     sample_conical,
     set_measure,
 )

@@ -38,7 +38,7 @@ from .cone import (
     fiber_distance_method,
     sample_conical,
 )
-from .needles import SUITE_MAX_N, needle_suite
+from .needles import SUITE_MAX_N, SUITE_MIN_EPS, needle_suite
 from .norms import (
     NormDescriptor,
     _numeric_modulus,
@@ -183,6 +183,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"every --eps-grid value must lie in (0, 2], got "
                     f"{self.eps_grid!r}")
+        if self.command == "needle-suite" and (self.eps, self.eps_grid) != \
+                (None, None) and min(_eps_values(self)) < SUITE_MIN_EPS:
+            raise ConfigError(
+                f"needle-suite requires eps >= {SUITE_MIN_EPS:.6g}, got "
+                f"{min(_eps_values(self)):g}")
         axis = _parse_grid(self.z_grid)
         if self.command == "verify-waist":
             # The z grid is the k-fold product of the axis. Once the axis

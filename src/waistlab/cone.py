@@ -10,6 +10,12 @@ the uniform measure. Samplers:
 * any other kind: rejection from a bounding Euclidean ball followed by
   radial projection.
 
+Estimators (``best_fiber`` for tubes about fibers of a linear map,
+``cap_neighborhood_measure`` for neighborhoods of a cap and its complement)
+take one sample batch for every norm kind, and the distance to a fiber in
+closed form where one exists, else to a fiber cloud, which can only
+overestimate it, so those estimates are conservative.
+
 Determinism contract: every estimator is a pure function of
 (norm, seed, budgets); parallel-safe substreams are derived from the seed
 with a counter-based generator.
@@ -47,7 +53,6 @@ __all__ = [
     "min_norm_distance",
     "best_fiber",
     "cap_neighborhood_measure",
-    "neighborhood_measure",
 ]
 
 
@@ -168,7 +173,8 @@ def sample_conical(norm: NormDescriptor, count: int, seed: int,
 
     ``method``: "auto" picks the exact generalized-Gaussian generator for
     euclidean/lp and rejection otherwise; "direct" and "rejection" force a
-    choice so the two samplers can be compared against each other.
+    choice so the two samplers can be compared against each other; "direct"
+    on a regularized norm raises ValueError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -177,8 +183,9 @@ def sample_conical(norm: NormDescriptor, count: int, seed: int,
         method = "direct" if norm.minkowski_p is not None else "rejection"
     if method == "direct":
         if norm.minkowski_p is None:
-            method = "rejection"
-    if method == "direct":
+            raise ValueError(
+                f"method 'direct' samples euclidean and l_p norms only, got "
+                f"{norm}")
         pts = _direct_sphere_sample(norm, count, rng)
     elif method == "rejection":
         pts = _rejection_sphere_sample(norm, count, rng)
@@ -333,30 +340,24 @@ def _lp_fiber_distance(points: np.ndarray, p: float, columns: np.ndarray,
     return (np.abs(along) ** p + across) ** (1.0 / p)
 
 
-def _exact_fiber_distance(norm: NormDescriptor, f, z
-                          ) -> Callable[[np.ndarray], np.ndarray]:
-    """Closed-form distance function to the fiber {||x|| = 1, f x = z}, for
-    a (norm, map) pair whose ``fiber_distance_method`` is "exact". Raises as
-    ``fiber_points`` does on a rank-deficient map or an empty fiber."""
+def _fiber_distance(norm: NormDescriptor, f, z, eps: float,
+                    fiber_budget: int, seed: int
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """Distance function to the fiber {||x|| = 1, f x = z}, built once per z
+    by the method ``fiber_distance_method`` names: a closed form, or the
+    distance to a cloud of ``fiber_budget`` fiber points, which comes back
+    as inf above eps. Raises as ``fiber_points`` does on a rank-deficient
+    map or an empty fiber."""
+    if fiber_distance_method(norm, f) == "cloud":
+        cloud = fiber_points(norm, f, z, fiber_budget, seed)
+        return lambda points: min_norm_distance(norm, points, cloud,
+                                                upper=eps)
     x0, kernel = _fiber_frame(norm, f, z)
     if norm.is_round:
         return lambda points: _round_fiber_distance(points, x0, kernel)
     columns = _coordinate_columns(f)
     return lambda points: _lp_fiber_distance(points, norm.p, columns,
                                              x0[columns])
-
-
-def _fiber_distance(norm: NormDescriptor, f, z, eps: float,
-                    fiber_budget: int, seed: int
-                    ) -> Callable[[np.ndarray], np.ndarray]:
-    """Distance function to the fiber {||x|| = 1, f x = z}, built once per z
-    by the method ``fiber_distance_method`` names. Cloud distances above eps
-    come back as inf. Raises as ``fiber_points`` does on a rank-deficient
-    map or an empty fiber."""
-    if fiber_distance_method(norm, f) == "exact":
-        return _exact_fiber_distance(norm, f, z)
-    cloud = fiber_points(norm, f, z, fiber_budget, seed)
-    return lambda points: min_norm_distance(norm, points, cloud, upper=eps)
 
 
 def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
@@ -382,7 +383,9 @@ def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
         return np.asarray(dist)
     c1, _ = sandwich_bounds(norm)
     tree = cKDTree(cloud)
-    k_batch = min(16, cloud.shape[0])
+    # Enough neighbours that few rows reach the per-row ball query below;
+    # the count does not change any distance.
+    k_batch = min(64, cloud.shape[0])
     d2, idx = tree.query(points, k=k_batch, distance_upper_bound=bound / c1)
     d2 = np.atleast_2d(np.asarray(d2))
     idx = np.atleast_2d(np.asarray(idx))
@@ -475,15 +478,14 @@ def cap_neighborhood_measure(
     tau: float,
     eps: float,
     sample_budget: int,
-    cloud_budget: int,
+    fiber_budget: int,
     seed: int,
 ) -> tuple[MeasureEstimate, MeasureEstimate]:
     """Estimate the cone measures of the eps-neighborhoods of the cap
-    A = {f x >= tau} of a one-row map ``f`` and of its complement, with
-    distances measured as ``fiber_distance_method`` names.
+    A = {f x >= tau} of a one-row map ``f`` and of its complement.
 
-    "exact": for y outside A, in any norm, some nearest point of A lies on
-    the boundary fiber {f x = tau}. Let a in A be nearest to y; as f y <
+    For y outside A, in any norm, some nearest point of A lies on the
+    boundary fiber {f x = tau}. Let a in A be nearest to y; as f y <
     tau <= f a, a != y. The unit sphere meets span(y, a) (any plane through
     y if a = -y) in the unit circle of that normed plane, and a lies on a
     half circle from y to -y. On the arc of that half circle from y to a,
@@ -492,78 +494,37 @@ def cap_neighborhood_measure(
     Math. 19, 2001), ||y - x|| does not decrease as x runs along a half
     circle from y to -y, so ||y - x|| <= ||y - a|| and x is nearest too.
     The same holds for the complement with -f. So both distances are the
-    distance to that fiber, which has a closed form for every (norm, f)
-    that ``fiber_distance_method`` calls "exact". One batch at the seed
-    path (seed, 1) serves both sets: a point counts for A if it lies in A
-    or within eps of the boundary, and for the complement if it lies
-    outside A or within eps. Each estimate is unbiased with its binomial
-    standard error.
+    distance to that fiber.
 
-    "cloud": each set takes ``neighborhood_measure`` with ``cloud_budget``
-    cloud points, A at the seed derive_seed(seed, 1) and the complement at
-    derive_seed(seed, 2); both estimates are conservative.
+    One batch at the seed path (seed, 1) serves both sets: a point counts
+    for A if it lies in A or within eps of the boundary fiber, and for the
+    complement if it lies outside A or within eps of it. The distance to
+    the fiber is taken as ``fiber_distance_method`` names. "exact": the
+    closed form, so each estimate is unbiased with its binomial standard
+    error, and ``fiber_budget`` is unused. "cloud": the distance to
+    ``fiber_budget`` fiber points drawn at derive_seed(seed, 2), which can
+    only overestimate it, so both estimates are conservative; a larger
+    budget extends the same cloud and never lowers them.
 
-    Raises EmptySetError when the exact batch, or the cloud batch of either
-    set, has no point in that set.
+    Raises EmptySetError when the batch has no point in the cap or none in
+    its complement.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     f = np.atleast_2d(np.asarray(f, dtype=float))
     if f.shape[0] != 1:
         raise ValueError(f"a cap needs a one-row map, got {f.shape[0]} rows")
-    row = f[0]
-    if fiber_distance_method(norm, f) == "cloud":
-        return (
-            neighborhood_measure(norm, lambda pts: pts @ row >= tau, eps,
-                                 sample_budget, cloud_budget,
-                                 derive_seed(seed, 1)),
-            neighborhood_measure(norm, lambda pts: pts @ row < tau, eps,
-                                 sample_budget, cloud_budget,
-                                 derive_seed(seed, 2)),
-        )
     batch = sample_conical(norm, sample_budget, derive_seed(seed, 1))
-    in_a = batch.points @ row >= tau
+    in_a = batch.points @ f[0] >= tau
     if in_a.all() or not in_a.any():
         raise EmptySetError(
             "no sample points landed in the cap or in its complement")
-    near = _exact_fiber_distance(norm, f, [tau])(batch.points) <= eps
+    distance = _fiber_distance(norm, f, [tau], eps, fiber_budget,
+                               derive_seed(seed, 2))
+    near = distance(batch.points) <= eps
     return (
         MeasureEstimate.from_hits(int((in_a | near).sum()), sample_budget,
                                   seed=seed),
         MeasureEstimate.from_hits(int((~in_a | near).sum()), sample_budget,
                                   seed=seed),
     )
-
-
-def neighborhood_measure(
-    norm: NormDescriptor,
-    indicator: Callable,
-    eps: float,
-    sample_budget: int,
-    cloud_budget: int,
-    seed: int,
-) -> MeasureEstimate:
-    """Estimate the cone measure of the eps-neighborhood of a set A given by
-    a vectorized indicator.
-
-    Two-stage: a point cloud inside A is drawn by rejection from cone-measure
-    samples, then fresh samples are counted if they either satisfy the
-    indicator (A is always inside its own neighborhood) or lie within eps of
-    the cloud. Cloud distances overestimate distances to A, so the estimate
-    is a conservative lower bound. ``cap_neighborhood_measure`` takes this
-    path where a cap has no closed-form distance.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    first = sample_conical(norm, sample_budget, derive_seed(seed, 1))
-    in_a = np.asarray(indicator(first.points), dtype=bool)
-    cloud = first.points[in_a][:cloud_budget]
-    if cloud.shape[0] == 0:
-        raise EmptySetError("no sample points landed in the set within budget")
-    second = sample_conical(norm, sample_budget, derive_seed(seed, 2))
-    hits = np.asarray(indicator(second.points), dtype=bool)
-    miss = ~hits
-    if np.any(miss):
-        dmin = min_norm_distance(norm, second.points[miss], cloud, upper=eps)
-        hits[np.flatnonzero(miss)[dmin <= eps]] = True
-    return MeasureEstimate.from_hits(int(hits.sum()), sample_budget, seed=seed)

@@ -53,6 +53,7 @@ __all__ = [
     "derived_density_estimate",
     "needle_suite",
     "SUITE_MAX_N",
+    "SUITE_MIN_EPS",
 ]
 
 # Default slack for midpoint-interpolated concavity checks; sized to dominate
@@ -509,7 +510,7 @@ def _draw_arc(rng):
     """Draw an arc and its linear functionals: length in [0.8, 2.4], start
     angle, and the phases and scales of 2 to 6 functionals. The phases keep
     every functional positive on the arc [start, start + length]."""
-    length = rng.uniform(0.8, 2.4)
+    length = rng.uniform(0.8, _MAX_ARC_LENGTH)
     start = rng.uniform(0.0, 2.0 * math.pi)
     lo = start + length - math.pi / 2.0 + 0.05
     hi = start + math.pi / 2.0 - 0.05
@@ -930,6 +931,13 @@ def derived_density_estimate(
 _SUITE_BLOCK = 64
 # Grid points per suite needle, as in random_arc_density's default.
 _SUITE_GRID = 1024
+# Longest arc _draw_arc draws.
+_MAX_ARC_LENGTH = 2.4
+# Smallest eps the suite checks: four grid spacings of its longest arc,
+# about 9.4e-3. The checks read distances on the grid. At eps 1e-3, below
+# one spacing, 640 trials at each of seeds 1-3 gave 24, 13 and 9 decay
+# violations on correct needles; at 2e-3, 5e-3 and 9.4e-3 they gave none.
+SUITE_MIN_EPS = 4.0 * _MAX_ARC_LENGTH / (_SUITE_GRID - 1)
 _SUITE_LEMMAS = ("max_structure", "decay", "mass_ratio", "ball_mass")
 # Largest needle dimension the suite draws. _draw_arc keeps every envelope
 # in [0.3 sin 0.05, 3]: scales lie in [0.3, 3], and each functional's phase
@@ -954,15 +962,17 @@ def needle_suite(
     {lemma, trials, violations, worst_margin, seed}.
 
     Each trial draws n from ``n_range`` (2 <= lo <= hi <= SUITE_MAX_N) and
-    eps from ``eps_choices`` (each in (0, 2]). Needles are drawn and
-    checked in blocks of trials with the row kernels of the single-needle
-    checks; every trial has the draws, values and margins it would have
-    alone.
+    eps from ``eps_choices`` (each in [SUITE_MIN_EPS, 2]). Needles are
+    drawn and checked in blocks of trials with the row kernels of the
+    single-needle checks; every trial has the draws, values and margins it
+    would have alone.
     """
     eps_choices = tuple(float(e) for e in eps_choices)
-    if not eps_choices or not all(0.0 < e <= 2.0 for e in eps_choices):
+    if not eps_choices or not all(SUITE_MIN_EPS <= e <= 2.0
+                                  for e in eps_choices):
         raise ValueError(
-            f"every eps choice must lie in (0, 2], got {eps_choices}")
+            f"every eps choice must lie in [{SUITE_MIN_EPS:.6g}, 2], got "
+            f"{eps_choices}")
     if not 2 <= n_range[0] <= n_range[1] <= SUITE_MAX_N:
         raise ValueError(
             f"n_range must satisfy 2 <= lo <= hi <= {SUITE_MAX_N}, got "

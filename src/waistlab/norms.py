@@ -75,6 +75,9 @@ _MOLLIFIER_NODES = 8
 _SMOOTH_MAX_DIM = 4
 # Radius of the reference sphere used to re-homogenize the mollified norm.
 _HOMOG_RADIUS = 10.0
+# Widest mollifier: the quadrature's weights are products of dim <= 4
+# factors of about 0.36 w, which overflow from about w = 1e77.
+_MAX_WIDTH = 1e75
 # Doubles in one block of the mollified-norm kernel (256 KiB).
 _BLOCK_ELEMENTS = 2**15
 
@@ -111,18 +114,16 @@ class NormDescriptor:
             if self.base.dim != self.dim:
                 raise DimensionMismatchError("base norm dimension mismatch")
             w, d = self.mollifier_width, self.delta_reg
-            if not (0.0 <= w < math.inf and 0.0 <= d < math.inf):
+            if not (0.0 <= w <= _MAX_WIDTH and 0.0 <= d < math.inf):
                 raise ValueError(
                     f"regularized norm requires finite w >= 0 and d >= 0, "
-                    f"got w={w}, d={d}"
+                    f"with w <= {_MAX_WIDTH:g}, got w={w}, d={d}"
                 )
-            if sandwich_bounds(self)[0] == 0.0:
-                b1, b2 = sandwich_bounds(self.base)
-                raise ValueError(
-                    f"regularized norm with d=0 requires w < "
-                    f"{_HOMOG_RADIUS * b1 / b2:.6g} so that c1 > 0, got w={w}"
-                )
-            object.__setattr__(self, "_quad", _ball_quadrature(self.dim, w))
+            offsets, weights = _ball_quadrature(self.dim, w)
+            object.__setattr__(self, "_quad", (offsets, weights))
+            # s of sandwich_bounds, which every norm_eval call reads.
+            object.__setattr__(self, "_node_mean", float(
+                weights @ norm_eval(self.base, offsets.T)) / _HOMOG_RADIUS)
         else:
             raise ValueError(f"unknown norm kind {self.kind!r}")
 
@@ -186,9 +187,9 @@ def parse_norm(text: str) -> NormDescriptor:
 
     Any string not of that form raises ``ValueError("malformed norm
     string ...")``. A well-formed string naming an unsupported norm keeps its
-    own message: p outside (1, inf), w or d not finite and >= 0, a
-    regularized norm with no positive lower sandwich constant, or smoothing
-    above dim 4 (:class:`UnsupportedNormError`).
+    own message: p outside (1, inf), w outside [0, 1e75], d not finite and
+    >= 0, or smoothing above dim 4 (:class:`UnsupportedNormError`). Every
+    other w and d gives a norm.
     """
     parts = text.strip().split(":")
     try:
@@ -240,11 +241,32 @@ def norm_eval(norm: NormDescriptor, x) -> np.ndarray | float:
         )
     scalar = x.ndim == 1
     x2 = x[None, :] if scalar else x
-    if norm.kind == "regularized":
-        out = _regularized_eval(norm, x2)
-    else:
-        out = _column_norm(norm, np.moveaxis(x2, -1, 0))
+    out = _kernel_eval(norm, x2)
+    if norm.kind != "lp":
+        # These kernels square before the root. A row whose Euclidean length
+        # or smoothed part is below 2^-511 (subnormal squares) has a value
+        # below 2^-511 c2 / b1 (1 on a euclidean norm); an overflow gives
+        # inf. Such a row is m ||x / m||, m = max |x_i|, or m where that is
+        # 0, inf or NaN. Every other row keeps its bits.
+        floor = 2.0**-511
+        if norm.kind == "regularized":
+            floor *= sandwich_bounds(norm)[1] / sandwich_bounds(norm.base)[0]
+        far = ~((out >= floor) & (out < math.inf))
+        if far.any():
+            m = np.max(np.abs(x2[far]), axis=-1)
+            ok, _ = _finite_positive(m)
+            m[ok] *= _kernel_eval(norm, x2[far][ok] / m[ok, None])
+            out[far] = m
     return float(out[0]) if scalar else out
+
+
+def _kernel_eval(norm: NormDescriptor, x: np.ndarray) -> np.ndarray:
+    # A row of extreme length may overflow or divide by zero here;
+    # norm_eval finds it by its value and evaluates it again, scaled.
+    with np.errstate(all="ignore"):
+        if norm.kind == "regularized":
+            return _regularized_eval(norm, x)
+        return _column_norm(norm, np.moveaxis(x, -1, 0))
 
 
 def _column_norm(norm: NormDescriptor, cols: np.ndarray,
@@ -358,13 +380,9 @@ def _mollified_base(norm: NormDescriptor, x: np.ndarray) -> np.ndarray:
     """
     offsets, weights = norm._quad  # type: ignore[attr-defined]
     dim, nodes = offsets.shape
+    # A row of Euclidean length 0, inf or NaN comes out NaN or inf, which
+    # norm_eval mends.
     r = np.linalg.norm(x, axis=-1)
-    # A row of Euclidean length 0, inf or NaN has that length as its value.
-    ok, all_ok = _finite_positive(r)
-    if not all_ok:
-        if ok.any():
-            r[ok] = _mollified_base(norm, x[ok])
-        return r
     # Coordinate-major (dim, points), so each block below broadcasts
     # contiguous rows against the contiguous (dim, nodes) offsets.
     ref = np.ascontiguousarray((_HOMOG_RADIUS * x / r[:, None]).T)
@@ -418,10 +436,17 @@ def sandwich_bounds(norm: NormDescriptor) -> tuple[float, float]:
 
     Euclidean and l_p norms take the extremal closed forms: for l_p they are
     d^(1/p - 1/2) and 1 (attained on the diagonal and on basis vectors), so
-    c2/c1 <= sqrt(dim). Regularized norms follow from their base's
-    constants: averaging the base norm over a ball of radius w perturbs it
-    by at most c2_base * w / R relative to the Euclidean length (R the
-    homogenization radius), and the delta term adds in quadrature.
+    c2/c1 <= sqrt(dim).
+
+    A regularized norm takes its base's constants (b1, b2) and the mean
+    s = sum_i w_i N(y_i) / R of the base norm N over the mollifier's
+    quadrature nodes y_i (weights w_i > 0 summing to 1), R the
+    homogenization radius. At unit |x|_2 the mollified base is
+    M(x) = sum_i w_i N(R x - y_i) / R. The nodes and weights are symmetric,
+    so sum_i w_i y_i = 0 and Jensen gives M(x) >= N(x) >= b1. The triangle
+    inequality, with N(R x) <= b2 R, gives s - b2 <= M(x) <= b2 + s. The d
+    term adds in quadrature: c1 = sqrt(max(b1, s - b2)^2 + d) and
+    c2 = sqrt((b2 + s)^2 + d), at every width.
     """
     if norm.kind == "euclidean":
         return 1.0, 1.0
@@ -429,11 +454,9 @@ def sandwich_bounds(norm: NormDescriptor) -> tuple[float, float]:
         t = norm.dim ** (1.0 / norm.p - 0.5)
         return min(1.0, t), max(1.0, t)
     b1, b2 = sandwich_bounds(norm.base)
-    slack = b2 * norm.mollifier_width / _HOMOG_RADIUS
-    lo = max(0.0, b1 - slack)
-    hi = b2 + slack
-    return (math.sqrt(lo**2 + norm.delta_reg),
-            math.sqrt(hi**2 + norm.delta_reg))
+    s = norm._node_mean  # type: ignore[attr-defined]
+    return (math.sqrt(max(b1, s - b2) ** 2 + norm.delta_reg),
+            math.sqrt((b2 + s) ** 2 + norm.delta_reg))
 
 
 # ---------------------------------------------------------------------------
@@ -478,26 +501,25 @@ class ModulusCurve:
     """The modulus of convexity delta(eps) as an evaluable curve.
 
     ``source`` records provenance: "analytic" for closed forms or
-    "numeric_lower_estimate" for grid estimates (kept monotone, linearly
-    interpolated, delta(0) = 0 by continuity). Despite that name, a numeric
-    curve is an *upper* estimate of delta: the search behind it returns the
-    smallest value it found, never less than the infimum. A waist bound
-    built on it therefore leans non-conservative. The source string keeps its
-    historical name for the callers that match on it.
+    "numeric_search" for grid estimates (kept monotone, linearly
+    interpolated, delta(0) = 0 by continuity). A numeric curve is an
+    *upper* estimate of delta: the search behind it returns the smallest
+    value it found, never less than the infimum. A waist bound built on it
+    therefore leans non-conservative.
     """
 
-    source: str  # "analytic" | "numeric_lower_estimate"
+    source: str  # "analytic" | "numeric_search"
     label: str
     fn: Optional[Callable] = None
     grid: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.source not in ("analytic", "numeric_lower_estimate"):
+        if self.source not in ("analytic", "numeric_search"):
             raise ValueError(f"unknown modulus source {self.source!r}")
         if self.source == "analytic" and self.fn is None:
             raise ValueError("analytic curve requires fn")
-        if self.source == "numeric_lower_estimate":
+        if self.source == "numeric_search":
             if self.grid is None or self.values is None:
                 raise ValueError("numeric curve requires grid and values")
             object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
@@ -694,7 +716,7 @@ def numeric_modulus_curve(
     eps_grid = np.asarray(eps_grid, dtype=float)
     vals = _numeric_modulus(norm, eps_grid, budget, seed)
     return ModulusCurve(
-        source="numeric_lower_estimate",
+        source="numeric_search",
         label=f"numeric({format_norm(norm)})",
         grid=eps_grid,
         values=vals,

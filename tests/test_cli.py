@@ -51,10 +51,9 @@ def test_bad_norm_string_exits_2_with_one_line(norm, message, capsys):
 
 @pytest.mark.parametrize("command", ["bound", "verify-waist", "verify-iso"])
 @pytest.mark.parametrize("norm, message", [
-    ("reg:lp:1.5:3:w=10:d=0", "so that c1 > 0"),
-    ("reg:lp:1.5:3:w=9.99:d=0", "so that c1 > 0"),
     ("reg:lp:1.5:3:w=nan:d=0.01", "finite w >= 0 and d >= 0"),
     ("reg:lp:1.5:3:w=inf:d=0.01", "finite w >= 0 and d >= 0"),
+    ("reg:lp:1.5:4:w=1e80:d=0", "with w <= 1e+75"),
     ("reg:lp:1.5:3:w=0.05:d=nan", "finite w >= 0 and d >= 0"),
 ])
 def test_regularized_norm_outside_its_domain_exits_2(command, norm, message,
@@ -275,6 +274,18 @@ def test_verify_iso_empty_cloud_exits_2(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify-waist", "verify-iso"])
+@pytest.mark.parametrize("width", ["8.3", "1000"])
+def test_regularized_norm_at_wide_widths_passes(command, width, capsys):
+    # The rejection sampler draws in the Euclidean ball of radius 1/c1; a
+    # c1 far below the norm left it keeping almost no draw.
+    rc = main([command, "--norm", f"reg:lp:1.5:3:w={width}:d=0.01", "--k",
+               "1", "--eps", "0.5", "--z-grid", "-0.4:0.4:0.4", "--samples",
+               "500", "--fiber-points", "100", "--budget", "3000"])
+    assert rc == 0
+    assert capsys.readouterr().err.startswith("PASS")
+
+
 def test_verify_iso_runs_at_nearby_seeds_share_no_batch(monkeypatch):
     def batch_seeds(seed):
         seeds = []
@@ -376,6 +387,17 @@ def test_needle_suite_largest_n_passes(capsys):
     assert main(["needle-suite", "--n", "169", "--trials", "200",
                  "--seed", "1"]) == 0
     assert capsys.readouterr().err.startswith("PASS")
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "0.001"),
+                                         ("--eps-grid", "0.005:0.1:0.005")])
+def test_needle_suite_eps_below_its_grid_exits_2(flag, value, capsys):
+    # below a few grid spacings the grid checks fail on correct needles
+    rc = main(["needle-suite", flag, value, "--trials", "64", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "needle-suite requires eps >= 0.00938416" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag, value", [("--norm", "lp:4:3"), ("--k", "2")])
@@ -800,7 +822,7 @@ _REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
      "dc747d8cb5b4c1ad18b5999f30dd5a65f6a53117b7caf1165378a8ac1ccf7079"),
     (dict(command="verify-waist", norm=_REG, eps=0.5, z_grid="-0.4:0.4:0.4",
           seed=4, **_REG_BUDGETS), "json",
-     "8b493ccd70f5b2648524959d808c70512c2eac36b36e3e799aa17d92393b08fc"),
+     "b966415f2783bd3939e485917c74e4a921736c3b34b39452c8d1ec8f2ddc6dd5"),
     (dict(command="verify-iso", norm="euclidean:3", eps=0.5, samples=2000,
           seed=5), "json",
      "3360885f8e4efcc73fc4b19c85609b40e4bcfe18890274ca760e23b5680bee4b"),
@@ -809,7 +831,7 @@ _REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
      "710cba6f2f4c01878c89eba2754e74cd1e7f24757356d9db63f94a9be97292ff"),
     (dict(command="verify-iso", norm=_REG, eps=0.5, seed=7, **_REG_BUDGETS),
      "json",
-     "2867f18423154a0ef91b85059ef19c003544631dd9ba5cddbbea1298ece8d63e"),
+     "765f9740979f888b1dc9bd323db06198b475c401a88a36e03334cb478245e8fa"),
     (dict(command="needle-suite", trials=100, seed=8), "json",
      "8717898580f55a629e9b1c9fd43bfc3b82783f2f84c4b3a63886ff627c23e66d"),
 ], ids=["bound", "compare-lp", "compare-csv", "compare-reg", "modulus-json", "modulus-csv",

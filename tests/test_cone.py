@@ -16,7 +16,6 @@ from waistlab.cone import (
     fiber_distance_method,
     fiber_points,
     min_norm_distance,
-    neighborhood_measure,
     rng_stream,
     sample_conical,
     set_measure,
@@ -32,6 +31,7 @@ from waistlab.norms import (
 E3 = euclidean_norm(3)
 E4 = euclidean_norm(4)
 L43 = lp_norm(4, 3)
+REG3 = smooth_norm(lp_norm(1.5, 3), 0.05, 0.01)
 LAST_COORD = np.array([[0.0, 0.0, 1.0]])
 LAST_TWO = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
@@ -70,6 +70,9 @@ def test_regularized_norm_falls_back_to_rejection():
     # sign symmetry of the norm carries over to the cone measure
     est = set_measure(batch, lambda pts: pts[:, 0] > 0)
     assert abs(est.mean - 0.5) <= 3.5 * est.std_error
+    # no generator samples it exactly, so asking for one is an error
+    with pytest.raises(ValueError, match="euclidean and l_p norms only"):
+        sample_conical(norm, 10, seed=6, method="direct")
 
 
 def test_hemisphere_symmetry():
@@ -526,39 +529,6 @@ def test_best_fiber_skips_empty_fibers():
         best_fiber(E3, LAST_COORD, 0.5, [np.array([1.5])], 1_000, 100, seed=39)
 
 
-def test_neighborhood_measure_whole_sphere():
-    est = neighborhood_measure(E3, lambda pts: np.ones(len(pts), dtype=bool),
-                               0.3, 20_000, 2_000, seed=41)
-    assert est.mean == 1.0
-
-
-def test_neighborhood_measure_hemisphere_band_oracle():
-    est = neighborhood_measure(E3, lambda pts: pts[:, 2] >= 0.0, 0.5,
-                               200_000, 20_000, seed=42)
-    expected = (1.0 + _band_measure(0.5)) / 2.0
-    assert abs(est.mean - expected) <= 3.0 * est.std_error + 5e-4
-
-
-def test_neighborhood_contains_the_set_itself():
-    ind = lambda pts: pts[:, 2] >= 0.6
-    est = neighborhood_measure(E3, ind, 0.2, 100_000, 5_000, seed=43)
-    base = set_measure(sample_conical(E3, 100_000, seed=44), ind)
-    assert est.mean >= base.mean - 3.0 * math.hypot(est.std_error, base.std_error)
-
-
-def test_neighborhood_empty_set_error():
-    with pytest.raises(EmptySetError):
-        neighborhood_measure(E3, lambda pts: np.zeros(len(pts), dtype=bool),
-                             0.3, 5_000, 500, seed=45)
-
-
-def test_neighborhood_measure_deterministic():
-    ind = lambda pts: pts[:, 2] >= 0.0
-    a = neighborhood_measure(E3, ind, 0.4, 30_000, 3_000, seed=46)
-    b = neighborhood_measure(E3, ind, 0.4, 30_000, 3_000, seed=46)
-    assert a == b
-
-
 def _cap_distance(norm, tau, points):
     return _exact_distance(norm, LAST_COORD, [tau])(points)
 
@@ -652,16 +622,40 @@ def test_cap_neighborhood_measure_contract():
     est_a, est_ac = cap_neighborhood_measure(L43, LAST_COORD, 0.0, 2.0,
                                              1_000, 100, seed=76)
     assert est_a.mean == est_ac.mean == 1.0
-    # a regularized norm has no closed-form cap distance: each set takes
-    # neighborhood_measure, A at the seed path (seed, 1) and its complement
-    # at (seed, 2)
-    reg = smooth_norm(lp_norm(1.5, 3), 0.05, 0.01)
-    tau, eps, seed = 0.1, 0.5, 76
-    got = cap_neighborhood_measure(reg, LAST_COORD, tau, eps, 600, 150, seed)
-    want = (
-        neighborhood_measure(reg, lambda pts: pts[:, -1] >= tau, eps, 600,
-                             150, derive_seed(seed, 1)),
-        neighborhood_measure(reg, lambda pts: pts[:, -1] < tau, eps, 600,
-                             150, derive_seed(seed, 2)),
-    )
-    assert [e.to_dict() for e in got] == [e.to_dict() for e in want]
+    # a regularized norm takes the same path, with a fiber cloud
+    with pytest.raises(EmptySetError):
+        one_point(REG3)
+
+
+def test_cap_neighborhood_contains_the_cap_itself():
+    tau = 0.6
+    est_a, est_ac = cap_neighborhood_measure(REG3, LAST_COORD, tau, 0.2,
+                                             20_000, 500, seed=43)
+    cap = set_measure(sample_conical(REG3, 20_000, seed=44),
+                      lambda pts: pts[:, -1] >= tau)
+    sigma = math.hypot(est_a.std_error, cap.std_error)
+    assert est_a.mean >= cap.mean - 3.0 * sigma
+    assert est_ac.mean >= 1.0 - cap.mean - 3.0 * sigma
+
+
+def test_cap_neighborhood_measure_deterministic():
+    a = cap_neighborhood_measure(REG3, LAST_COORD, 0.0, 0.4, 3_000, 300,
+                                 seed=46)
+    b = cap_neighborhood_measure(REG3, LAST_COORD, 0.0, 0.4, 3_000, 300,
+                                 seed=46)
+    assert a == b
+
+
+def test_larger_fiber_budget_never_lowers_the_cap_estimates():
+    # the cloud of a larger budget extends the smaller one, so no distance
+    # grows and no estimate falls: the cloud estimate is conservative
+    tau = 0.2
+    small = fiber_points(REG3, LAST_COORD, [tau], 300, seed=47)
+    large = fiber_points(REG3, LAST_COORD, [tau], 3_000, seed=47)
+    assert np.array_equal(small, large[:300])
+    for seed in (1, 2, 3):
+        lo = cap_neighborhood_measure(REG3, LAST_COORD, tau, 0.3, 2_000,
+                                      300, seed)
+        hi = cap_neighborhood_measure(REG3, LAST_COORD, tau, 0.3, 2_000,
+                                      3_000, seed)
+        assert hi[0].mean >= lo[0].mean and hi[1].mean >= lo[1].mean

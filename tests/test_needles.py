@@ -226,6 +226,7 @@ def test_needle_suite_report_shape():
     dict(n_range=(1, 8)), dict(n_range=(5, 4)), dict(n_range=(2, 170)),
     dict(n_range=(600, 600)), dict(eps_choices=(0.0,)),
     dict(eps_choices=(0.3, 2.5)), dict(eps_choices=()),
+    dict(eps_choices=(0.3, 9e-3)),
 ], ids=str)
 def test_needle_suite_checks_its_domain(kwargs):
     with pytest.raises(ValueError, match="n_range|eps"):
@@ -251,17 +252,23 @@ def test_needle_suite_at_the_largest_n(seed):
     assert [r["violations"] for r in reports] == [0, 0, 0, 0]
 
 
+def _tiny_eps_block(eps, count):
+    """The suite's checks on its first ``count`` trials at seed 1, at an eps
+    below the suite's SUITE_MIN_EPS, which needle_suite rejects."""
+    def terms(n, e):
+        return needles._needle_bounds(n, 1, e, MOD, "pi")
+
+    return needles._suite_block(rng_stream(1, 0), count, (2, 8), (eps,),
+                                terms)
+
+
 @pytest.mark.parametrize("eps", [1e-308, 1e-310, 5e-324])
 def test_vacuous_ratio_bound_has_margin_inf(eps):
     # the near sine mass underflows, so the ratio bound is inf; where the
     # ratio overflows too, the margin is inf, not inf - inf
-    def terms(n, e):
-        return needles._needle_bounds(n, 1, e, MOD, "pi")
-
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        block = needles._suite_block(rng_stream(1, 0), 64, (2, 8), (eps,),
-                                     terms)
+        block = _tiny_eps_block(eps, 64)
     for bad, margin in block.values():
         assert not bad.any()
         assert margin is None or not np.isnan(margin).any()
@@ -536,17 +543,16 @@ def test_arc_density_evaluates_its_section_norm_once(monkeypatch, norm):
         grid, np.sin(grid) ** 2, made[0].cone_weight))
 
 
-def test_needle_suite_ball_mass_survives_tiny_eps():
+def test_suite_block_ball_mass_survives_tiny_eps():
     # the leave crossing weight s1 / (s1 - s0) keeps the ball mass positive
     # where 1 - t would round to 0 and give margins of -inf
-    reports = needle_suite(640, seed=1, eps_choices=(1e-120,))
-    assert [r["violations"] for r in reports] == [0, 0, 0, 0]
-    assert all(r["worst_margin"] is None or r["worst_margin"] > 0
-               for r in reports)
+    for bad, margin in _tiny_eps_block(1e-120, 640).values():
+        assert not bad.any()
+        assert margin is None or np.min(margin) > 0
 
 
 @pytest.mark.parametrize("eps", [1e-300, 1e-310])
-def test_needle_suite_tiny_eps_raises_no_warning(eps):
+def test_suite_block_tiny_eps_raises_no_warning(eps):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        needle_suite(64, seed=1, eps_choices=(eps,))
+        _tiny_eps_block(eps, 64)
