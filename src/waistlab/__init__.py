@@ -7,11 +7,12 @@ __version__ = "0.1.0"
 from .norms import (  # noqa: F401
     ModulusCurve,
     NormDescriptor,
+    analytic_modulus_curve,
     euclidean_norm,
     format_norm,
     lp_norm,
-    modulus_of_convexity,
     norm_eval,
+    numeric_modulus,
     parse_norm,
     radial_project,
     smooth_norm,

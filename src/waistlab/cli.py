@@ -39,14 +39,7 @@ from .cone import (
     sample_conical,
 )
 from .needles import SUITE_MAX_N, SUITE_MIN_EPS, needle_suite
-from .norms import (
-    NormDescriptor,
-    _numeric_modulus,
-    analytic_modulus_curve,
-    modulus_of_convexity,
-    numeric_modulus_curve,
-    parse_norm,
-)
+from .norms import analytic_modulus_curve, numeric_modulus, parse_norm
 
 __all__ = ["ExperimentConfig", "Report", "ConfigError", "run_experiment",
            "emit_report", "main", "console_entry"]
@@ -167,11 +160,6 @@ class ExperimentConfig:
         if self.method not in ("auto", "analytic", "numeric"):
             raise ConfigError(
                 f"method must be auto, analytic or numeric, got {self.method}")
-        if self.command == "modulus" and self.method == "analytic" and \
-                not descriptor.has_analytic_modulus:
-            raise ConfigError(
-                f"{self.norm} has no closed-form modulus; use --method "
-                "numeric or auto")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format}")
         if self.format == "csv" and self.command not in ("compare", "modulus"):
@@ -235,23 +223,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.arange(lo, hi + step / 2.0, step)
 
 
-def _modulus_for(norm: NormDescriptor, budget: int, seed: int,
-                 eps_max: float):
-    """Modulus curve for a run whose largest eps is ``eps_max``."""
-    if norm.has_analytic_modulus:
-        return analytic_modulus_curve(norm)
-    # The bounds read the curve at or below eps_max / 2: the waist bound at
-    # eps/2, Gromov-Milman at eps/8 - theta_n, the log-log slope at
-    # r/2 <= 5e-3. Each grid value depends on its own eps alone (every point
-    # reuses the seed), and the curve interpolates a running maximum, so a
-    # reading at x <= grid[j] depends on values[:j + 1] only. The prefix that
-    # ends at the first point >= eps_max / 2 (at most 1.0, the fifth point,
-    # as eps <= 2) therefore gives the same bits as the whole grid.
-    grid = np.linspace(0.2, 1.8, 9)
-    grid = grid[: np.searchsorted(grid, eps_max / 2.0) + 1]
-    return numeric_modulus_curve(norm, eps_grid=grid, budget=budget, seed=seed)
-
-
 def _eps_values(cfg: ExperimentConfig) -> list[float]:
     """The eps values of a run: --eps, else the points of --eps-grid."""
     if cfg.eps is not None:
@@ -281,7 +252,7 @@ def _run_bound(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
     eps_values = _eps_values(cfg)
-    modulus = _modulus_for(norm, cfg.budget, cfg.seed, max(eps_values))
+    modulus = analytic_modulus_curve(norm)
     entries = []
     for eps in eps_values:
         w = waist_lower_bound(BoundInputs(n=n, k=cfg.k, eps=eps,
@@ -300,14 +271,15 @@ def _run_modulus(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     eps_values = _eps_values(cfg)
     # One section search covers the whole grid; each value equals the
-    # search at its eps alone (modulus_of_convexity with method="numeric").
-    numeric = (_numeric_modulus(norm, eps_values, cfg.budget, cfg.seed)
+    # search at its eps alone.
+    numeric = (numeric_modulus(norm, eps_values, cfg.budget, cfg.seed)
                if cfg.method in ("auto", "numeric") else None)
+    analytic = analytic_modulus_curve(norm)
     rows = []
     for i, eps in enumerate(eps_values):
         row = {"eps": eps}
-        if cfg.method in ("auto", "analytic") and norm.has_analytic_modulus:
-            row["analytic"] = modulus_of_convexity(norm, eps, method="analytic")
+        if cfg.method in ("auto", "analytic"):
+            row["analytic"] = analytic(eps)
         if numeric is not None:
             row["numeric"] = float(numeric[i])
         rows.append(row)
@@ -318,7 +290,7 @@ def _run_modulus(cfg: ExperimentConfig) -> Report:
 def _run_verify_waist(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
-    modulus = _modulus_for(norm, cfg.budget, cfg.seed, cfg.eps)
+    modulus = analytic_modulus_curve(norm)
     bound = waist_lower_bound(BoundInputs(n=n, k=cfg.k, eps=cfg.eps,
                                           modulus=modulus, f_upper=cfg.f_upper))
     f = _coordinate_projection(norm.dim, cfg.k)
@@ -350,7 +322,7 @@ def _run_verify_waist(cfg: ExperimentConfig) -> Report:
 def _run_verify_iso(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
-    modulus = _modulus_for(norm, cfg.budget, cfg.seed, cfg.eps)
+    modulus = analytic_modulus_curve(norm)
     bound = waist_lower_bound(BoundInputs(n=n, k=1, eps=cfg.eps,
                                           modulus=modulus, f_upper=cfg.f_upper))
     # Cap through a threshold on the last coordinate, calibrated so the cap
@@ -399,7 +371,7 @@ def _run_compare(cfg: ExperimentConfig) -> Report:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
     eps_values = _eps_values(cfg)
-    modulus = _modulus_for(norm, cfg.budget, cfg.seed, max(eps_values))
+    modulus = analytic_modulus_curve(norm)
     rows = bound_table(n, cfg.k, eps_values, modulus, f_upper=cfg.f_upper)
     slopes = {}
     for l, k in ((1, 2), (1, 3), (2, 3)):

@@ -241,9 +241,10 @@ def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarra
     """Points y with ||y|| = 1 and f y = z (exactly, up to 1e-10 on the norm).
 
     Takes the minimal-Euclidean-norm solution x0 of f x = z, draws random
-    kernel directions v, and solves ||x0 + t v|| = 1 for t > 0 by bisection;
-    the root is unique because t -> ||x0 + t v|| is convex with value < 1
-    at t = 0.
+    unit kernel directions v, and solves ||x0 + t v|| = 1 for t > 0 by
+    bisection on [0, 1/c1]; the root is unique because t -> ||x0 + t v|| is
+    convex with value < 1 at t = 0, and it lies in that bracket because x0
+    is orthogonal to the kernel, so ||x0 + t v|| >= c1 |x0 + t v|_2 >= c1 t.
     """
     x0, kernel = _fiber_frame(norm, f, z)
     rng = rng_stream(seed, 0)
@@ -251,12 +252,7 @@ def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarra
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     v = dirs @ kernel.T
     lo = np.zeros(count)
-    hi = np.ones(count)
-    for _ in range(64):
-        outside = np.asarray(norm_eval(norm, x0 + hi[:, None] * v)) < 1.0
-        if not np.any(outside):
-            break
-        hi[outside] *= 2.0
+    hi = np.full(count, 1.0 / sandwich_bounds(norm)[0])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         inside = np.asarray(norm_eval(norm, x0 + mid[:, None] * v)) < 1.0
@@ -363,24 +359,17 @@ def _fiber_distance(norm: NormDescriptor, f, z, eps: float,
 def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
                       cloud: np.ndarray,
                       upper: Optional[float] = None) -> np.ndarray:
-    """Norm distance from each point to the nearest cloud point.
-
-    Norms with a ``minkowski_p`` (euclidean, lp): a single Minkowski
-    KD-tree query. Other kinds: Euclidean KD prefilter with sandwich
-    constants, exact norm distances only to the candidates the sandwich
-    bound cannot rule out. ``upper`` prunes the search: entries whose distance
-    exceeds it are reported as inf (much faster when only a threshold test
-    is needed).
+    """Norm distance from each point to the nearest cloud point, for every
+    norm kind: a Euclidean KD prefilter with the sandwich constant c1, and
+    exact norm distances only to the candidates the sandwich bound cannot
+    rule out. ``upper`` prunes the search: entries whose distance exceeds it
+    are reported as inf (much faster when only a threshold test is needed).
     """
     # Only the cloud paths reach the KD tree; importing it here keeps
     # scipy.spatial out of every run that measures distances exactly.
     from scipy.spatial import cKDTree
 
     bound = math.inf if upper is None else float(upper)
-    if norm.minkowski_p is not None:
-        dist, _ = cKDTree(cloud).query(points, k=1, p=norm.minkowski_p,
-                                       distance_upper_bound=bound)
-        return np.asarray(dist)
     c1, _ = sandwich_bounds(norm)
     tree = cKDTree(cloud)
     # Enough neighbours that few rows reach the per-row ball query below;
@@ -417,7 +406,7 @@ def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
             di = norm_eval(norm, points[i][None, :] - cloud[cand])
             out[i] = min(out[i], float(np.min(di)))
     # A row whose nearest candidate lies beyond ``upper`` keeps that finite
-    # distance above; report it as inf, like the Minkowski query does.
+    # distance above; report it as inf.
     out[out > bound] = np.inf
     return out
 

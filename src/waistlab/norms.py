@@ -1,9 +1,10 @@
 """Uniformly convex norms on finite-dimensional spaces.
 
 Provides norm descriptors (Euclidean, l_p, regularized/smoothed variants),
-norm evaluation, moduli of convexity (closed forms plus a numeric estimator
-over 2-D sections), radial projection, Euclidean sandwich constants, and
-the seeded random streams every estimator draws from.
+norm evaluation, moduli of convexity (a closed form or certified floor for
+every norm kind, plus a numeric search over 2-D sections), radial
+projection, Euclidean sandwich constants, and the seeded random streams
+every estimator draws from.
 
 All objects are immutable after construction and every operation is a pure
 function, so everything here is safe to call from concurrent workers.
@@ -39,8 +40,7 @@ __all__ = [
     "euclidean_modulus_curve",
     "lp_modulus_curve",
     "analytic_modulus_curve",
-    "modulus_of_convexity",
-    "numeric_modulus_curve",
+    "numeric_modulus",
     "smooth_norm",
 ]
 
@@ -78,6 +78,9 @@ _HOMOG_RADIUS = 10.0
 # Widest mollifier: the quadrature's weights are products of dim <= 4
 # factors of about 0.36 w, which overflow from about w = 1e77.
 _MAX_WIDTH = 1e75
+# Largest d: norm_eval's rescaled rows have |x / m|_2^2 up to dim <= 4, so
+# d |x / m|_2^2 stays finite.
+_MAX_DELTA = 1e300
 # Doubles in one block of the mollified-norm kernel (256 KiB).
 _BLOCK_ELEMENTS = 2**15
 
@@ -114,10 +117,11 @@ class NormDescriptor:
             if self.base.dim != self.dim:
                 raise DimensionMismatchError("base norm dimension mismatch")
             w, d = self.mollifier_width, self.delta_reg
-            if not (0.0 <= w <= _MAX_WIDTH and 0.0 <= d < math.inf):
+            if not (0.0 <= w <= _MAX_WIDTH and 0.0 <= d <= _MAX_DELTA):
                 raise ValueError(
                     f"regularized norm requires finite w >= 0 and d >= 0, "
-                    f"with w <= {_MAX_WIDTH:g}, got w={w}, d={d}"
+                    f"with w <= {_MAX_WIDTH:g} and d <= {_MAX_DELTA:g}, got "
+                    f"w={w}, d={d}"
                 )
             offsets, weights = _ball_quadrature(self.dim, w)
             object.__setattr__(self, "_quad", (offsets, weights))
@@ -144,12 +148,6 @@ class NormDescriptor:
         if self.kind == "euclidean":
             return 2.0
         return self.p if self.kind == "lp" else None
-
-    @property
-    def has_analytic_modulus(self) -> bool:
-        """Whether the modulus of convexity has a closed form: euclidean and
-        l_p norms. Regularized norms take the numeric estimate."""
-        return self.kind in ("euclidean", "lp")
 
     def __str__(self) -> str:
         return format_norm(self)
@@ -187,9 +185,9 @@ def parse_norm(text: str) -> NormDescriptor:
 
     Any string not of that form raises ``ValueError("malformed norm
     string ...")``. A well-formed string naming an unsupported norm keeps its
-    own message: p outside (1, inf), w outside [0, 1e75], d not finite and
-    >= 0, or smoothing above dim 4 (:class:`UnsupportedNormError`). Every
-    other w and d gives a norm.
+    own message: p outside (1, inf), w outside [0, 1e75], d outside
+    [0, 1e300], or smoothing above dim 4 (:class:`UnsupportedNormError`).
+    Every other w and d gives a norm.
     """
     parts = text.strip().split(":")
     try:
@@ -498,102 +496,70 @@ def lp_modulus(p: float, eps) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class ModulusCurve:
-    """The modulus of convexity delta(eps) as an evaluable curve.
+    """A lower bound on the modulus of convexity delta(eps) as an evaluable
+    curve: ``fn`` at eps > 0, and 0 at eps <= 0.
 
-    ``source`` records provenance: "analytic" for closed forms or
-    "numeric_search" for grid estimates (kept monotone, linearly
-    interpolated, delta(0) = 0 by continuity). A numeric curve is an
-    *upper* estimate of delta: the search behind it returns the smallest
-    value it found, never less than the infimum. A waist bound built on it
-    therefore leans non-conservative.
+    Every bound reads delta through such a curve, so each curve must never
+    exceed the true modulus. :func:`analytic_modulus_curve` gives one for
+    every norm kind: the closed forms of euclidean and l_p norms, and on a
+    regularized norm sqrt(M^2 + d |x|_2^2) the certified floor
+    euclidean_modulus(eps sqrt(d) / c2) derived there.
     """
 
-    source: str  # "analytic" | "numeric_search"
     label: str
-    fn: Optional[Callable] = None
-    grid: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.source not in ("analytic", "numeric_search"):
-            raise ValueError(f"unknown modulus source {self.source!r}")
-        if self.source == "analytic" and self.fn is None:
-            raise ValueError("analytic curve requires fn")
-        if self.source == "numeric_search":
-            if self.grid is None or self.values is None:
-                raise ValueError("numeric curve requires grid and values")
-            object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
-            # Search noise can produce tiny dips; the curve contract is
-            # nondecreasing, so take the running maximum.
-            vals = np.maximum.accumulate(np.asarray(self.values, dtype=float))
-            object.__setattr__(self, "values", vals)
-            # Interpolation knots with delta(0) = 0 prepended.
-            object.__setattr__(self, "_knots", np.concatenate([[0.0], self.grid]))
-            object.__setattr__(self, "_levels", np.concatenate([[0.0], vals]))
+    fn: Callable
 
     def __call__(self, eps) -> np.ndarray | float:
         if isinstance(eps, (int, float)):
             # Scalar fast path: the bits of the array path below, as a
             # Python float, without building 0-d arrays.
-            if self.fn is not None:
-                return 0.0 if eps <= 0 else float(self.fn(float(eps)))
-            return float(np.interp(eps, self._knots, self._levels))
+            return 0.0 if eps <= 0 else float(self.fn(float(eps)))
         eps = np.asarray(eps, dtype=float)
-        if self.fn is not None:
-            out = np.where(eps <= 0, 0.0, self.fn(eps))
-        else:
-            out = np.interp(eps, self._knots, self._levels)
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(np.where(eps <= 0, 0.0, self.fn(eps)), dtype=float)
         return float(out) if out.ndim == 0 else out
 
 
 def euclidean_modulus_curve() -> ModulusCurve:
-    return ModulusCurve(source="analytic", label="euclidean", fn=euclidean_modulus)
+    return ModulusCurve(label="euclidean", fn=euclidean_modulus)
 
 
 def lp_modulus_curve(p: float) -> ModulusCurve:
-    return ModulusCurve(
-        source="analytic", label=f"lp({_fmt_num(p)})", fn=lambda e: lp_modulus(p, e)
-    )
+    return ModulusCurve(label=f"lp({_fmt_num(p)})",
+                        fn=lambda e: lp_modulus(p, e))
 
 
 def analytic_modulus_curve(norm: NormDescriptor) -> ModulusCurve:
-    """Closed-form curve for the norms ``has_analytic_modulus`` names."""
-    if not norm.has_analytic_modulus:
-        raise UnsupportedNormError(
-            "no analytic modulus for regularized norms; use method='numeric'"
-        )
+    """A closed-form lower bound on the modulus of every norm kind.
+
+    Euclidean and l_p norms take :func:`euclidean_modulus_curve` and
+    :func:`lp_modulus_curve`.
+
+    A regularized norm N(x)^2 = M(x)^2 + d |x|_2^2, with M the mollified
+    base, takes a certified floor. It rests on the convexity of M, which N
+    needs to be a norm at all and which the fiber bisection and the cap
+    argument of ``cone`` rest on too (the test suite checks it on random
+    sections). For unit x and y,
+    M((x+y)/2)^2 <= ((M(x) + M(y))/2)^2 <= (M(x)^2 + M(y)^2)/2, and the
+    parallelogram law gives
+    |(x+y)/2|_2^2 = (|x|_2^2 + |y|_2^2)/2 - |x-y|_2^2/4. Summing,
+    N((x+y)/2)^2 <= 1 - d |x-y|_2^2/4. As
+    N(x-y) <= c2 |x-y|_2 (``sandwich_bounds``), N(x-y) >= eps forces
+    |x-y|_2 >= eps/c2, so
+
+        delta_N(eps) >= 1 - sqrt(1 - d eps^2 / (4 c2^2))
+                      = euclidean_modulus(eps sqrt(d) / c2).
+
+    At d = 0 the floor is 0, a valid but weaker input to every bound, since
+    the bounds only grow with delta. The floor lies below what
+    :func:`numeric_modulus` finds, which is an upper estimate.
+    """
     if norm.is_round:
         return euclidean_modulus_curve()
-    return lp_modulus_curve(norm.p)
-
-
-def modulus_of_convexity(
-    norm: NormDescriptor,
-    eps: float,
-    method: str = "auto",
-    budget: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Modulus of convexity delta(eps) = inf 1 - ||x+y||/2 over unit x, y
-    with ||x-y|| >= eps.
-
-    ``analytic`` uses the closed forms above; ``numeric`` searches random
-    2-D sections (plus all coordinate-pair sections) with a chord-matching
-    bisection and golden-section refinement, returning the smallest value
-    found (an upper estimate of the infimum). delta(0) = 0 by continuity.
-    """
-    if eps < 0 or eps > 2:
-        raise ValueError(f"eps must lie in (0, 2], got {eps}")
-    if eps == 0:
-        return 0.0
-    if method == "auto":
-        method = "analytic" if norm.has_analytic_modulus else "numeric"
-    if method == "analytic":
-        return float(analytic_modulus_curve(norm)(eps))
-    if method != "numeric":
-        raise ValueError(f"unknown method {method!r}")
-    return float(_numeric_modulus(norm, [eps], budget, seed)[0])
+    if norm.kind == "lp":
+        return lp_modulus_curve(norm.p)
+    scale = math.sqrt(norm.delta_reg) / sandwich_bounds(norm)[1]
+    return ModulusCurve(label=f"certified({format_norm(norm)})",
+                        fn=lambda e: euclidean_modulus(e * scale))
 
 
 def _section_units(norm, u, v, theta):
@@ -622,16 +588,25 @@ def _section_objective(norm, u, v, theta1, eps):
     return np.asarray(norm_eval(norm, x1 + y)) * -0.5 + 1.0
 
 
-def _numeric_modulus(norm, eps, budget, seed) -> np.ndarray:
-    """Section-search estimates of delta at every value of ``eps`` (1-D),
-    in one lane set.
+def numeric_modulus(norm: NormDescriptor, eps, budget: int = 100_000,
+                    seed: int = 0) -> np.ndarray | float:
+    """Section-search estimate of delta(eps) = inf 1 - ||x+y||/2 over unit
+    x, y with ||x-y|| >= eps, at one eps in [0, 2] or at every value of a
+    1-D array of them. A diagnostic: no bound reads it.
+
+    It searches all coordinate-pair sections and random 2-D sections with a
+    chord-matching bisection and golden-section refinement, and returns the
+    smallest value found, an upper estimate of the infimum.
 
     Every eps searches the same sections from the same starts (one seed),
     each lane carrying its own eps, and the golden-section refinement
     advances all lanes together. As ``norm_eval`` gives each row the bits
     it has alone, each value equals a search at that eps on its own.
     """
-    eps = np.asarray(eps, dtype=float)
+    scalar = np.ndim(eps) == 0
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    if not np.all((eps >= 0.0) & (eps <= 2.0)):
+        raise ValueError(f"eps must lie in [0, 2], got {eps}")
     rng = rng_stream(seed)
     dim = norm.dim
     n_random = int(np.clip(budget // 3000, 4, 64))
@@ -695,32 +670,8 @@ def _numeric_modulus(norm, eps, budget, seed) -> np.ndarray:
         d = np.where(left, carry_pt, probe)
         fd = np.where(left, carry_f, f_probe)
     refined = np.minimum(fc, fd).reshape(n_eps, -1).min(axis=1)
-    return np.minimum(best, refined)
-
-
-def numeric_modulus_curve(
-    norm: NormDescriptor,
-    eps_grid=None,
-    budget: int = 100_000,
-    seed: int = 0,
-) -> ModulusCurve:
-    """Estimate the modulus on a grid and wrap it as a monotone curve.
-
-    Each grid value is the smallest 1 - ||x+y||/2 the section search found,
-    an upper estimate of delta(eps); bounds computed from the curve can come
-    out slightly too high (non-conservative). One batched search covers the
-    whole grid, and each value equals a search at its eps alone.
-    """
-    if eps_grid is None:
-        eps_grid = np.linspace(0.1, 1.9, 19)
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    vals = _numeric_modulus(norm, eps_grid, budget, seed)
-    return ModulusCurve(
-        source="numeric_search",
-        label=f"numeric({format_norm(norm)})",
-        grid=eps_grid,
-        values=vals,
-    )
+    out = np.minimum(best, refined)
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

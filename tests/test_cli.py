@@ -10,7 +10,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,6 @@ from waistlab.cli import (
     ConfigError,
     ExperimentConfig,
     _build_parser,
-    _modulus_for,
     _parse_grid,
     _z_product_grid,
     emit_report,
@@ -55,6 +53,7 @@ def test_bad_norm_string_exits_2_with_one_line(norm, message, capsys):
     ("reg:lp:1.5:3:w=inf:d=0.01", "finite w >= 0 and d >= 0"),
     ("reg:lp:1.5:4:w=1e80:d=0", "with w <= 1e+75"),
     ("reg:lp:1.5:3:w=0.05:d=nan", "finite w >= 0 and d >= 0"),
+    ("reg:lp:1.5:3:w=0.05:d=1e308", "and d <= 1e+300"),
 ])
 def test_regularized_norm_outside_its_domain_exits_2(command, norm, message,
                                                       capsys):
@@ -551,54 +550,6 @@ def test_from_dict_validate_raises_only_config_error(data):
         assert "\n" not in str(exc)
 
 
-# Readings of the modulus curve that the bounds take: the waist bound at
-# eps/2 and the Gromov-Milman bound at eps/8 - theta_n.
-_FULL_GRID = np.linspace(0.2, 1.8, 9)
-_PREFIX_EPS = sorted({*_parse_grid("0.05:2.0:0.05"), 0.4, 0.8, 1.2, 1.6, 2.0,
-                      *(2.0 * _FULL_GRID[:5])})
-
-
-def _readings(curve, eps):
-    xs = [eps / 2.0]
-    for n in (2, 3, 10, 1000):
-        theta = 1.0 - 0.5 ** (1.0 / (n - 1.0))
-        xs.append(max(0.0, eps / 8.0 - theta))
-    return [curve(x) for x in xs]
-
-
-def test_modulus_prefix_matches_full_grid(monkeypatch):
-    calls = []
-
-    def fake_modulus(norm, eps, budget, seed):
-        eps = np.asarray(eps, dtype=float)
-        calls.extend(eps.tolist())
-        # rises with dips, so the running maximum changes values
-        return 0.1 * eps * eps + 0.03 * np.sin(7.0 * eps) + 1e-3 * seed
-
-    monkeypatch.setattr(norms, "_numeric_modulus", fake_modulus)
-    norm = norms.parse_norm("reg:lp:4:3:w=0.2:d=0")
-    full = norms.numeric_modulus_curve(norm, eps_grid=_FULL_GRID,
-                                       budget=3000, seed=1)
-    assert np.any(np.diff(fake_modulus(norm, _FULL_GRID, 0, 1)) < 0)
-    for eps in _PREFIX_EPS:
-        prefix = _modulus_for(norm, 3000, 1, eps)
-        assert _readings(prefix, eps) == _readings(full, eps), eps
-    for eps, points in ((0.5, 2), (2.0, 5)):
-        calls.clear()
-        _modulus_for(norm, 3000, 1, eps)
-        assert len(calls) == points
-
-
-def test_modulus_prefix_matches_full_grid_on_real_search():
-    norm = norms.parse_norm("reg:lp:4:2:w=0.2:d=0")
-    full = norms.numeric_modulus_curve(norm, eps_grid=_FULL_GRID,
-                                       budget=3000, seed=0)
-    prefix = _modulus_for(norm, 3000, 0, 2.0)
-    assert len(prefix.grid) == 5
-    for eps in _PREFIX_EPS:
-        assert _readings(prefix, eps) == _readings(full, eps), eps
-
-
 # ---------------------------------------------------------------------------
 # Input rules and exit codes
 # ---------------------------------------------------------------------------
@@ -608,23 +559,21 @@ REG_NORM = "reg:lp:1.5:3:w=0.05:d=0.01"
 
 def test_modulus_numeric_column_is_one_batched_search(monkeypatch):
     calls = []
-    search = cli._numeric_modulus
+    search = cli.numeric_modulus
 
     def counted(*args):
         calls.append(args)
         return search(*args)
 
-    monkeypatch.setattr(cli, "_numeric_modulus", counted)
+    monkeypatch.setattr(cli, "numeric_modulus", counted)
     cfg = ExperimentConfig(command="modulus", norm=REG_NORM,
                            eps_grid="0.5:1:0.5", budget=3000, seed=0)
     rows = run_experiment(cfg).results["modulus"]
     assert len(calls) == 1
     norm = norms.parse_norm(REG_NORM)
     assert [r["numeric"] for r in rows] == [
-        norms.modulus_of_convexity(norm, r["eps"], method="numeric",
-                                   budget=3000, seed=0)
-        for r in rows]
-    assert [sorted(r) for r in rows] == [["eps", "numeric"]] * 2
+        norms.numeric_modulus(norm, r["eps"], 3000, 0) for r in rows]
+    assert [sorted(r) for r in rows] == [["analytic", "eps", "numeric"]] * 2
 
 
 def _needle_stdout(capsys, *flags):
@@ -670,27 +619,33 @@ def test_nonpositive_budget_exits_2(budget, capsys):
     assert err.count("\n") == 1
 
 
-def test_analytic_modulus_of_regularized_norm_exits_2(monkeypatch, capsys):
-    def no_curve(*args, **kwargs):
-        raise AssertionError("validate built a modulus curve")
+def _no_search(*args, **kwargs):
+    raise AssertionError("the section search ran")
 
-    monkeypatch.setattr(norms, "_numeric_modulus", no_curve)
+
+def test_analytic_modulus_of_regularized_norm_is_its_certified_floor(
+        monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "numeric_modulus", _no_search)
+    out = tmp_path / "mod.json"
     rc = main(["modulus", "--norm", REG_NORM, "--eps", "0.5",
-               "--method", "analytic"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "no closed-form modulus" in err
-    assert err.count("\n") == 1
-    # auto and numeric pass validation without computing anything
-    for method in ("auto", "numeric"):
-        ExperimentConfig(command="modulus", norm=REG_NORM, eps=0.5,
-                         method=method).validate()
+               "--method", "analytic", "--out", str(out)])
+    assert rc == 0
+    row = json.loads(out.read_text())["results"]["modulus"][0]
+    curve = norms.analytic_modulus_curve(norms.parse_norm(REG_NORM))
+    assert row == {"eps": 0.5, "analytic": curve(0.5)}
+    assert curve.label == f"certified({REG_NORM})"
 
 
-def test_modulus_capability_comes_from_norms():
-    for text, closed in (("euclidean:3", True), ("lp:4:3", True),
-                         ("lp:2:3", True), (REG_NORM, False)):
-        assert norms.parse_norm(text).has_analytic_modulus is closed
+@pytest.mark.parametrize("command", ["bound", "compare", "verify-waist",
+                                     "verify-iso"])
+def test_bounds_of_regularized_norms_run_no_section_search(command,
+                                                           monkeypatch):
+    monkeypatch.setattr(norms, "numeric_modulus", _no_search)
+    monkeypatch.setattr(cli, "numeric_modulus", _no_search)
+    report = run_experiment(ExperimentConfig(
+        command=command, norm=REG_NORM, eps=0.5, z_grid="-0.4:0.4:0.4",
+        samples=500, fiber_points=100, budget=3000, seed=1))
+    assert report.status in ("pass", "report")
 
 
 @pytest.mark.parametrize("command", ["bound", "verify-waist", "verify-iso",
@@ -804,13 +759,13 @@ _REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
     (dict(command="compare", norm="lp:1.5:5", eps_grid="0.1:1.9:0.6"), "csv",
      "419afa5ecb5214bf23c7e40efb3c3178fa82dcf56f870ef55bd24faa5d997d6e"),
     (dict(command="compare", norm=_REG, eps=0.5, budget=3000), "json",
-     "0fd481c23ca8bb6f86890c7ea323ad29f37b5197db00402fba2a6019287a18d6"),
+     "2991bfdf0f95212ac115e61a31d1ed6dc91e32950901c918f4d2e6c1fc3ef8eb"),
     (dict(command="modulus", norm="lp:4:3", eps_grid="0.2:1.0:0.4",
           budget=3000), "json",
      "b6ffd30955a320ec8c3ad105ea655a5c5db7dbc72ba80a5a68142a6549a4d10f"),
     (dict(command="modulus", norm=_REG, eps_grid="0.4:1.2:0.8",
           budget=3000), "csv",
-     "e185a26593bd61ae9c6f60a4c3d60d9856a46252269cb929d40a97cbc318d68f"),
+     "02fdf2f8b758f321f2222a0071ee0029322d81a1a53e77d4c36b26a3cb421f1f"),
     (dict(command="verify-waist", norm="euclidean:3", eps=0.5, samples=2000,
           z_grid="-0.4:0.4:0.2", seed=1), "json",
      "6370270e4081be01cc8d7c3fb3939c317cc6e746deec6516ec3d68697bd34598"),
@@ -822,7 +777,7 @@ _REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
      "dc747d8cb5b4c1ad18b5999f30dd5a65f6a53117b7caf1165378a8ac1ccf7079"),
     (dict(command="verify-waist", norm=_REG, eps=0.5, z_grid="-0.4:0.4:0.4",
           seed=4, **_REG_BUDGETS), "json",
-     "b966415f2783bd3939e485917c74e4a921736c3b34b39452c8d1ec8f2ddc6dd5"),
+     "dc267e1b4dd00cdc0a962cefd7d9134fc01e8a44d7ed327273cd3bc3ef928ce0"),
     (dict(command="verify-iso", norm="euclidean:3", eps=0.5, samples=2000,
           seed=5), "json",
      "3360885f8e4efcc73fc4b19c85609b40e4bcfe18890274ca760e23b5680bee4b"),
@@ -831,7 +786,7 @@ _REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
      "710cba6f2f4c01878c89eba2754e74cd1e7f24757356d9db63f94a9be97292ff"),
     (dict(command="verify-iso", norm=_REG, eps=0.5, seed=7, **_REG_BUDGETS),
      "json",
-     "765f9740979f888b1dc9bd323db06198b475c401a88a36e03334cb478245e8fa"),
+     "73e7cc88d6b2d625c4856f680d31af053486f03475112590d4776656e16e6186"),
     (dict(command="needle-suite", trials=100, seed=8), "json",
      "8717898580f55a629e9b1c9fd43bfc3b82783f2f84c4b3a63886ff627c23e66d"),
 ], ids=["bound", "compare-lp", "compare-csv", "compare-reg", "modulus-json", "modulus-csv",

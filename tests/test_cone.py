@@ -25,6 +25,7 @@ from waistlab.norms import (
     lp_norm,
     norm_eval,
     parse_norm,
+    sandwich_bounds,
     smooth_norm,
 )
 
@@ -191,12 +192,7 @@ def _fiber_points_full_bisection(norm, f, z, count, seed):
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     v = dirs @ kernel.T
     lo = np.zeros(count)
-    hi = np.ones(count)
-    for _ in range(64):
-        outside = np.asarray(norm_eval(norm, x0 + hi[:, None] * v)) < 1.0
-        if not np.any(outside):
-            break
-        hi[outside] *= 2.0
+    hi = np.full(count, 1.0 / sandwich_bounds(norm)[0])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         inside = np.asarray(norm_eval(norm, x0 + mid[:, None] * v)) < 1.0
@@ -215,6 +211,17 @@ def _fiber_points_full_bisection(norm, f, z, count, seed):
 def test_fiber_points_bisection_stops_at_its_fixed_point(norm, f, z):
     got = fiber_points(norm, f, z, 200, seed=9)
     assert np.array_equal(got, _fiber_points_full_bisection(norm, f, z, 200, 9))
+
+
+@pytest.mark.parametrize("norm", [
+    "reg:lp:1.5:3:w=1e26:d=0", "reg:lp:1.5:3:w=1e30:d=0",
+    "reg:lp:1.5:3:w=0.05:d=1e44", "reg:euclidean:3:w=1e30:d=0.01"])
+def test_fiber_points_lie_on_spheres_of_tiny_radius(norm):
+    # the unit sphere has Euclidean radius about 1/w or 1/sqrt(d); the root
+    # lies in [0, 1/c1], so the bisection needs no bracket search
+    norm = parse_norm(norm)
+    pts = fiber_points(norm, LAST_COORD, [0.0], 50, seed=2)
+    assert np.abs(np.asarray(norm_eval(norm, pts)) - 1.0).max() <= 1e-12
 
 
 def test_fiber_errors():
@@ -446,12 +453,13 @@ def _brute_min_distance(norm, pts, cloud):
 
 
 def test_min_norm_distance_generic_path_matches_brute_force():
-    norm = smooth_norm(lp_norm(1.5, 2), 0.05, 0.01)
     rng = np.random.Generator(np.random.Philox(8))
-    cloud = rng.standard_normal((200, 2))
-    pts = rng.standard_normal((100, 2))
-    fast = min_norm_distance(norm, pts, cloud)
-    assert np.array_equal(fast, _brute_min_distance(norm, pts, cloud))
+    for norm in (smooth_norm(lp_norm(1.5, 2), 0.05, 0.01), lp_norm(4, 2),
+                 lp_norm(1.5, 2), euclidean_norm(2)):
+        cloud = rng.standard_normal((200, 2))
+        pts = rng.standard_normal((100, 2))
+        fast = min_norm_distance(norm, pts, cloud)
+        assert np.array_equal(fast, _brute_min_distance(norm, pts, cloud))
     # dim 3 on the unit sphere, pruned at eps: every distance at or below
     # eps is the brute-force one, and the rest are reported as inf
     norm = smooth_norm(lp_norm(1.5, 3), 0.05, 0.01)

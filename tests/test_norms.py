@@ -12,6 +12,7 @@ from waistlab.norms import (
     DimensionMismatchError,
     ModulusCurve,
     UnsupportedNormError,
+    analytic_modulus_curve,
     euclidean_modulus,
     euclidean_modulus_curve,
     euclidean_norm,
@@ -19,9 +20,8 @@ from waistlab.norms import (
     lp_modulus,
     lp_modulus_curve,
     lp_norm,
-    modulus_of_convexity,
     norm_eval,
-    numeric_modulus_curve,
+    numeric_modulus,
     parse_norm,
     radial_project,
     rng_stream,
@@ -326,25 +326,23 @@ def test_triangle_for_regularized_norm():
 # ---------------------------------------------------------------------------
 
 def test_euclidean_modulus_values():
-    assert modulus_of_convexity(euclidean_norm(3), 1.0, method="analytic") == \
-        pytest.approx(1.0 - math.sqrt(3.0) / 2.0, abs=1e-12)
-    assert modulus_of_convexity(euclidean_norm(3), 2.0, method="analytic") == \
-        pytest.approx(1.0, abs=1e-12)
-    assert modulus_of_convexity(euclidean_norm(3), 0.0) == 0.0
+    curve = analytic_modulus_curve(euclidean_norm(3))
+    assert curve(1.0) == pytest.approx(1.0 - math.sqrt(3.0) / 2.0, abs=1e-12)
+    assert curve(2.0) == pytest.approx(1.0, abs=1e-12)
+    assert curve(0.0) == 0.0
 
 
 def test_modulus_eps_out_of_range():
     with pytest.raises(ValueError):
-        modulus_of_convexity(euclidean_norm(3), 2.5)
+        numeric_modulus(euclidean_norm(3), 2.5)
     with pytest.raises(ValueError):
-        modulus_of_convexity(euclidean_norm(3), -0.1)
+        numeric_modulus(euclidean_norm(3), [0.5, -0.1])
 
 
 def test_numeric_modulus_matches_euclidean_analytic():
     norm = euclidean_norm(3)
     for eps in np.arange(0.1, 1.95, 0.1):
-        num = modulus_of_convexity(norm, float(eps), method="numeric",
-                                   budget=15_000)
+        num = numeric_modulus(norm, float(eps), budget=15_000)
         assert abs(num - euclidean_modulus(float(eps))) <= 1e-3
 
 
@@ -353,7 +351,7 @@ def test_numeric_modulus_matches_lp4_grid_oracle():
     # same infimum the descent-based estimator reports, to 1e-3.
     norm = lp_norm(4, 3)
     eps = 0.5
-    num = modulus_of_convexity(norm, eps, method="numeric", budget=30_000)
+    num = numeric_modulus(norm, eps, budget=30_000)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
     best = math.inf
@@ -377,24 +375,59 @@ def test_numeric_modulus_matches_lp4_grid_oracle():
 def test_numeric_modulus_dominates_quadratic_estimate_for_small_p():
     norm = lp_norm(1.5, 2)
     for eps in (0.3, 0.8, 1.4):
-        num = modulus_of_convexity(norm, eps, method="numeric", budget=15_000)
+        num = numeric_modulus(norm, eps, budget=15_000)
         assert num >= lp_modulus(1.5, eps) - 1e-4
 
 
 def test_batched_modulus_search_equals_one_value_searches():
     norm = parse_norm("reg:lp:1.5:3:w=0.05:d=0.01")
-    both = norms_module._numeric_modulus(norm, [0.2, 0.4], 3000, 7)
-    one = [norms_module._numeric_modulus(norm, [e], 3000, 7)[0]
-           for e in (0.2, 0.4)]
+    both = numeric_modulus(norm, [0.2, 0.4], 3000, 7)
+    one = [numeric_modulus(norm, [e], 3000, 7)[0] for e in (0.2, 0.4)]
     assert both.tolist() == one
-    assert modulus_of_convexity(norm, 0.4, method="numeric", budget=3000,
-                                seed=7) == one[1]
-    curve = numeric_modulus_curve(norm, [0.2, 0.4], budget=3000, seed=7)
-    assert curve.values.tolist() == one
+    assert numeric_modulus(norm, 0.4, 3000, 7) == one[1]
+
+
+@pytest.mark.parametrize("text", [
+    "reg:lp:1.5:3:w=0.05:d=0.01", "reg:lp:1.5:3:w=100:d=0.01",
+    "reg:lp:4:3:w=0.2:d=0", "reg:euclidean:3:w=8.3:d=0.01",
+    "reg:lp:1.5:2:w=1:d=0"])
+def test_certified_floor_lies_below_the_section_search(text):
+    norm = parse_norm(text)
+    eps = np.array([0.3, 1.0])
+    floor = analytic_modulus_curve(norm)(eps)
+    assert np.all(floor <= numeric_modulus(norm, eps, 3000, 3))
+    assert np.all(floor > 0.0) if norm.delta_reg > 0 else np.all(floor == 0.0)
+
+
+@pytest.mark.parametrize("text", [
+    "reg:lp:1.5:3:w=0.05:d=0.01", "reg:lp:1.5:3:w=100:d=0",
+    "reg:lp:4:3:w=0.2:d=0", "reg:euclidean:3:w=0.1:d=0.5",
+    "reg:lp:1.5:4:w=0.05:d=0.01", "reg:lp:1.2:2:w=0.01:d=0",
+    "reg:lp:3:4:w=1:d=0.01", "reg:lp:1.5:2:w=0.05:d=0.01"])
+def test_regularized_midpoints_respect_the_certified_floor(text):
+    # The floor rests on the convexity of the mollified base: for unit x
+    # and y, 1 - ||(x+y)/2|| >= floor(||x-y||) >= 0. Pairs in random 2-D
+    # sections, at angles from 1e-3 to 1.5 apart.
+    norm = parse_norm(text)
+    rng = rng_stream(59)
+    pairs = 4000 if norm.dim == 4 else 20_000
+    u = rng.standard_normal((pairs, norm.dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = rng.standard_normal((pairs, norm.dim))
+    v -= np.sum(u * v, axis=1, keepdims=True) * u
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    theta = rng.uniform(0.0, 2.0 * math.pi, pairs)
+    apart = np.exp(rng.uniform(math.log(1e-3), math.log(1.5), pairs))
+    x, y = (radial_project(norm, np.cos(t)[:, None] * u
+                           + np.sin(t)[:, None] * v)
+            for t in (theta, theta + apart))
+    gap = 1.0 - np.asarray(norm_eval(norm, 0.5 * (x + y)))
+    floor = analytic_modulus_curve(norm)(np.asarray(norm_eval(norm, x - y)))
+    assert np.all(gap >= floor - 1e-12)
 
 
 def test_section_objective_lanes_are_independent():
-    # _numeric_modulus evaluates its two starting golden-section probes in
+    # numeric_modulus evaluates its two starting golden-section probes in
     # one call over stacked lanes; each half must equal its own call
     norm = parse_norm("reg:lp:1.5:3:w=0.05:d=0.01")
     rng = rng_stream(41)
@@ -420,27 +453,14 @@ def test_minkowski_p_by_kind():
     assert parse_norm("reg:euclidean:3:w=0.1:d=0").minkowski_p is None
 
 
-def test_numeric_curve_is_monotone():
-    curve = numeric_modulus_curve(lp_norm(4, 2), np.linspace(0.2, 1.8, 9),
-                                  budget=8_000)
-    grid = np.linspace(0.05, 1.95, 50)
-    vals = curve(grid)
-    assert np.all(np.diff(vals) >= -1e-9)
-    assert curve(0.0) == 0.0
-    assert curve.source == "numeric_search"
-
-
 def test_scalar_modulus_calls_match_the_array_path():
     # A 0-d array takes the array path; a Python float or int takes the
     # scalar fast path, which must return the same bits as a Python float.
-    numeric = ModulusCurve(source="numeric_search", label="dip",
-                           grid=np.linspace(0.2, 1.8, 9),
-                           values=[0.01, 0.03, 0.02, 0.08, 0.1, 0.2, 0.25,
-                                   0.3, 0.31])
     # p = 1.2 as well: at p = 1.5 the factor p - 1 is a power of two, which
     # hides a change in the rounding order
     calls = [euclidean_modulus_curve(), lp_modulus_curve(1.5),
-             lp_modulus_curve(1.2), lp_modulus_curve(4.0), numeric,
+             lp_modulus_curve(1.2), lp_modulus_curve(4.0),
+             analytic_modulus_curve(parse_norm("reg:lp:1.5:3:w=0.05:d=0.01")),
              euclidean_modulus, lambda e: lp_modulus(1.5, e),
              lambda e: lp_modulus(4.0, e)]
     grid = np.concatenate([np.linspace(-0.5, 2.5, 301),
@@ -577,12 +597,21 @@ def test_smooth_norm_rejects_bad_inputs():
 @pytest.mark.parametrize("w, d", [("nan", "0.01"), ("inf", "0.01"),
                                   ("0.05", "nan"), ("0.05", "inf"),
                                   ("-inf", "0.01"), ("0.05", "-0.01"),
-                                  ("1e80", "0")])
+                                  ("1e80", "0"), ("0.05", "1e301")])
 def test_regularized_norm_needs_finite_nonnegative_w_and_d(w, d):
     with pytest.raises(ValueError, match="finite w >= 0 and d >= 0"):
         parse_norm(f"reg:lp:1.5:3:w={w}:d={d}")
     with pytest.raises(ValueError, match="finite w >= 0 and d >= 0"):
         smooth_norm(lp_norm(1.5, 3), float(w), float(d))
+
+
+def test_norm_eval_is_finite_up_to_the_largest_d():
+    # the rescaled rows have |x / m|_2^2 up to dim, so d |x / m|_2^2 stays
+    # finite up to d = 1e300
+    norm = parse_norm("reg:lp:1.5:3:w=0.05:d=1e300")
+    for x in ([1.0, 1.0, 1.0], [1e-200, 3e-200, 0.0], [0.0, 0.0, 2.0]):
+        want = 1e150 * float(np.linalg.norm(x))
+        assert norm_eval(norm, x) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("base", ["lp:1.5:3", "euclidean:4"])
