@@ -14,7 +14,12 @@ Estimators (``best_fiber`` for tubes about fibers of a linear map,
 ``cap_neighborhood_measure`` for neighborhoods of a cap and its complement)
 take one sample batch for every norm kind, and the distance to a fiber in
 closed form where one exists, else to a fiber cloud, which can only
-overestimate it, so those estimates are conservative.
+overestimate it, so those estimates are conservative. They ask only whether
+a point lies within eps of the fiber, so the cloud path decides exactly that
+(``within_norm_distance``) and evaluates the norm only for the candidates
+that can change the answer; ``min_norm_distance`` is its exact reference.
+``fiber_points`` bisects for each fiber point and evaluates the norm only at
+the midpoints its convexity bracket leaves in doubt.
 
 Determinism contract: every estimator is a pure function of
 (norm, seed, budgets); parallel-safe substreams are derived from the seed
@@ -33,7 +38,6 @@ from .norms import (
     NormDescriptor,
     derive_seed,
     norm_eval,
-    radial_project,
     rng_stream,
     sandwich_bounds,
 )
@@ -51,6 +55,7 @@ __all__ = [
     "fiber_points",
     "fiber_distance_method",
     "min_norm_distance",
+    "within_norm_distance",
     "best_fiber",
     "cap_neighborhood_measure",
 ]
@@ -151,6 +156,7 @@ def _rejection_sphere_sample(norm: NormDescriptor, count: int,
     radius = 1.0 / c1
     dim = norm.dim
     out = np.empty((count, dim))
+    lengths = np.empty(count)
     filled = 0
     # acceptance rate is at least vol(B2(1/c2)) / vol(B2(1/c1)) = (c1/c2)^dim
     rate = max(0.02, (c1 / c2) ** dim)
@@ -160,11 +166,23 @@ def _rejection_sphere_sample(norm: NormDescriptor, count: int,
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
         r = radius * rng.random(n_draw) ** (1.0 / dim)
         pts = g * r[:, None]
-        keep = pts[np.asarray(norm_eval(norm, pts)) <= 1.0]
-        take = min(count - filled, keep.shape[0])
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return radial_project(norm, out)
+        start = 0
+        while filled < count and start < n_draw:
+            # Draws are kept in order, so none past the last one kept needs
+            # its norm: chunks of the count still missing (at least 64)
+            # evaluate few draws past it.
+            stop = min(n_draw, start + max(64, count - filled))
+            values = np.asarray(norm_eval(norm, pts[start:stop]))
+            kept = np.flatnonzero(values <= 1.0)[: count - filled]
+            out[filled : filled + kept.size] = pts[start + kept]
+            lengths[filled : filled + kept.size] = values[kept]
+            filled += kept.size
+            start = stop
+    # The norms that accepted the draws project them too: norm_eval gives
+    # each row its own bits, so this is radial_project(norm, out).
+    if np.any(lengths == 0):
+        raise ValueError("cannot radially project the zero vector")
+    return out / lengths[:, None]
 
 
 def sample_conical(norm: NormDescriptor, count: int, seed: int,
@@ -209,9 +227,11 @@ def set_measure(batch: SampleBatch, indicator: Callable) -> MeasureEstimate:
 # Fibers of linear maps
 # ---------------------------------------------------------------------------
 
-def _fiber_frame(norm: NormDescriptor, f, z) -> tuple[np.ndarray, np.ndarray]:
-    """The minimal-Euclidean-norm solution x0 of f x = z and an orthonormal
-    basis of the kernel of f, as the columns of a (dim, dim - k) array.
+def _fiber_slice(norm: NormDescriptor, f, z
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The minimal-Euclidean-norm solution x0 of f x = z, an orthonormal
+    basis of the kernel of f, as the columns of a (dim, dim - k) array, and
+    ||x0||.
 
     Raises RankDeficientError unless f has full row rank, and
     EmptyFiberError when ||x0|| >= 1, so the slice misses the open unit ball.
@@ -228,34 +248,131 @@ def _fiber_frame(norm: NormDescriptor, f, z) -> tuple[np.ndarray, np.ndarray]:
     if np.linalg.matrix_rank(f) < k:
         raise RankDeficientError("linear map must have full row rank")
     x0 = np.linalg.pinv(f) @ z
-    if float(norm_eval(norm, x0)) >= 1.0:
+    length = float(norm_eval(norm, x0))
+    if length >= 1.0:
         raise EmptyFiberError(
             "slice does not meet the open unit ball (minimal-norm point has "
-            f"norm {float(norm_eval(norm, x0)):.6f})"
+            f"norm {length:.6f})"
         )
     _, _, vt = np.linalg.svd(f)
-    return x0, vt[k:].T
+    return x0, vt[k:].T, length
+
+
+def _fiber_frame(norm: NormDescriptor, f, z) -> tuple[np.ndarray, np.ndarray]:
+    """x0 and the kernel basis of :func:`_fiber_slice`."""
+    return _fiber_slice(norm, f, z)[:2]
+
+
+# A margin on g(t) = ||x0 + t v|| - 1 far above the kernels' rounding error
+# near the unit sphere (a few ulps of 1), so a computed g beyond it has the
+# sign of the exact one.
+_SIGN_MARGIN = 1e-12
+# Illinois steps at most; a row stops once it reaches |g| < _SIGN_MARGIN.
+_SECANT_STEPS = 12
+
+
+def _certified_bracket(norm: NormDescriptor, x0: np.ndarray, v: np.ndarray,
+                       g0: float, top: float
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``v``, points a <= b such that the computed
+    g(t) = ||x0 + t v|| - 1 is negative for 0 <= t <= a and positive for
+    t >= b; a = -inf or b = inf where no such point was found.
+
+    g is convex with g(0) = ``g0`` < 0, and with m = _SIGN_MARGIN a computed
+    g(t) beyond +-m has the sign of the exact one. So an evaluated t with
+    g(t) <= -m is a lower point when g0 <= -m too, as g stays below
+    max(g0, g(t)) on [0, t]; and a t with g(t) >= m is an upper point, as a
+    convex g with g(0) < 0 < g(t) grows beyond t. The points are the ones
+    Illinois (modified regula falsi) steps on [0, ``top``] evaluate; a row
+    takes steps until its g is within m of 0. Such a t is then probed at
+    t (1 -+ h), h = 4 m / -g0, where convexity gives
+    g(t (1 - h)) <= (1 - h) g(t) + h g0 and g(t (1 + h)) >= (1 + h) g(t) -
+    h g0, both beyond m when h is small.
+    """
+    m = _SIGN_MARGIN
+    count = v.shape[0]
+    lower = np.full(count, 0.0 if g0 <= -m else -np.inf)
+    upper = np.full(count, np.inf)
+
+    def g_at(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        g = np.asarray(norm_eval(norm, x0 + t[:, None] * v[rows])) - 1.0
+        if g0 <= -m:
+            lower[rows] = np.maximum(lower[rows], np.where(g <= -m, t, -np.inf))
+        upper[rows] = np.minimum(upper[rows], np.where(g >= m, t, np.inf))
+        return g
+
+    t_lo, g_lo = np.zeros(count), np.full(count, g0)
+    t_hi = np.full(count, top)
+    g_hi = g_at(np.arange(count), t_hi)
+    last = t_hi.copy()
+    # -1 after t_lo moved, 1 after t_hi moved, 0 before the first step
+    moved = np.zeros(count)
+    rows = np.flatnonzero(np.abs(g_hi) >= m)
+    for _ in range(_SECANT_STEPS):
+        if not rows.size:
+            break
+        tl, th, gl, gh = t_lo[rows], t_hi[rows], g_lo[rows], g_hi[rows]
+        with np.errstate(all="ignore"):
+            t = th - gh * (th - tl) / (gh - gl)
+        # Values of one sign, or a bracket that has closed, take the midpoint.
+        t = np.where((t > tl) & (t < th), t, 0.5 * (tl + th))
+        g = g_at(rows, t)
+        last[rows] = t
+        below = g < 0.0
+        # Illinois: halve the value at an end that is kept twice in a row.
+        g_hi[rows] = np.where(below, np.where(moved[rows] == -1, 0.5 * gh, gh), g)
+        g_lo[rows] = np.where(below, g, np.where(moved[rows] == 1, 0.5 * gl, gl))
+        t_lo[rows] = np.where(below, t, tl)
+        t_hi[rows] = np.where(below, th, t)
+        moved[rows] = np.where(below, -1.0, 1.0)
+        rows = rows[np.abs(g) >= m]
+    if g0 <= -m:
+        # The rows left in ``rows`` ran out of steps before |g| < m.
+        converged = np.ones(count, dtype=bool)
+        converged[rows] = False
+        h = 4.0 * m / -g0
+        t_in, t_out = last * (1.0 - h), last * (1.0 + h)
+        for todo, t in ((np.flatnonzero(converged & (lower < t_in)), t_in),
+                        (np.flatnonzero(converged & (upper > t_out)), t_out)):
+            if todo.size:
+                g_at(todo, t[todo])
+    return lower, upper
 
 
 def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarray:
     """Points y with ||y|| = 1 and f y = z (exactly, up to 1e-10 on the norm).
 
     Takes the minimal-Euclidean-norm solution x0 of f x = z, draws random
-    unit kernel directions v, and solves ||x0 + t v|| = 1 for t > 0 by
-    bisection on [0, 1/c1]; the root is unique because t -> ||x0 + t v|| is
-    convex with value < 1 at t = 0, and it lies in that bracket because x0
-    is orthogonal to the kernel, so ||x0 + t v|| >= c1 |x0 + t v|_2 >= c1 t.
+    unit kernel directions v, and solves g(t) = ||x0 + t v|| - 1 = 0 for
+    t > 0 by bisection on [0, 1/c1]; the root is unique because g is convex
+    with g(0) < 0, and it lies in that bracket because x0 is orthogonal to
+    the kernel, so ||x0 + t v|| >= c1 |x0 + t v|_2 >= c1 t.
+
+    The bisection evaluates only the midpoints in doubt. A few secant steps
+    first find per row a lower point a and an upper point b where |g|
+    exceeds a margin far above rounding (see :func:`_certified_bracket`). A
+    midpoint <= a is inside by convexity, and a midpoint >= b is outside,
+    as g is increasing past its root; the norm is evaluated only for the
+    rows whose midpoint lies in (a, b). Those decisions are the ones the
+    evaluated test gives, and norm_eval gives each row its own bits, so the
+    points are those of the plain 80-step bisection.
     """
-    x0, kernel = _fiber_frame(norm, f, z)
+    x0, kernel, length = _fiber_slice(norm, f, z)
     rng = rng_stream(seed, 0)
     dirs = rng.standard_normal((count, kernel.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     v = dirs @ kernel.T
+    top = 1.0 / sandwich_bounds(norm)[0]
+    lower, upper = _certified_bracket(norm, x0, v, length - 1.0, top)
     lo = np.zeros(count)
-    hi = np.full(count, 1.0 / sandwich_bounds(norm)[0])
+    hi = np.full(count, top)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        inside = np.asarray(norm_eval(norm, x0 + mid[:, None] * v)) < 1.0
+        inside = mid <= lower
+        doubt = np.flatnonzero((mid > lower) & (mid < upper))
+        if doubt.size:
+            inside[doubt] = np.asarray(norm_eval(
+                norm, x0 + mid[doubt, None] * v[doubt])) < 1.0
         new_lo = np.where(inside, mid, lo)
         new_hi = np.where(inside, hi, mid)
         # An unchanged bracket gives the same mid and the same test again,
@@ -336,18 +453,11 @@ def _lp_fiber_distance(points: np.ndarray, p: float, columns: np.ndarray,
     return (np.abs(along) ** p + across) ** (1.0 / p)
 
 
-def _fiber_distance(norm: NormDescriptor, f, z, eps: float,
-                    fiber_budget: int, seed: int
-                    ) -> Callable[[np.ndarray], np.ndarray]:
-    """Distance function to the fiber {||x|| = 1, f x = z}, built once per z
-    by the method ``fiber_distance_method`` names: a closed form, or the
-    distance to a cloud of ``fiber_budget`` fiber points, which comes back
-    as inf above eps. Raises as ``fiber_points`` does on a rank-deficient
-    map or an empty fiber."""
-    if fiber_distance_method(norm, f) == "cloud":
-        cloud = fiber_points(norm, f, z, fiber_budget, seed)
-        return lambda points: min_norm_distance(norm, points, cloud,
-                                                upper=eps)
+def _exact_fiber_distance(norm: NormDescriptor, f, z
+                          ) -> Callable[[np.ndarray], np.ndarray]:
+    """Closed-form distance function to the fiber {||x|| = 1, f x = z} of a
+    pair that ``fiber_distance_method`` calls "exact". Raises as
+    ``fiber_points`` does on a rank-deficient map or an empty fiber."""
     x0, kernel = _fiber_frame(norm, f, z)
     if norm.is_round:
         return lambda points: _round_fiber_distance(points, x0, kernel)
@@ -356,59 +466,108 @@ def _fiber_distance(norm: NormDescriptor, f, z, eps: float,
                                              x0[columns])
 
 
-def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
-                      cloud: np.ndarray,
-                      upper: Optional[float] = None) -> np.ndarray:
-    """Norm distance from each point to the nearest cloud point, for every
-    norm kind: a Euclidean KD prefilter with the sandwich constant c1, and
-    exact norm distances only to the candidates the sandwich bound cannot
-    rule out. ``upper`` prunes the search: entries whose distance exceeds it
-    are reported as inf (much faster when only a threshold test is needed).
-    """
+def _near_fiber(norm: NormDescriptor, f, z, eps: float, fiber_budget: int,
+                seed: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Predicate "within eps of the fiber {||x|| = 1, f x = z}", built once
+    per z by the method ``fiber_distance_method`` names: the closed-form
+    distance, or the distance to a cloud of ``fiber_budget`` fiber points.
+    Raises as ``fiber_points`` does on a rank-deficient map or an empty
+    fiber."""
+    if fiber_distance_method(norm, f) == "cloud":
+        cloud = fiber_points(norm, f, z, fiber_budget, seed)
+        return lambda points: within_norm_distance(norm, points, cloud, eps)
+    distance = _exact_fiber_distance(norm, f, z)
+    return lambda points: distance(points) <= eps
+
+
+def _kd_neighbors(points: np.ndarray, cloud: np.ndarray, reach: float):
+    """A KD tree of ``cloud`` and, per point, its Euclidean distances and
+    indices to the min(64, cloud size) nearest cloud points closer than
+    ``reach`` (inf and cloud.shape[0] past them), as (points, k) arrays."""
     # Only the cloud paths reach the KD tree; importing it here keeps
     # scipy.spatial out of every run that measures distances exactly.
     from scipy.spatial import cKDTree
 
-    bound = math.inf if upper is None else float(upper)
-    c1, _ = sandwich_bounds(norm)
     tree = cKDTree(cloud)
-    # Enough neighbours that few rows reach the per-row ball query below;
-    # the count does not change any distance.
-    k_batch = min(64, cloud.shape[0])
-    d2, idx = tree.query(points, k=k_batch, distance_upper_bound=bound / c1)
-    d2 = np.atleast_2d(np.asarray(d2))
-    idx = np.atleast_2d(np.asarray(idx))
-    out = np.full(points.shape[0], np.inf)
-    found = np.flatnonzero(np.isfinite(d2[:, 0]))
-    if found.size:
-        # The nearest Euclidean candidate first. A candidate j can only win
-        # if c1 * d2_j < best, as ||y|| >= c1 |y|_2; the 1e-12 covers
-        # rounding. norm_eval gives each row its own bits, so skipping the
-        # others leaves the minimum unchanged.
-        best = np.asarray(norm_eval(norm, points[found] - cloud[idx[found, 0]]))
-        rows, cols = np.nonzero(
-            c1 * d2[found, 1:] < best[:, None] * (1.0 + 1e-12))
-        if rows.size:
-            cand = found[rows]
-            dists = np.asarray(norm_eval(
-                norm, points[cand] - cloud[idx[cand, cols + 1]]))
-            np.minimum.at(best, rows, dists)
-        out[found] = best
+    # Enough neighbours that few rows reach a per-row ball query; the count
+    # changes no answer.
+    k = min(64, cloud.shape[0])
+    d2, idx = tree.query(points, k=k, distance_upper_bound=reach)
+    shape = (points.shape[0], k)
+    return tree, np.reshape(d2, shape), np.reshape(idx, shape)
+
+
+def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
+                      cloud: np.ndarray) -> np.ndarray:
+    """Norm distance from each point to the nearest cloud point, for every
+    norm kind: a Euclidean KD prefilter with the sandwich constant c1, and
+    exact norm distances only to the candidates the sandwich bound cannot
+    rule out. The estimators ask only whether it is at most eps, which
+    :func:`within_norm_distance` answers with less work; this is its exact
+    reference.
+    """
+    c1, _ = sandwich_bounds(norm)
+    tree, d2, idx = _kd_neighbors(points, cloud, math.inf)
+    # The nearest Euclidean candidate first. A candidate j can only win if
+    # c1 * d2_j < best, as ||y|| >= c1 |y|_2; the 1e-12 covers rounding.
+    # norm_eval gives each row its own bits, so skipping the others leaves
+    # the minimum unchanged.
+    best = np.asarray(norm_eval(norm, points - cloud[idx[:, 0]]))
+    rows, cols = np.nonzero(c1 * d2[:, 1:] < best[:, None] * (1.0 + 1e-12))
+    if rows.size:
+        dists = np.asarray(norm_eval(
+            norm, points[rows] - cloud[idx[rows, cols + 1]]))
+        np.minimum.at(best, rows, dists)
     # A cloud point beyond the k-th Euclidean neighbor can only win if
     # c1 * d2_k is still below the current minimum; refine those few exactly.
-    d2_last = d2[:, -1]
-    unresolved = np.isfinite(d2_last) & \
-        (c1 * d2_last < np.minimum(out, bound) - 1e-15)
-    for i in np.flatnonzero(unresolved):
-        cand = tree.query_ball_point(
-            points[i], r=float(min(out[i], bound) / c1) + 1e-12)
-        if cand:
-            di = norm_eval(norm, points[i][None, :] - cloud[cand])
-            out[i] = min(out[i], float(np.min(di)))
-    # A row whose nearest candidate lies beyond ``upper`` keeps that finite
-    # distance above; report it as inf.
-    out[out > bound] = np.inf
-    return out
+    if idx.shape[1] < cloud.shape[0]:
+        for i in np.flatnonzero(c1 * d2[:, -1] < best - 1e-15):
+            cand = tree.query_ball_point(points[i],
+                                         r=float(best[i] / c1) + 1e-12)
+            if cand:
+                di = norm_eval(norm, points[i][None, :] - cloud[cand])
+                best[i] = min(best[i], float(np.min(di)))
+    return best
+
+
+def within_norm_distance(norm: NormDescriptor, points: np.ndarray,
+                         cloud: np.ndarray, eps: float) -> np.ndarray:
+    """Whether each point lies within norm distance ``eps`` of the cloud:
+    ``min_norm_distance(norm, points, cloud) <= eps`` row for row, with the
+    norm evaluated only where that answer depends on it.
+
+    The KD query keeps the 64 nearest cloud points closer than eps / c1 in
+    the Euclidean metric, as ||y|| >= c1 |y|_2 rules out the rest. A row
+    whose nearest one is closer than eps / c2 is within eps with no
+    evaluation, as ||y|| <= c2 |y|_2. Every other row evaluates its
+    candidates nearest first, only while c1 d2_j leaves eps in reach, and
+    stops at the first within eps. A row still open after all 64 looks at
+    every cloud point within eps / c1 by a ball query. norm_eval gives each
+    row its own bits, so each answer is the one the full minimum gives.
+    """
+    c1, c2 = sandwich_bounds(norm)
+    # The 1e-12 covers rounding, and the KD bound is strict.
+    reach = eps * (1.0 + 1e-12)
+    tree, d2, idx = _kd_neighbors(points, cloud, reach / c1)
+    # The 1e-9 covers the kernel's rounding.
+    near = c2 * d2[:, 0] * (1.0 + 1e-9) < eps
+    rows = np.flatnonzero(~near)
+    for j in range(idx.shape[1]):
+        rows = rows[c1 * d2[rows, j] < reach]
+        if not rows.size:
+            break
+        hit = np.asarray(norm_eval(
+            norm, points[rows] - cloud[idx[rows, j]])) <= eps
+        near[rows[hit]] = True
+        rows = rows[~hit]
+    if idx.shape[1] < cloud.shape[0]:
+        for i in rows:
+            cand = np.setdiff1d(tree.query_ball_point(points[i], r=reach / c1),
+                                idx[i])
+            if cand.size:
+                near[i] = np.min(np.asarray(norm_eval(
+                    norm, points[i] - cloud[cand]))) <= eps
+    return near
 
 
 def best_fiber(
@@ -442,13 +601,13 @@ def best_fiber(
     estimates: list[Optional[MeasureEstimate]] = []
     for i, z in enumerate(z_grid):
         try:
-            distance = _fiber_distance(norm, f, z, eps, fiber_budget,
-                                       derive_seed(seed, 3 + i))
+            near = _near_fiber(norm, f, z, eps, fiber_budget,
+                               derive_seed(seed, 3 + i))
         except EmptyFiberError:
             estimates.append(None)
             continue
         estimates.append(
-            MeasureEstimate.from_hits(int((distance(batch.points) <= eps).sum()),
+            MeasureEstimate.from_hits(int(near(batch.points).sum()),
                                       sample_budget, seed=seed)
         )
     if all(e is None for e in estimates):
@@ -508,9 +667,8 @@ def cap_neighborhood_measure(
     if in_a.all() or not in_a.any():
         raise EmptySetError(
             "no sample points landed in the cap or in its complement")
-    distance = _fiber_distance(norm, f, [tau], eps, fiber_budget,
-                               derive_seed(seed, 2))
-    near = distance(batch.points) <= eps
+    near = _near_fiber(norm, f, [tau], eps, fiber_budget,
+                       derive_seed(seed, 2))(batch.points)
     return (
         MeasureEstimate.from_hits(int((in_a | near).sum()), sample_budget,
                                   seed=seed),

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -318,6 +319,16 @@ def test_verify_iso_reports_its_distance_method(norm, method):
     assert report.results["fiber_distance"] == method
 
 
+def _env_with_src() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    subprocesses."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_exact_runs_leave_scipy_spatial_unimported():
     # only the cloud distance builds a KD tree, so only it imports
     # scipy.spatial
@@ -339,10 +350,7 @@ brute = norms.norm_eval(norm, points[:, None, :] - cloud[None]).min(axis=1)
 assert np.allclose(dist, brute)
 assert "scipy.spatial" in sys.modules
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = _env_with_src()
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -746,6 +754,10 @@ def test_main_fuzz_exit_codes(argv):
 
 _REG = "reg:lp:1.5:3:w=0.05:d=0.01"
 _REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
+_WAIST_REG = dict(command="verify-waist", norm=_REG, eps=0.5,
+                  z_grid="-0.4:0.4:0.4", seed=4, **_REG_BUDGETS)
+_ISO_REG = dict(command="verify-iso", norm=_REG, eps=0.5, seed=7,
+                **_REG_BUDGETS)
 
 
 # One small report per command and distance path, pinned by the sha256 of
@@ -775,8 +787,7 @@ _REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
     (dict(command="verify-waist", norm="euclidean:4", k=2, eps=0.5,
           samples=2000, z_grid="-0.3:0.3:0.3", seed=3), "json",
      "dc747d8cb5b4c1ad18b5999f30dd5a65f6a53117b7caf1165378a8ac1ccf7079"),
-    (dict(command="verify-waist", norm=_REG, eps=0.5, z_grid="-0.4:0.4:0.4",
-          seed=4, **_REG_BUDGETS), "json",
+    (_WAIST_REG, "json",
      "dc267e1b4dd00cdc0a962cefd7d9134fc01e8a44d7ed327273cd3bc3ef928ce0"),
     (dict(command="verify-iso", norm="euclidean:3", eps=0.5, samples=2000,
           seed=5), "json",
@@ -784,8 +795,7 @@ _REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
     (dict(command="verify-iso", norm="lp:4:3", eps=0.3, samples=2000,
           seed=6), "json",
      "710cba6f2f4c01878c89eba2754e74cd1e7f24757356d9db63f94a9be97292ff"),
-    (dict(command="verify-iso", norm=_REG, eps=0.5, seed=7, **_REG_BUDGETS),
-     "json",
+    (_ISO_REG, "json",
      "73e7cc88d6b2d625c4856f680d31af053486f03475112590d4776656e16e6186"),
     (dict(command="needle-suite", trials=100, seed=8), "json",
      "8717898580f55a629e9b1c9fd43bfc3b82783f2f84c4b3a63886ff627c23e66d"),
@@ -796,3 +806,41 @@ def test_golden_report_digests(config, fmt, digest):
     payload = emit_report(run_experiment(ExperimentConfig(**config)), None,
                           fmt)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("config, before", [(_WAIST_REG, 21_864),
+                                            (_ISO_REG, 10_342)],
+                         ids=["waist-reg", "iso-reg"])
+def test_regularized_reports_evaluate_few_norm_rows(config, before,
+                                                    monkeypatch):
+    # Rows norm_eval receives for two golden reports. When the cloud path
+    # took exact distances, the fiber bisection evaluated every midpoint and
+    # the rejection sampler every draw, they were 21 864 (waist-reg) and
+    # 10 342 (iso-reg).
+    real = norms.norm_eval
+    rows = []
+
+    def counting(norm, x):
+        x = np.asarray(x, dtype=float)
+        rows.append(x.size // x.shape[-1])
+        return real(norm, x)
+
+    monkeypatch.setattr(cone, "norm_eval", counting)
+    monkeypatch.setattr(norms, "norm_eval", counting)
+    run_experiment(ExperimentConfig(**config))
+    assert 0 < sum(rows) <= before // 2
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = _env_with_src()
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "waistlab", *argv],
+                              env=env, capture_output=True, text=True)
+
+    done = run("bound", "--norm", "lp:4:3", "--eps", "0.5")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["config"]["command"] == "bound"
+    done = run("bound", "--norm", "lp:0.5:3", "--eps", "0.5")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

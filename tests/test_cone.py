@@ -8,7 +8,7 @@ from waistlab.cone import (
     EmptySetError,
     MeasureEstimate,
     RankDeficientError,
-    _fiber_distance,
+    _exact_fiber_distance,
     _fiber_frame,
     best_fiber,
     cap_neighborhood_measure,
@@ -19,6 +19,7 @@ from waistlab.cone import (
     rng_stream,
     sample_conical,
     set_measure,
+    within_norm_distance,
 )
 from waistlab.norms import (
     euclidean_norm,
@@ -207,6 +208,13 @@ def _fiber_points_full_bisection(norm, f, z, count, seed):
     (L43, LAST_COORD, [-0.6]),
     (lp_norm(1.5, 4), LAST_TWO, [0.2, -0.1]),
     (smooth_norm(lp_norm(1.5, 3), 0.05, 0.01), LAST_COORD, [0.5]),
+    (parse_norm("reg:lp:1.5:3:w=1e26:d=0"), LAST_COORD, [0.0]),
+    (parse_norm("reg:lp:1.5:3:w=1e30:d=0"), LAST_COORD, [0.0]),
+    (parse_norm("reg:lp:1.5:3:w=0.05:d=1e44"), LAST_COORD, [0.0]),
+    (parse_norm("reg:euclidean:3:w=1e30:d=0.01"), LAST_COORD, [0.0]),
+    # near the pole g(0) = ||x0|| - 1 is close to 0
+    (smooth_norm(lp_norm(1.5, 3), 0.05, 0.01), LAST_COORD, [0.9]),
+    (parse_norm("reg:lp:4:3:w=0.2:d=0"), LAST_COORD, [0.9]),
 ])
 def test_fiber_points_bisection_stops_at_its_fixed_point(norm, f, z):
     got = fiber_points(norm, f, z, 200, seed=9)
@@ -249,8 +257,7 @@ def test_square_map_has_no_fiber_to_sample():
 
 def _exact_distance(norm, f, z):
     assert fiber_distance_method(norm, f) == "exact"
-    # eps, the fiber budget and the seed are unused on the exact path
-    return _fiber_distance(norm, f, z, 1.0, 1, seed=0)
+    return _exact_fiber_distance(norm, f, z)
 
 
 def _last_coords(dim, k=1):
@@ -460,18 +467,79 @@ def test_min_norm_distance_generic_path_matches_brute_force():
         pts = rng.standard_normal((100, 2))
         fast = min_norm_distance(norm, pts, cloud)
         assert np.array_equal(fast, _brute_min_distance(norm, pts, cloud))
-    # dim 3 on the unit sphere, pruned at eps: every distance at or below
-    # eps is the brute-force one, and the rest are reported as inf
+
+
+def test_within_norm_distance_matches_brute_force():
+    # dim 3 on the unit sphere: the rows within eps are the brute-force ones
     norm = smooth_norm(lp_norm(1.5, 3), 0.05, 0.01)
     eps = 0.2
     cloud = sample_conical(norm, 40, seed=5).points
     pts = sample_conical(norm, 200, seed=6).points
-    fast = min_norm_distance(norm, pts, cloud, upper=eps)
-    brute = _brute_min_distance(norm, pts, cloud)
-    near = brute <= eps
+    near = _brute_min_distance(norm, pts, cloud) <= eps
     assert 0 < near.sum() < pts.shape[0]
-    assert np.array_equal(fast[near], brute[near])
-    assert np.all(np.isinf(fast[~near]))
+    assert np.array_equal(within_norm_distance(norm, pts, cloud, eps), near)
+
+
+_MASK_NORMS = ["reg:lp:1.5:3:w=0.05:d=0.01", "reg:euclidean:3:w=0.05:d=0.01",
+               "lp:4:3", "lp:1.5:3"]
+
+
+@pytest.mark.parametrize("size", [1, 2, 64, 65])
+@pytest.mark.parametrize("name", _MASK_NORMS)
+def test_within_norm_distance_is_the_thresholded_minimum(name, size):
+    norm = parse_norm(name)
+    c2 = sandwich_bounds(norm)[1]
+    cloud = sample_conical(norm, size, seed=81).points
+    # sphere points, and points within 0.05 / c2 of a cloud point, which are
+    # within every eps >= 0.05 with no norm evaluated
+    rng = np.random.Generator(np.random.Philox(82))
+    offsets = rng.standard_normal((50, 3))
+    offsets *= 0.05 / c2 * rng.random((50, 1)) / \
+        np.linalg.norm(offsets, axis=1, keepdims=True)
+    pts = np.vstack([sample_conical(norm, 300, seed=83).points,
+                     cloud[rng.integers(0, size, 50)] + offsets])
+    exact = min_norm_distance(norm, pts, cloud)
+    assert np.array_equal(exact, _brute_min_distance(norm, pts, cloud))
+    # eps equal to some row's distance puts that row at exactly eps
+    ties = np.sort(exact)[[0, 120, 250, 349]]
+    for eps in (0.05, 0.3, 0.8, *ties):
+        got = within_norm_distance(norm, pts, cloud, eps)
+        assert np.array_equal(got, exact <= eps), eps
+    assert got[exact == ties[-1]].all()
+    assert within_norm_distance(norm, pts, cloud, 0.05)[300:].all()
+
+
+@pytest.mark.parametrize("name", _MASK_NORMS)
+def test_within_norm_distance_looks_past_the_64_nearest(name):
+    # A row y with 100 cloud points in the directions u of largest
+    # q(u) = ||u|| / |u|_2, at a Euclidean radius rho that puts them all
+    # beyond eps in the norm but inside eps / c1, and one point farther out
+    # in the direction of least q, within eps in the norm. Only the ball
+    # query past the 64 nearest finds that one.
+    norm = parse_norm(name)
+    c1 = sandwich_bounds(norm)[0]
+    eps = 0.3
+    dirs = np.random.Generator(np.random.Philox(84)).standard_normal((5000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    q = np.asarray(norm_eval(norm, dirs))
+    order = np.argsort(q)
+    q_min, q_100 = q[order[0]], q[order[-100]]
+    rho = eps * (1.0 / q_100 + 1.0 / q_min) / 2.0
+    rho_far = eps / q_min * (1.0 - 1e-9)
+    y = np.zeros(3)
+    shell = y + rho * dirs[order[-100:]]
+    far = y + rho_far * dirs[order[0]]
+    assert rho * c1 < eps
+    for cloud, within in ((np.vstack([shell, far]), True), (shell, False)):
+        exact = min_norm_distance(norm, y[None, :], cloud)
+        assert np.array_equal(within_norm_distance(norm, y[None, :], cloud,
+                                                   eps), exact <= eps)
+        # The mollified euclidean norm is round to about 1e-12, so there the
+        # far point is no farther out than the shell, and only agreement is
+        # checked.
+        if q_100 - q_min > 1e-6:
+            assert bool(exact[0] <= eps) is within
+            assert np.asarray(norm_eval(norm, shell - y)).min() > eps
 
 
 # ---------------------------------------------------------------------------
