@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -226,11 +227,11 @@ def test_needle_suite_report_shape():
     dict(n_range=(1, 8)), dict(n_range=(5, 4)), dict(n_range=(2, 170)),
     dict(n_range=(600, 600)), dict(eps_choices=(0.0,)),
     dict(eps_choices=(0.3, 2.5)), dict(eps_choices=()),
-    dict(eps_choices=(0.3, 9e-3)),
+    dict(eps_choices=(0.3, 9e-3)), dict(trials=-5), dict(trials=0),
 ], ids=str)
 def test_needle_suite_checks_its_domain(kwargs):
-    with pytest.raises(ValueError, match="n_range|eps"):
-        needle_suite(3000, seed=1, **kwargs)
+    with pytest.raises(ValueError, match="n_range|eps|trials"):
+        needle_suite(**{"trials": 3000, "seed": 1, **kwargs})
 
 
 def test_suite_max_n_keeps_every_envelope_power_normal():
@@ -258,8 +259,8 @@ def _tiny_eps_block(eps, count):
     def terms(n, e):
         return needles._needle_bounds(n, 1, e, MOD, "pi")
 
-    return needles._suite_block(rng_stream(1, 0), count, (2, 8), (eps,),
-                                terms)
+    return needles._check_block(*needles._draw_block(
+        rng_stream(1, 0), count, (2, 8), (eps,), terms))
 
 
 @pytest.mark.parametrize("eps", [1e-308, 1e-310, 5e-324])
@@ -312,11 +313,55 @@ def test_needle_suite_reports_are_pinned(kwargs, margins):
     assert [r["worst_margin"] for r in reports] == [None, *margins]
 
 
+SUITE_CLI_ARGS = ["needle-suite", "--trials", "10000", "--seed", "2024"]
+SUITE_CLI_DIGEST = (
+    "292e19cb6328d586c2f75c0845d8c8ecf002b4fce93d1a80a7c23e33849f0e88")
+
+
+def _suite_cli_digest(capsys) -> str:
+    assert cli.main(SUITE_CLI_ARGS) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 def test_needle_suite_cli_payload_is_pinned(capsys):
-    assert cli.main(["needle-suite", "--trials", "10000", "--seed", "2024"]) == 0
-    payload = capsys.readouterr().out.encode()
-    assert hashlib.sha256(payload).hexdigest() == (
-        "292e19cb6328d586c2f75c0845d8c8ecf002b4fce93d1a80a7c23e33849f0e88")
+    assert _suite_cli_digest(capsys) == SUITE_CLI_DIGEST
+
+
+# Longest the pinned suite runs may take on 1 and on 8 workers together.
+SUITE_POOL_DEADLINE_S = 120.0
+
+
+def test_needle_suite_is_pinned_on_any_worker_count(monkeypatch, capsys):
+    # Threads switch every microsecond, so the blocks' checks interleave
+    # finely, and 8 workers are more than the host's cores. The runs go on
+    # a daemon thread with a deadline: a deadlock fails the test instead of
+    # hanging the session.
+    got = {}
+
+    def run():
+        try:
+            for cpus in (1, 8):
+                monkeypatch.setattr(needles.os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: set(range(cpus)))
+                margins = [[r["worst_margin"] for r in needle_suite(**kwargs)]
+                           for kwargs, _ in SUITE_GOLDEN]
+                got[cpus] = margins, _suite_cli_digest(capsys)
+        except Exception as exc:  # re-raised on the test's thread
+            got["error"] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(SUITE_POOL_DEADLINE_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), "suite runs missed their deadline"
+    if "error" in got:
+        raise got["error"]
+    pinned = [[None, *margins] for _, margins in SUITE_GOLDEN]
+    assert got == {cpus: (pinned, SUITE_CLI_DIGEST) for cpus in (1, 8)}
 
 
 def test_arc_draws_keep_the_rng_stream(monkeypatch):
@@ -425,16 +470,37 @@ def test_lune_convexity_checks_draw_distinct_batches(monkeypatch):
     assert not np.array_equal(batches[1], batches[2])
 
 
+def _diag_digest(diag) -> str:
+    payload = json.dumps(
+        dataclasses.asdict(diag), sort_keys=True,
+        default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item())
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def test_lune_diagnostics_do_not_depend_on_the_convexity_draws():
     # the convexity checks draw no point the estimate uses, so giving each
     # spec its own seed leaves the diagnostics bit for bit as they were
     specs = [lune_spec(a) for a in (0.2, 0.1)]
     _, diag = derived_density_estimate(specs, 400_000, seed=8)
-    payload = json.dumps(
-        dataclasses.asdict(diag), sort_keys=True,
-        default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item())
-    assert hashlib.sha256(payload.encode()).hexdigest() == (
+    assert _diag_digest(diag) == (
         "9b06ef5a443455ed4212d96b0118b1bdd10fcbecfd858851ed666b6f9a48fab0")
+
+
+# Diagnostics as the sampler of whole lune points gave them: the family of
+# acceptance criterion 5 at a small budget, and a hemisphere lune whose
+# accepted count exceeds _LUNE_CHUNK, so it is drawn in two chunks.
+@pytest.mark.parametrize("half_angles, budget, seed, chunks, digest", [
+    ((0.2, 0.1, 0.05), 1_000_000, 31, 1,
+     "5edb520ebef425d9f35998fa1ace633151b44dc6498f6b04810b6ddb41ca8e33"),
+    ((math.pi / 2,), 2_100_000, 5, 2,
+     "017c8ae37609dd79d7a71c382899c1d2e50932cad863b834d3e7cb638d7319f9"),
+], ids=["criterion-5", "two-chunks"])
+def test_lune_diagnostics_are_pinned(half_angles, budget, seed, chunks,
+                                     digest):
+    _, diag = derived_density_estimate([lune_spec(a) for a in half_angles],
+                                       budget, seed)
+    assert len(needles._chunks(max(diag.accepted))) == chunks
+    assert _diag_digest(diag) == digest
 
 
 def test_lune_symmetric_density():
@@ -483,22 +549,24 @@ def _chi2_pvalue(a, b, edges) -> float:
     (math.pi / 2, (0.0, 0.0, 1.0), 43),
 ])
 def test_exact_lune_sampler_matches_rejection(half_angle, axis, seed):
-    # the exact lune points and the cone draws that land in the lune have
-    # one law: colatitude on 40 bins, azimuth about the axis on 20 bins
+    # the cone draws that land in the lune have the law of the direct
+    # sampler: colatitude arccos z on 40 bins, z ~ U(-1, 1), and azimuth
+    # about the axis on 20 bins, U(-alpha, alpha)
     spec = lune_spec(half_angle, axis)
     drawn = sample_conical(euclidean_norm(3), 400_000, seed).points
     kept = drawn[spec.contains(drawn)]
-    exact = needles._lune_points(spec, 60_000, rng_stream(seed, 1))
-    assert np.allclose(np.linalg.norm(exact, axis=1), 1.0, atol=1e-12)
-    assert np.mean(spec.contains(exact)) > 1.0 - 1e-4
+    rng = rng_stream(seed, 1)
+    t_exact = needles._lune_colatitudes(spec, 60_000, rng)
+    # the sampler draws z, then the azimuths it does not return
+    replica = rng_stream(seed, 1)
+    z = replica.uniform(-1.0, 1.0, 60_000)
+    az_exact = replica.uniform(-half_angle, half_angle, 60_000)
+    assert np.array_equal(t_exact, np.arccos(z))
+    assert rng.random() == replica.random()
     a = np.asarray(axis) / np.linalg.norm(axis)
     u, v = needles._axis_frame(a)
-
-    def angles(pts):
-        theta = np.arccos(np.clip(pts @ a, -1.0, 1.0))
-        return theta, np.arctan2(pts @ v, pts @ u)
-
-    (t_kept, az_kept), (t_exact, az_exact) = angles(kept), angles(exact)
+    t_kept = np.arccos(np.clip(kept @ a, -1.0, 1.0))
+    az_kept = np.arctan2(kept @ v, kept @ u)
     assert _chi2_pvalue(t_kept, t_exact, np.linspace(0.0, math.pi, 41)) > 1e-3
     assert _chi2_pvalue(az_kept, az_exact,
                         np.linspace(-half_angle, half_angle, 21)) > 1e-3
