@@ -258,11 +258,6 @@ def _fiber_slice(norm: NormDescriptor, f, z
     return x0, vt[k:].T, length
 
 
-def _fiber_frame(norm: NormDescriptor, f, z) -> tuple[np.ndarray, np.ndarray]:
-    """x0 and the kernel basis of :func:`_fiber_slice`."""
-    return _fiber_slice(norm, f, z)[:2]
-
-
 # A margin on g(t) = ||x0 + t v|| - 1 far above the kernels' rounding error
 # near the unit sphere (a few ulps of 1), so a computed g beyond it has the
 # sign of the exact one.
@@ -458,7 +453,7 @@ def _exact_fiber_distance(norm: NormDescriptor, f, z
     """Closed-form distance function to the fiber {||x|| = 1, f x = z} of a
     pair that ``fiber_distance_method`` calls "exact". Raises as
     ``fiber_points`` does on a rank-deficient map or an empty fiber."""
-    x0, kernel = _fiber_frame(norm, f, z)
+    x0, kernel, _ = _fiber_slice(norm, f, z)
     if norm.is_round:
         return lambda points: _round_fiber_distance(points, x0, kernel)
     columns = _coordinate_columns(f)

@@ -3,10 +3,9 @@
 A needle is a low-dimensional convex piece of the unit sphere carrying a
 probability density whose (1/m)-th power obeys a midpoint concavity
 inequality corrected by the modulus of convexity ("weak m-concavity"). This
-module builds such densities on arcs (and, at desk scale, on geodesic caps
-of the round 2-sphere), checks the decay / mass-ratio / ball-mass chain that
-the waist bound rests on, and reconstructs densities derived from
-shrinking lunes empirically.
+module builds such densities on arcs (k = 1), checks the decay / mass-ratio /
+ball-mass chain that the waist bound rests on, and reconstructs densities
+derived from shrinking lunes empirically.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .bounds import (
     sine_integrals,
     waist_lower_bound,
 )
-from .cone import derive_seed, rng_stream, sample_conical
+from .cone import rng_stream
 from .norms import (
     ModulusCurve,
     NormDescriptor,
@@ -37,7 +36,6 @@ from .norms import (
 
 __all__ = [
     "ArcDensity",
-    "CapDensity",
     "ConvexCapSpec",
     "WeakConcavityReport",
     "MaxStructureReport",
@@ -49,9 +47,7 @@ __all__ = [
     "decay_bound_check",
     "needle_ratio_and_ball",
     "random_arc_density",
-    "random_cap_density",
     "lune_spec",
-    "validate_convexity",
     "derived_density_estimate",
     "needle_suite",
     "SUITE_MAX_N",
@@ -409,8 +405,7 @@ class NeedleBoundsReport:
 
 def needle_ratio_and_ball(d, eps: float) -> NeedleBoundsReport:
     """Quadrature check of the mass-ratio and ball-mass estimates around the
-    density maximum z of an ArcDensity (k = 1) or CapDensity (k = 2), with
-    n = m + k:
+    density maximum z of an ArcDensity, with n = m + k and k = 1:
 
         mu(B(z, 2 eps)^c) / mu(B(z, eps))
             <= (1 - 2 delta(eps))^(n-k) (k+1)^(k+1) * far_mass / near_mass
@@ -546,119 +541,43 @@ def _envelope(grid, phases, scales):
 
 
 # ---------------------------------------------------------------------------
-# Gridded cap needles on the round 2-sphere (k = 2, desk scale)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CapDensity:
-    """A density on a geodesic cap of the round 2-sphere, on a polar grid
-    (t = geodesic angle from the cap center, omega = azimuth), with
-    k = 2."""
-
-    k: ClassVar[int] = 2
-    cap_angle: float
-    t_grid: np.ndarray
-    omega_grid: np.ndarray
-    values: np.ndarray  # (T, W)
-    m: int
-    modulus: ModulusCurve
-
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        om = np.asarray(self.omega_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "omega_grid", om)
-        object.__setattr__(self, "values", v)
-        if v.shape != (t.size, om.size):
-            raise ValueError("values must have shape (len(t), len(omega))")
-        if np.any(v < 0):
-            raise ValueError("density values must be nonnegative")
-        weight = np.sin(t)[:, None] * np.ones_like(om)[None, :]
-        total = float(np.trapezoid(np.trapezoid(v * weight, om, axis=1), t))
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"density must integrate to 1, got {total:.12f}")
-
-    def grid_points(self) -> np.ndarray:
-        t = self.t_grid[:, None]
-        om = self.omega_grid[None, :]
-        return np.stack([np.sin(t) * np.cos(om) * np.ones_like(om),
-                         np.sin(t) * np.sin(om) * np.ones_like(om),
-                         np.cos(t) * np.ones_like(om)], axis=-1)
-
-    @property
-    def argmax_indices(self) -> tuple:
-        flat = int(np.argmax(self.values))
-        return np.unravel_index(flat, self.values.shape)
-
-    def ball_and_outer_mass(self, eps: float) -> tuple[float, float]:
-        """(mu(B(z, eps)), mu(B(z, 2 eps)^c)) in chordal distance around the
-        density maximum z, by masked 2-D trapezoid quadrature."""
-        pts = self.grid_points()
-        iz = self.argmax_indices
-        z = pts[iz]
-        dist = np.linalg.norm(pts - z, axis=-1)
-        w = np.sin(self.t_grid)[:, None] * self.values
-        def mass(mask):
-            return float(np.trapezoid(
-                np.trapezoid(np.where(mask, w, 0.0), self.omega_grid, axis=1),
-                self.t_grid))
-        ball = mass(dist <= eps)
-        outer = 1.0 - mass(dist <= 2.0 * eps)
-        return ball, outer
-
-
-def random_cap_density(rng: np.random.Generator, m: int) -> CapDensity:
-    """Weakly m-concave density on a geodesic cap of angle 0.9, on a
-    160 x 320 polar grid, built like the arc generator from a minimum of 2
-    to 5 linear functionals positive on the cone."""
-    cap_angle = 0.9
-    t = np.linspace(0.0, cap_angle, 160)
-    om = np.linspace(0.0, 2.0 * math.pi, 320)
-    pts = np.stack([np.outer(np.sin(t), np.cos(om)),
-                    np.outer(np.sin(t), np.sin(om)),
-                    np.outer(np.cos(t), np.ones_like(om))], axis=-1)
-    n_funcs = int(rng.integers(2, 6))
-    margin = 0.1
-    h = np.full(pts.shape[:2], np.inf)
-    for _ in range(n_funcs):
-        # Functional directions confined to a cap around the pole keep the
-        # minimum positive on the cone over the needle cap.
-        tilt = rng.uniform(0.0, math.pi / 2.0 - cap_angle - margin)
-        az = rng.uniform(0.0, 2.0 * math.pi)
-        c = np.array([math.sin(tilt) * math.cos(az),
-                      math.sin(tilt) * math.sin(az), math.cos(tilt)])
-        scale = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-        h = np.minimum(h, scale * (pts @ c))
-    vals = np.power(h, m)
-    weight = np.sin(t)[:, None] * np.ones_like(om)[None, :]
-    vals = vals / np.trapezoid(np.trapezoid(vals * weight, om, axis=1), t)
-    return CapDensity(cap_angle=cap_angle, t_grid=t, omega_grid=om,
-                      values=vals, m=m, modulus=euclidean_modulus_curve())
-
-
-# ---------------------------------------------------------------------------
 # Convex sets on the round 2-sphere and empirically derived densities
 # ---------------------------------------------------------------------------
 
 class EmptyConvexSetError(ValueError):
-    """Rejection sampling found no points of the convex set."""
-
-
-class NonConvexSpecError(ValueError):
-    """The generated set failed the sampled convexity validation."""
+    """Too few of the sample budget's draws land in the convex set."""
 
 
 @dataclass(frozen=True)
 class ConvexCapSpec:
-    """A lune of the round sphere S^2: the wedge of azimuth within
-    ``half_angle`` of a meridian half-circle about ``axis``. Convex for
-    half-angles up to pi/2, which ``lune_spec`` enforces; convexity is
-    validated by sampling."""
+    """A lune of the unit 2-sphere of ``norm``: the wedge of azimuth within
+    ``half_angle`` of a meridian half-circle about ``axis``.
+
+    The lune is the sphere cut by two half-spaces whose boundary planes
+    contain the axis, at azimuths -alpha and alpha. Where 2 alpha <= pi
+    their intersection is a convex cone, whose trace on the sphere is
+    convex for every norm; beyond pi the wedge is a union of half-spaces,
+    not convex. So the spec is convex exactly when 0 < alpha <= pi/2, and
+    construction refuses any other half-angle, and any axis that is not a
+    finite nonzero vector of length ``norm.dim``.
+    """
 
     axis: np.ndarray
     half_angle: float
     norm: NormDescriptor = field(default_factory=lambda: euclidean_norm(3))
+
+    def __post_init__(self):
+        axis = np.asarray(self.axis, dtype=float)
+        if (axis.shape != (self.norm.dim,) or not np.all(np.isfinite(axis))
+                or not np.any(axis)):
+            raise ValueError(
+                f"lune axis must be a finite nonzero vector of length "
+                f"{self.norm.dim}, got {axis.tolist()}")
+        half_angle = float(self.half_angle)
+        if not 0 < half_angle <= math.pi / 2:
+            raise ValueError("lune half-angle must lie in (0, pi/2]")
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "half_angle", half_angle)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         u, v = _axis_frame(self.axis)
@@ -680,10 +599,7 @@ def _axis_frame(axis):
 
 
 def lune_spec(half_angle: float, axis=(0.0, 0.0, 1.0)) -> ConvexCapSpec:
-    if not (0 < half_angle <= math.pi / 2):
-        raise ValueError("lune half-angle must lie in (0, pi/2]")
-    return ConvexCapSpec(axis=np.asarray(axis, dtype=float),
-                         half_angle=float(half_angle))
+    return ConvexCapSpec(axis=axis, half_angle=half_angle)
 
 
 def _lune_colatitudes(spec: ConvexCapSpec, count: int,
@@ -712,28 +628,6 @@ def _chunks(total: int) -> list[int]:
     up ``total`` points."""
     return [min(_LUNE_CHUNK, total - start)
             for start in range(0, total, _LUNE_CHUNK)]
-
-
-def validate_convexity(spec: ConvexCapSpec, seed: int = 0) -> bool:
-    """Sampled geodesic convexity: for random pairs of the points of 4000
-    cone-measure draws that land in the set, the normalized convex
-    combinations must stay in the set."""
-    batch = sample_conical(spec.norm, 4000, seed)
-    inside = batch.points[spec.contains(batch.points)]
-    if inside.shape[0] < 8:
-        raise EmptyConvexSetError("too few sample points land in the set")
-    rng = rng_stream(seed, 7)
-    n_pairs = min(2000, inside.shape[0] ** 2)
-    i = rng.integers(0, inside.shape[0], size=n_pairs)
-    j = rng.integers(0, inside.shape[0], size=n_pairs)
-    x, y = inside[i], inside[j]
-    ok = np.ones(n_pairs, dtype=bool)
-    for lam in (0.25, 0.5, 0.75):
-        mid = lam * x + (1.0 - lam) * y
-        norms = np.linalg.norm(mid, axis=-1)
-        good = norms > 1e-6  # skip near-antipodal pairs
-        ok[good] &= spec.contains(mid[good] / norms[good, None])
-    return bool(np.all(ok))
 
 
 @dataclass(frozen=True)
@@ -801,18 +695,13 @@ def derived_density_estimate(
             raise ValueError(
                 f"every lune of a family needs the axis {specs[0].axis}, "
                 f"got {spec.axis}")
-    for idx, spec in enumerate(specs):
-        if not validate_convexity(spec, seed=derive_seed(seed, 13, idx)):
-            raise NonConvexSpecError("spec failed convexity validation")
 
     bins = 40
     edges = np.linspace(0.0, math.pi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     # Stream paths under ``seed``: the probes take 5, lune idx draws from
-    # (11, idx) and the radial law from (12,). The convexity check of spec
-    # idx runs at its own seed derive_seed(seed, 13, idx), so the specs'
-    # checks draw distinct batches; none of them feeds the estimate.
+    # (11, idx) and the radial law from (12,).
     densities = []
     accepted_counts = []
     for idx, spec in enumerate(specs):

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import waistlab
 from waistlab import cli, cone, norms
 from waistlab.cli import (
     _COMMANDS,
@@ -844,3 +847,42 @@ def test_python_dash_m_runs_the_command_line():
     done = run("bound", "--norm", "lp:0.5:3", "--eps", "0.5")
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Public names
+# ---------------------------------------------------------------------------
+
+LAYERS = ("norms", "cone", "bounds", "needles", "cli")
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_public_name_resolves(layer):
+    # the benchmark tracer wraps every __all__ name by getattr
+    mod = importlib.import_module(f"waistlab.{layer}")
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_imports_resolve_to_public_names():
+    tree = ast.parse(Path(waistlab.__file__).read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imported
+    for module, name in imported:
+        assert hasattr(waistlab, name), name
+        assert name in importlib.import_module(f"waistlab.{module}").__all__
+
+
+def test_benchmark_entry_points_exist():
+    # every layer.name the benchmark's operations read
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    refs = {(node.value.id, node.attr)
+            for node in ast.walk(ast.parse(workloads.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in LAYERS}
+    assert ("needles", "lune_spec") in refs
+    missing = [f"{layer}.{name}" for layer, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"waistlab.{layer}"),
+                              name)]
+    assert missing == []

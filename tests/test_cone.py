@@ -9,7 +9,7 @@ from waistlab.cone import (
     MeasureEstimate,
     RankDeficientError,
     _exact_fiber_distance,
-    _fiber_frame,
+    _fiber_slice,
     best_fiber,
     cap_neighborhood_measure,
     derive_seed,
@@ -187,7 +187,7 @@ def test_fiber_points_offset_slice_geometry():
 
 def _fiber_points_full_bisection(norm, f, z, count, seed):
     """fiber_points with all 80 bisection steps, no early stop."""
-    x0, kernel = _fiber_frame(norm, f, z)
+    x0, kernel, _ = _fiber_slice(norm, f, z)
     rng = rng_stream(seed, 0)
     dirs = rng.standard_normal((count, kernel.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)

@@ -23,8 +23,6 @@ from waistlab.needles import (
     needle_ratio_and_ball,
     needle_suite,
     random_arc_density,
-    random_cap_density,
-    validate_convexity,
 )
 from waistlab.norms import (
     euclidean_modulus_curve,
@@ -201,14 +199,6 @@ def test_random_needles_satisfy_ratio_and_ball_bounds():
         eps = float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
         d = random_arc_density(rng, m=n - 1, grid_size=512)
         rep = needle_ratio_and_ball(d, eps)
-        assert rep.ratio_ok and rep.ball_ok
-
-
-def test_cap_needle_k2_bounds():
-    rng = rng_stream(66, 0)
-    for m in (1, 2):
-        capd = random_cap_density(rng, m=m)
-        rep = needle_ratio_and_ball(capd, 0.3)
         assert rep.ratio_ok and rep.ball_ok
 
 
@@ -420,19 +410,37 @@ def test_coordinate_plane_radii_do_not_depend_on_dim():
 # Convex specs and derived densities
 # ---------------------------------------------------------------------------
 
-# A lune wider than a hemisphere is not convex; lune_spec refuses it.
-WIDE_LUNE = ConvexCapSpec(axis=np.array([0.0, 0.0, 1.0]), half_angle=2.5)
+def _direct_spec(half_angle, axis=(0.0, 0.0, 1.0)):
+    return ConvexCapSpec(axis=axis, half_angle=half_angle)
 
 
-def test_spec_convexity_validation():
-    assert validate_convexity(lune_spec(0.4))
-    assert validate_convexity(lune_spec(math.pi / 2))
-    assert not validate_convexity(WIDE_LUNE)
-
-
-def test_derived_density_rejects_nonconvex_and_wrong_family():
-    with pytest.raises(ValueError):
-        derived_density_estimate([WIDE_LUNE], 10_000, seed=1)
+# A lune is convex exactly when 0 < alpha <= pi/2; a spec is checked when it
+# is built, by lune_spec or directly.
+@pytest.mark.parametrize("build", [lune_spec, _direct_spec],
+                         ids=["lune_spec", "direct"])
+@pytest.mark.parametrize("half_angle, axis, match", [
+    (1.58, (0.0, 0.0, 1.0), "half-angle"),
+    (1.6, (0.0, 0.0, 1.0), "half-angle"),
+    (2.5, (0.0, 0.0, 1.0), "half-angle"),
+    (0.0, (0.0, 0.0, 1.0), "half-angle"),
+    (-0.1, (0.0, 0.0, 1.0), "half-angle"),
+    (math.nan, (0.0, 0.0, 1.0), "half-angle"),
+    (math.inf, (0.0, 0.0, 1.0), "half-angle"),
+    (0.2, (0.0, 0.0, 0.0), "axis"),
+    (0.2, (0.0, 0.0, math.nan), "axis"),
+    (0.2, (0.0, 1.0), "axis"),
+    (0.4, (0.0, 0.0, 1.0), None),
+    (math.pi / 2, (0.0, 0.0, 1.0), None),
+])
+def test_lune_spec_is_checked_when_built(build, half_angle, axis, match):
+    if match is None:
+        spec = build(half_angle, axis)
+        assert spec.half_angle == half_angle
+        assert np.array_equal(spec.axis, axis)
+        return
+    with pytest.raises(ValueError, match=match) as err:
+        build(half_angle, axis)
+    assert "\n" not in str(err.value)
 
 
 def test_lune_density_reconstruction_small_budget():
@@ -453,23 +461,6 @@ def test_lune_density_reconstruction_small_budget():
     assert diag.density_exponent == pytest.approx(1.0, abs=0.15)
 
 
-def test_lune_convexity_checks_draw_distinct_batches(monkeypatch):
-    seeds = []
-
-    def recording(spec, seed=0):
-        seeds.append(seed)
-        return validate_convexity(spec, seed)
-
-    monkeypatch.setattr(needles, "validate_convexity", recording)
-    specs = [lune_spec(a) for a in (0.2, 0.1, 0.05)]
-    derived_density_estimate(specs, 200_000, seed=8)
-    assert len(seeds) == len(set(seeds)) == 3
-    batches = [sample_conical(euclidean_norm(3), 4000, s).points
-               for s in seeds]
-    assert not np.array_equal(batches[0], batches[1])
-    assert not np.array_equal(batches[1], batches[2])
-
-
 def _diag_digest(diag) -> str:
     payload = json.dumps(
         dataclasses.asdict(diag), sort_keys=True,
@@ -477,24 +468,18 @@ def _diag_digest(diag) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def test_lune_diagnostics_do_not_depend_on_the_convexity_draws():
-    # the convexity checks draw no point the estimate uses, so giving each
-    # spec its own seed leaves the diagnostics bit for bit as they were
-    specs = [lune_spec(a) for a in (0.2, 0.1)]
-    _, diag = derived_density_estimate(specs, 400_000, seed=8)
-    assert _diag_digest(diag) == (
-        "9b06ef5a443455ed4212d96b0118b1bdd10fcbecfd858851ed666b6f9a48fab0")
-
-
 # Diagnostics as the sampler of whole lune points gave them: the family of
-# acceptance criterion 5 at a small budget, and a hemisphere lune whose
-# accepted count exceeds _LUNE_CHUNK, so it is drawn in two chunks.
+# acceptance criterion 5 at a small budget, a hemisphere lune whose accepted
+# count exceeds _LUNE_CHUNK, so it is drawn in two chunks, and the two-lune
+# family of the small-budget reconstruction test.
 @pytest.mark.parametrize("half_angles, budget, seed, chunks, digest", [
     ((0.2, 0.1, 0.05), 1_000_000, 31, 1,
      "5edb520ebef425d9f35998fa1ace633151b44dc6498f6b04810b6ddb41ca8e33"),
     ((math.pi / 2,), 2_100_000, 5, 2,
      "017c8ae37609dd79d7a71c382899c1d2e50932cad863b834d3e7cb638d7319f9"),
-], ids=["criterion-5", "two-chunks"])
+    ((0.2, 0.1), 400_000, 8, 1,
+     "9b06ef5a443455ed4212d96b0118b1bdd10fcbecfd858851ed666b6f9a48fab0"),
+], ids=["criterion-5", "two-chunks", "two-lunes"])
 def test_lune_diagnostics_are_pinned(half_angles, budget, seed, chunks,
                                      digest):
     _, diag = derived_density_estimate([lune_spec(a) for a in half_angles],
