@@ -14,7 +14,6 @@ from .norms import (  # noqa: F401
     norm_eval,
     numeric_modulus,
     parse_norm,
-    radial_project,
     smooth_norm,
 )
 from .bounds import (  # noqa: F401

@@ -44,8 +44,21 @@ from .norms import analytic_modulus_curve, numeric_modulus, parse_norm
 __all__ = ["ExperimentConfig", "Report", "ConfigError", "run_experiment",
            "emit_report", "main", "console_entry"]
 
-_COMMANDS = ("bound", "modulus", "verify-waist", "verify-iso", "needle-suite",
-             "compare")
+# The config fields each command reads. This table alone decides a
+# command's flags, the keys its --config file may hold and the fields its
+# report echoes (``command`` and all of these but ``out``).
+_READS = {
+    "bound": ("norm", "k", "eps", "eps_grid", "f_upper", "out"),
+    "modulus": ("norm", "eps", "eps_grid", "budget", "method", "seed", "out",
+                "format"),
+    "verify-waist": ("norm", "k", "eps", "z_grid", "samples", "fiber_points",
+                     "seed", "f_upper", "out"),
+    "verify-iso": ("norm", "eps", "samples", "fiber_points", "seed",
+                   "f_upper", "cap_mass", "out"),
+    "needle-suite": ("n", "eps", "eps_grid", "trials", "seed", "f_upper",
+                     "out"),
+    "compare": ("norm", "k", "eps", "eps_grid", "f_upper", "out", "format"),
+}
 # Upper limit on the points of an --eps-grid or --z-grid axis, and of the
 # verify-waist z grid (the k-fold product of its axis).
 _MAX_GRID_POINTS = 10_000
@@ -59,10 +72,11 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """A fully reproducible experiment description.
 
-    Round-trips through JSON; every numeric range is validated before the
-    experiment dispatches. Every field but ``command`` is also a flag of
-    each subcommand (``eps_grid`` is ``--eps-grid``); a field's metadata
-    holds extra argparse keywords for its flag.
+    Round-trips through JSON. The fields are those of every command;
+    ``_READS`` names the ones each command reads, which are its flags
+    (``eps_grid`` is ``--eps-grid``) and the only ones validated before it
+    dispatches. The others are ignored. A field's metadata holds extra
+    argparse keywords for its flag.
     """
 
     command: str
@@ -109,63 +123,52 @@ class ExperimentConfig:
         return cls(**data)
 
     def validate(self) -> "ExperimentConfig":
-        if self.command not in _COMMANDS:
+        if self.command not in _READS:
             raise ConfigError(f"unknown command {self.command!r}")
-        try:
-            descriptor = parse_norm(self.norm)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.command == "needle-suite":
-            # here n is the top of the needle dimension range, not tied to
-            # a particular norm
-            if self.n is not None and not 2 <= self.n <= SUITE_MAX_N:
-                raise ConfigError(
-                    f"needle-suite requires 2 <= n <= {SUITE_MAX_N}, got "
-                    f"n={self.n}")
-            if descriptor.kind != "euclidean":
-                raise ConfigError(
-                    "needle-suite draws euclidean k = 1 needles only, got "
-                    f"--norm {self.norm}")
-            if self.k != 1:
-                raise ConfigError(
-                    "needle-suite draws euclidean k = 1 needles only, got "
-                    f"--k {self.k}")
-        else:
-            n = self.n if self.n is not None else descriptor.sphere_dim
-            if n != descriptor.sphere_dim:
-                raise ConfigError(
-                    f"n={n} inconsistent with norm dimension {descriptor.dim} "
-                    f"(sphere dimension {descriptor.sphere_dim})")
-            if not (1 <= self.k <= n):
+        reads = _READS[self.command]
+        if "norm" in reads:
+            try:
+                n = parse_norm(self.norm).sphere_dim
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            if "k" in reads and not 1 <= self.k <= n:
                 raise ConfigError(f"need 1 <= k <= n, got k={self.k}, n={n}")
             if n < 2 and self.command in ("bound", "compare"):
                 # the Gromov-Milman bound both commands report needs n >= 2
                 raise ConfigError(
                     f"{self.command} requires sphere dimension >= 2, got "
                     f"{self.norm} (sphere dimension {n})")
+        if "n" in reads and self.n is not None and \
+                not 2 <= self.n <= SUITE_MAX_N:
+            # the top of the needle dimension range
+            raise ConfigError(
+                f"needle-suite requires 2 <= n <= {SUITE_MAX_N}, got "
+                f"n={self.n}")
         if self.eps is not None and not (0.0 < self.eps <= 2.0):
             raise ConfigError(f"eps must lie in (0, 2], got {self.eps}")
-        if self.eps is None and self.command in ("verify-waist", "verify-iso"):
+        if self.eps is None and "eps_grid" not in reads:
             raise ConfigError(f"{self.command} requires --eps")
         if self.eps is None and self.eps_grid is None and self.command != "needle-suite":
             raise ConfigError("provide --eps or --eps-grid")
-        if min(self.samples, self.fiber_points, self.trials, self.budget) < 1:
+        budgets = [getattr(self, name) for name in
+                   ("samples", "fiber_points", "trials", "budget")
+                   if name in reads]
+        if min(budgets, default=1) < 1:
             raise ConfigError("budgets must be positive")
-        if self.seed < 0:
+        if "seed" in reads and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.f_upper not in (F_UPPER_PI, F_UPPER_HALF_PI):
+        if "f_upper" in reads and self.f_upper not in (F_UPPER_PI,
+                                                       F_UPPER_HALF_PI):
             raise ConfigError(f"--f-upper must be pi or halfpi, got {self.f_upper}")
-        if not (0.0 < self.cap_mass < 1.0):
+        if "cap_mass" in reads and not (0.0 < self.cap_mass < 1.0):
             raise ConfigError("cap-mass must lie in (0, 1)")
-        if self.method not in ("auto", "analytic", "numeric"):
+        if "method" in reads and self.method not in ("auto", "analytic",
+                                                     "numeric"):
             raise ConfigError(
                 f"method must be auto, analytic or numeric, got {self.method}")
-        if self.format not in ("json", "csv"):
+        if "format" in reads and self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format}")
-        if self.format == "csv" and self.command not in ("compare", "modulus"):
-            raise ConfigError(f"command {self.command!r} has no CSV form; "
-                              "use --format json")
-        if self.eps_grid is not None:
+        if "eps_grid" in reads and self.eps_grid is not None:
             grid = _parse_grid(self.eps_grid)
             if not np.all((grid > 0.0) & (grid <= 2.0)):
                 raise ConfigError(
@@ -176,11 +179,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"needle-suite requires eps >= {SUITE_MIN_EPS:.6g}, got "
                 f"{min(_eps_values(self)):g}")
-        axis = _parse_grid(self.z_grid)
-        if self.command == "verify-waist":
+        if "z_grid" in reads:
             # The z grid is the k-fold product of the axis. Once the axis
             # has two points, an exponent past the limit's bit length
             # exceeds the limit, so the power stays small.
+            axis = _parse_grid(self.z_grid)
             fibers = axis.size ** min(self.k, _MAX_GRID_POINTS.bit_length())
             if fibers > _MAX_GRID_POINTS:
                 raise ConfigError(
@@ -248,7 +251,7 @@ def _z_product_grid(spec: str, k: int) -> list[np.ndarray]:
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _run_bound(cfg: ExperimentConfig) -> Report:
+def _run_bound(cfg: ExperimentConfig) -> tuple[dict, str]:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
     eps_values = _eps_values(cfg)
@@ -263,11 +266,10 @@ def _run_bound(cfg: ExperimentConfig) -> Report:
             "gromov_milman": gromov_milman_bound(n, eps, modulus).to_dict(),
             "round_sphere_reference": round_sphere_reference(n, cfg.k, eps).to_dict(),
         })
-    return Report(config=cfg.to_dict(), results={"bounds": entries},
-                  status="report")
+    return {"bounds": entries}, "report"
 
 
-def _run_modulus(cfg: ExperimentConfig) -> Report:
+def _run_modulus(cfg: ExperimentConfig) -> tuple[dict, str]:
     norm = parse_norm(cfg.norm)
     eps_values = _eps_values(cfg)
     # One section search covers the whole grid; each value equals the
@@ -283,11 +285,10 @@ def _run_modulus(cfg: ExperimentConfig) -> Report:
         if numeric is not None:
             row["numeric"] = float(numeric[i])
         rows.append(row)
-    return Report(config=cfg.to_dict(), results={"modulus": rows},
-                  status="report")
+    return {"modulus": rows}, "report"
 
 
-def _run_verify_waist(cfg: ExperimentConfig) -> Report:
+def _run_verify_waist(cfg: ExperimentConfig) -> tuple[dict, str]:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
     modulus = analytic_modulus_curve(norm)
@@ -315,11 +316,10 @@ def _run_verify_waist(cfg: ExperimentConfig) -> Report:
         "fiber_distance": fiber_distance_method(norm, f),
         "assertion": "tube_measure >= waist_bound - 3*std_error",
     }
-    return Report(config=cfg.to_dict(), results=results,
-                  status="pass" if passed else "fail")
+    return results, "pass" if passed else "fail"
 
 
-def _run_verify_iso(cfg: ExperimentConfig) -> Report:
+def _run_verify_iso(cfg: ExperimentConfig) -> tuple[dict, str]:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
     modulus = analytic_modulus_curve(norm)
@@ -351,11 +351,10 @@ def _run_verify_iso(cfg: ExperimentConfig) -> Report:
         "fiber_distance": fiber_distance_method(norm, f),
         "assertion": "max(mu(A+eps), mu(A^c+eps)) >= waist_bound - 3*std_error",
     }
-    return Report(config=cfg.to_dict(), results=results,
-                  status="pass" if passed else "fail")
+    return results, "pass" if passed else "fail"
 
 
-def _run_needle_suite(cfg: ExperimentConfig) -> Report:
+def _run_needle_suite(cfg: ExperimentConfig) -> tuple[dict, str]:
     # Without --eps or --eps-grid the suite draws from its own default eps.
     given = ({} if cfg.eps is None and cfg.eps_grid is None
              else {"eps_choices": _eps_values(cfg)})
@@ -363,11 +362,10 @@ def _run_needle_suite(cfg: ExperimentConfig) -> Report:
     reports = needle_suite(cfg.trials, cfg.seed, n_range=(2, n_hi),
                            f_upper=cfg.f_upper, **given)
     ok = all(r["violations"] == 0 for r in reports)
-    return Report(config=cfg.to_dict(), results={"lemma_reports": reports},
-                  status="pass" if ok else "fail")
+    return {"lemma_reports": reports}, "pass" if ok else "fail"
 
 
-def _run_compare(cfg: ExperimentConfig) -> Report:
+def _run_compare(cfg: ExperimentConfig) -> tuple[dict, str]:
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
     eps_values = _eps_values(cfg)
@@ -378,9 +376,7 @@ def _run_compare(cfg: ExperimentConfig) -> Report:
         if k <= n:
             slopes[f"{l}/{k}"] = ratio_loglog_slope(n, l, k, modulus,
                                                     f_upper=cfg.f_upper)
-    return Report(config=cfg.to_dict(),
-                  results={"table": rows, "loglog_slopes": slopes},
-                  status="report")
+    return {"table": rows, "loglog_slopes": slopes}, "report"
 
 
 _RUNNERS = {
@@ -395,16 +391,17 @@ _RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Validate and dispatch a config; the report is a pure function of the
-    experiment parameters. Volatile or destination-only fields (wall time,
-    output path) never enter the serialized payload, so identical runs emit
-    byte-identical files."""
+    experiment parameters. It echoes the command and the fields the command
+    reads, but neither volatile nor destination-only fields (wall time,
+    output path), so identical runs emit byte-identical files."""
     config = config.validate()
     t0 = time.monotonic()
-    report = _RUNNERS[config.command](config)
-    report.wall_time = time.monotonic() - t0
-    report.config = {key: val for key, val in report.config.items()
-                     if key != "out"}
-    return report
+    results, status = _RUNNERS[config.command](config)
+    echo = {"command": config.command}
+    echo.update((key, getattr(config, key))
+                for key in _READS[config.command] if key != "out")
+    return Report(config=echo, results=results, status=status,
+                  wall_time=time.monotonic() - t0)
 
 
 def _csv(rows: list[dict], columns: list[str]) -> str:
@@ -496,17 +493,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
+    for name, reads in _READS.items():
+        # no abbreviations: --n on bound is a flag bound lacks, not --norm
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags override it")
         for flag, f, parse in _flag_fields():
-            p.add_argument(flag, dest=f.name, type=parse, default=None,
-                           **f.metadata)
+            if f.name in reads:
+                p.add_argument(flag, dest=f.name, type=parse, default=None,
+                               **f.metadata)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    reads = _READS[args.command]
     data = {"command": args.command}
     if args.config:
         with open(args.config) as fh:
@@ -515,11 +515,15 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(
                 f"--config file {args.config} must hold a JSON object")
         file_data.pop("command", None)
+        foreign = sorted(set(file_data) - set(reads))
+        if foreign:
+            raise ConfigError(
+                f"{args.command} takes no config keys {foreign}")
         data.update(file_data)
-    for _, f, _ in _flag_fields():
-        value = getattr(args, f.name)
+    for name in reads:
+        value = getattr(args, name)
         if value is not None:
-            data[f.name] = value
+            data[name] = value
     return ExperimentConfig.from_dict(data)
 
 
@@ -551,16 +555,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = _config_from_args(args).validate()
+        config = _config_from_args(args)
+        report = run_experiment(config)
+        payload = emit_report(report, config.out, config.format)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = run_experiment(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = emit_report(report, config.out, config.format)
     if not config.out:
         sys.stdout.write(payload)
     if report.status in ("pass", "fail"):

@@ -179,7 +179,7 @@ def _rejection_sphere_sample(norm: NormDescriptor, count: int,
             filled += kept.size
             start = stop
     # The norms that accepted the draws project them too: norm_eval gives
-    # each row its own bits, so this is radial_project(norm, out).
+    # each row its own bits, so this is out / norm_eval(norm, out).
     if np.any(lengths == 0):
         raise ValueError("cannot radially project the zero vector")
     return out / lengths[:, None]

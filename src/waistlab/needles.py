@@ -558,15 +558,21 @@ class ConvexCapSpec:
     their intersection is a convex cone, whose trace on the sphere is
     convex for every norm; beyond pi the wedge is a union of half-spaces,
     not convex. So the spec is convex exactly when 0 < alpha <= pi/2, and
-    construction refuses any other half-angle, and any axis that is not a
-    finite nonzero vector of length ``norm.dim``.
+    construction refuses any other half-angle, any norm whose unit sphere
+    is not 2-dimensional, and any axis that is not a finite nonzero vector
+    of length ``norm.dim``. The axis is kept as a tuple of floats, so specs
+    compare and hash by value.
     """
 
-    axis: np.ndarray
+    axis: tuple
     half_angle: float
     norm: NormDescriptor = field(default_factory=lambda: euclidean_norm(3))
 
     def __post_init__(self):
+        if self.norm.sphere_dim != 2:
+            raise ValueError(
+                f"a lune lies on a 2-sphere, got {self.norm} (sphere "
+                f"dimension {self.norm.sphere_dim})")
         axis = np.asarray(self.axis, dtype=float)
         if (axis.shape != (self.norm.dim,) or not np.all(np.isfinite(axis))
                 or not np.any(axis)):
@@ -576,7 +582,7 @@ class ConvexCapSpec:
         half_angle = float(self.half_angle)
         if not 0 < half_angle <= math.pi / 2:
             raise ValueError("lune half-angle must lie in (0, pi/2]")
-        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "axis", tuple(axis.tolist()))
         object.__setattr__(self, "half_angle", half_angle)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -684,8 +690,6 @@ def derived_density_estimate(
                 f"lune reconstruction needs a round-sphere norm, got {spec.norm}")
     norm = specs[0].norm
     n = norm.sphere_dim
-    if n != 2:
-        raise ValueError("desk-scale reconstruction runs on the 2-sphere")
     axis = np.asarray(specs[0].axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     for spec in specs[1:]:

@@ -31,7 +31,6 @@ __all__ = [
     "parse_norm",
     "format_norm",
     "norm_eval",
-    "radial_project",
     "sandwich_bounds",
     "rng_stream",
     "derive_seed",
@@ -413,20 +412,8 @@ def _regularized_eval(norm: NormDescriptor, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Radial projection and sandwich constants
+# Sandwich constants
 # ---------------------------------------------------------------------------
-
-def radial_project(norm: NormDescriptor, x) -> np.ndarray:
-    """Project x (or a batch) to the unit sphere, x/||x||.
-
-    Between points of norm >= 1 this map is 2-Lipschitz in the norm metric.
-    """
-    x = np.asarray(x, dtype=float)
-    n = norm_eval(norm, x)
-    if np.any(np.asarray(n) == 0):
-        raise ValueError("cannot radially project the zero vector")
-    return x / np.asarray(n)[..., None] if x.ndim > 1 else x / n
-
 
 def sandwich_bounds(norm: NormDescriptor) -> tuple[float, float]:
     """Constants (c1, c2) with c1*|x|_2 <= ||x|| <= c2*|x|_2, for every norm

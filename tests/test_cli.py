@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import waistlab
 from waistlab import cli, cone, norms
 from waistlab.cli import (
-    _COMMANDS,
+    _READS,
     ConfigError,
     ExperimentConfig,
     _build_parser,
@@ -61,7 +61,7 @@ def test_bad_norm_string_exits_2_with_one_line(norm, message, capsys):
 ])
 def test_regularized_norm_outside_its_domain_exits_2(command, norm, message,
                                                       capsys):
-    rc = main([command, "--norm", norm, "--k", "1", "--eps", "0.5"])
+    rc = main([command, "--norm", norm, "--eps", "0.5"])
     err = capsys.readouterr().err
     assert rc == 2
     assert message in err
@@ -70,18 +70,11 @@ def test_regularized_norm_outside_its_domain_exits_2(command, norm, message,
 
 @pytest.mark.parametrize("command", ["verify-waist", "verify-iso"])
 def test_verify_without_eps_exits_2(command, capsys):
-    rc = main([command, "--norm", "euclidean:3", "--k", "1",
-               "--eps-grid", "0.2:0.6:0.2"])
+    rc = main([command, "--norm", "euclidean:3", "--seed", "1"])
     err = capsys.readouterr().err
     assert rc == 2
     assert f"{command} requires --eps" in err
     assert err.count("\n") == 1
-
-
-def test_inconsistent_n_exits_2(capsys):
-    rc = main(["bound", "--norm", "euclidean:3", "--n", "5", "--k", "1",
-               "--eps", "0.5"])
-    assert rc == 2
 
 
 def test_missing_eps_exits_2():
@@ -162,10 +155,21 @@ def test_unknown_command_exits_2():
     assert main(["frobulate"]) == 2
 
 
+# The last rows pass a flag the command does not take, as it does not
+# read that field.
 @pytest.mark.parametrize("argv", [
     ["bound", "--eps", "0.5", "--k", "2.5"],
     ["bound", "--eps", "0.5", "--no-such-flag", "1"],
     ["bound", "--eps"],
+    ["bound", "--eps", "0.5", "--budget", "7"],
+    ["bound", "--eps", "0.5", "--z-grid", "bad"],
+    ["bound", "--eps", "0.5", "--n", "5"],
+    ["bound", "--eps", "0.5", "--format", "csv"],
+    ["verify-iso", "--eps", "0.5", "--k", "2"],
+    ["verify-waist", "--eps", "0.5", "--eps-grid", "0.2:0.6:0.2"],
+    ["needle-suite", "--norm", "lp:4:3"],
+    ["needle-suite", "--k", "2"],
+    ["needle-suite", "--format", "csv"],
 ])
 def test_argparse_usage_errors_print_one_line(argv, capsys):
     assert main(argv) == 2
@@ -195,6 +199,13 @@ def test_bound_command_json(tmp_path, capsys):
                           "round_sphere_reference"}
     assert entry["waist"]["value"] == pytest.approx(7.5e-3, abs=2e-4)
     assert "wall_time" not in data
+    # an --out the report cannot be written to is a usage error
+    rc = main(["bound", "--norm", "euclidean:3", "--eps", "0.5",
+               "--out", str(tmp_path / "missing" / "bound.json")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "No such file" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_emitted_files_are_byte_identical(tmp_path):
@@ -259,7 +270,7 @@ def test_verify_waist_codimension_two(tmp_path):
 
 def test_verify_iso_pass(tmp_path):
     out = tmp_path / "vi.json"
-    rc = main(["verify-iso", "--norm", "lp:4:3", "--k", "1", "--eps", "0.3",
+    rc = main(["verify-iso", "--norm", "lp:4:3", "--eps", "0.3",
                "--cap-mass", "0.5", "--samples", "3e4", "--fiber-points",
                "2e3", "--seed", "3", "--out", str(out)])
     assert rc == 0
@@ -269,8 +280,8 @@ def test_verify_iso_pass(tmp_path):
 
 
 def test_verify_iso_empty_cloud_exits_2(capsys):
-    rc = main(["verify-iso", "--norm", "euclidean:3", "--k", "1", "--eps",
-               "0.5", "--samples", "1", "--fiber-points", "1"])
+    rc = main(["verify-iso", "--norm", "euclidean:3", "--eps", "0.5",
+               "--samples", "1", "--fiber-points", "1"])
     err = capsys.readouterr().err
     assert rc == 2
     assert "--samples" in err
@@ -282,9 +293,10 @@ def test_verify_iso_empty_cloud_exits_2(capsys):
 def test_regularized_norm_at_wide_widths_passes(command, width, capsys):
     # The rejection sampler draws in the Euclidean ball of radius 1/c1; a
     # c1 far below the norm left it keeping almost no draw.
-    rc = main([command, "--norm", f"reg:lp:1.5:3:w={width}:d=0.01", "--k",
-               "1", "--eps", "0.5", "--z-grid", "-0.4:0.4:0.4", "--samples",
-               "500", "--fiber-points", "100", "--budget", "3000"])
+    z_grid = ["--z-grid", "-0.4:0.4:0.4"] if command == "verify-waist" else []
+    rc = main([command, "--norm", f"reg:lp:1.5:3:w={width}:d=0.01",
+               "--eps", "0.5", *z_grid, "--samples", "500", "--fiber-points",
+               "100"])
     assert rc == 0
     assert capsys.readouterr().err.startswith("PASS")
 
@@ -318,7 +330,7 @@ def test_verify_iso_runs_at_nearby_seeds_share_no_batch(monkeypatch):
 def test_verify_iso_reports_its_distance_method(norm, method):
     report = run_experiment(ExperimentConfig(
         command="verify-iso", norm=norm, eps=0.5, samples=500,
-        fiber_points=100, budget=3000, seed=2))
+        fiber_points=100, seed=2))
     assert report.results["fiber_distance"] == method
 
 
@@ -410,15 +422,6 @@ def test_needle_suite_eps_below_its_grid_exits_2(flag, value, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag, value", [("--norm", "lp:4:3"), ("--k", "2")])
-def test_needle_suite_rejects_unsupported_flags(flag, value, capsys):
-    rc = main(["needle-suite", flag, value, "--trials", "5"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "euclidean k = 1 needles only" in err and f"{flag} {value}" in err
-    assert err.count("\n") == 1
-
-
 def test_config_file_with_flag_override(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
@@ -487,18 +490,19 @@ def test_dim_two_bound_exits_2(command, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("override, key", [
-    ({"norm": 3}, "norm"),
-    ({"eps": "0.5"}, "eps"),
-    ({"k": True}, "k"),
-    ({"samples": 1e6}, "samples"),
-    ({"eps_grid": [0.1, 0.5, 0.1], "eps": None}, "eps_grid"),
+@pytest.mark.parametrize("command, override, key", [
+    ("bound", {"norm": 3}, "norm"),
+    ("bound", {"eps": "0.5"}, "eps"),
+    ("bound", {"k": True}, "k"),
+    ("verify-waist", {"samples": 1e6}, "samples"),
+    ("bound", {"eps_grid": [0.1, 0.5, 0.1], "eps": None}, "eps_grid"),
 ])
-def test_config_file_wrong_type_exits_2(override, key, tmp_path, capsys):
+def test_config_file_wrong_type_exits_2(command, override, key, tmp_path,
+                                        capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(
         {"norm": "lp:4:3", "k": 1, "eps": 0.5, **override}))
-    rc = main(["bound", "--config", str(cfg_file)])
+    rc = main([command, "--config", str(cfg_file)])
     err = capsys.readouterr().err
     assert rc == 2
     assert f"config key {key!r}" in err
@@ -527,7 +531,7 @@ _JSON_VALUES = st.recursive(
 
 # Values near the valid range, so that validation also runs its later checks.
 _PLAUSIBLE = {
-    "command": st.sampled_from(_COMMANDS),
+    "command": st.sampled_from(tuple(_READS)),
     "norm": st.sampled_from(["euclidean:3", "lp:4:2", "lp:1.5:5", "lp:1:3",
                              "reg:lp:1.5:3:w=0.05:d=0.01", "reg:lp"]),
     "n": st.none() | st.integers(-1, 6),
@@ -655,19 +659,40 @@ def test_bounds_of_regularized_norms_run_no_section_search(command,
     monkeypatch.setattr(cli, "numeric_modulus", _no_search)
     report = run_experiment(ExperimentConfig(
         command=command, norm=REG_NORM, eps=0.5, z_grid="-0.4:0.4:0.4",
-        samples=500, fiber_points=100, budget=3000, seed=1))
+        samples=500, fiber_points=100, seed=1))
     assert report.status in ("pass", "report")
 
 
-@pytest.mark.parametrize("command", ["bound", "verify-waist", "verify-iso",
-                                     "needle-suite"])
-def test_csv_without_csv_form_exits_2(command, capsys):
-    rc = main([command, "--norm", "euclidean:3", "--eps", "0.5",
-               "--samples", "100", "--trials", "2", "--format", "csv"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "has no CSV form" in err
-    assert err.count("\n") == 1
+def test_emit_report_refuses_csv_without_csv_form():
+    report = run_experiment(ExperimentConfig(command="bound", eps=0.5))
+    with pytest.raises(ConfigError, match="'bound' has no CSV form"):
+        emit_report(report, None, "csv")
+
+
+@pytest.mark.parametrize("command, key", [
+    ("bound", "budget"), ("bound", "z_grid"), ("verify-iso", "k"),
+    ("needle-suite", "norm"), ("modulus", "nope")])
+def test_config_key_the_command_does_not_take_exits_2(command, key, tmp_path,
+                                                      capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"eps": 0.5, key: 1}))
+    assert main([command, "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command} takes no config keys [{key!r}]\n"
+    assert captured.out == ""
+
+
+def test_python_api_ignores_fields_the_command_does_not_read():
+    # A config built in Python may carry fields its command does not read:
+    # they are neither validated nor echoed, and change no result.
+    cfg = ExperimentConfig(command="verify-iso", norm="lp:4:3", k=1, eps=0.3,
+                           samples=2000, fiber_points=200, budget=3000,
+                           z_grid="bad", seed=1)
+    assert ExperimentConfig.from_dict(cfg.to_dict()).validate() == cfg
+    report = run_experiment(cfg)
+    assert set(report.config) == {"command", *_READS["verify-iso"]} - {"out"}
+    other = dataclasses.replace(cfg, k=2, budget=-7, n=1, method="exact")
+    assert run_experiment(other).results == report.results
 
 
 def test_integer_flags_take_integral_floats_only(capsys):
@@ -679,30 +704,80 @@ def test_integer_flags_take_integral_floats_only(capsys):
     assert report["config"]["samples"] == 2000
     assert report["config"]["fiber_points"] == 100
     assert report["config"]["seed"] == 12345678901234567890
-    for flag in ("--samples", "--k", "--seed", "--n"):
-        assert main(["bound", "--norm", "euclidean:3", "--eps", "0.5",
-                     flag, "2.5"]) == 2
+    for command, flag in (("verify-waist", "--samples"), ("bound", "--k"),
+                          ("modulus", "--seed"), ("needle-suite", "--n")):
+        assert main([command, "--eps", "0.5", flag, "2.5"]) == 2
         assert "invalid integer '2.5'" in capsys.readouterr().err
 
 
-def test_subcommand_flags_are_the_config_fields():
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def test_subcommand_flags_are_its_read_set():
     parser = _build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert tuple(sub.choices) == _COMMANDS
+    assert tuple(sub.choices) == tuple(_READS)
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    fields.discard("command")
-    expected = {"--" + name.replace("_", "-") for name in fields}
     for name, subparser in sub.choices.items():
+        reads = set(_READS[name])
+        assert reads <= fields - {"command"}, name
         actions = [a for a in subparser._actions if a.dest != "help"]
         assert {s for a in actions for s in a.option_strings} == \
-            expected | {"--config"}, name
-        assert {a.dest for a in actions} == fields | {"config"}, name
+            {_flag(f) for f in reads} | {"--config"}, name
+        assert {a.dest for a in actions} == reads | {"config"}, name
+    assert sum(len(reads) for reads in _READS.values()) == 45
+
+
+_R2 = "reg:lp:1.5:2:w=0.05:d=0.01"
+_R3 = "reg:lp:1.5:3:w=0.05:d=0.01"
+_BOUND_VALUES = (dict(norm="lp:4:3", eps_grid="0.2:1.0:0.4"),
+                 dict(norm="lp:3:3", k=2, eps=0.5, eps_grid="0.3:1.1:0.4",
+                      f_upper="halfpi"))
+# Per command, a base config and another value of every field it reads but
+# out and format. The exact distance paths leave --fiber-points unread, so
+# the verify commands start from a reg:* norm; random sections win the
+# modulus search, so that --seed shows, only on a 2-dimensional one.
+_READ_VALUES = {
+    "bound": _BOUND_VALUES,
+    "compare": _BOUND_VALUES,
+    "modulus": (dict(norm=_R2, eps_grid="0.4:1.2:0.8", budget=3000),
+                dict(norm="lp:4:2", eps=0.5, eps_grid="0.5:1.3:0.8",
+                     budget=4000, method="analytic", seed=1)),
+    "verify-waist": (dict(norm=_R3, eps=0.5, z_grid="-0.4:0.4:0.4",
+                          samples=500, fiber_points=100, seed=4),
+                     dict(norm="lp:4:3", k=2, eps=0.4, z_grid="-0.2:0.2:0.2",
+                          samples=600, fiber_points=50, seed=5,
+                          f_upper="halfpi")),
+    "verify-iso": (dict(norm=_R3, eps=0.5, samples=500, fiber_points=100,
+                        seed=7),
+                   dict(norm="lp:4:3", eps=0.4, samples=600, fiber_points=50,
+                        seed=5, f_upper="halfpi", cap_mass=0.4)),
+    "needle-suite": (dict(trials=20, seed=4),
+                     dict(n=4, eps=0.3, eps_grid="0.2:0.6:0.2", trials=21,
+                          seed=5, f_upper="halfpi")),
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, reads in _READS.items() for name in reads
+    if name not in ("out", "format")])
+def test_every_field_a_command_reads_moves_its_results(command, name):
+    base, other = _READ_VALUES[command]
+
+    def results(values):
+        report = run_experiment(ExperimentConfig(command=command, **values))
+        return json.dumps(report.results, sort_keys=True)
+
+    assert results(base) != results({**base, name: other[name]})
 
 
 # Flag sets at tiny budgets: every command, euclidean and l_p norms of
 # dimension 3-5, k <= 2, coarse z grids. A few values lie outside the valid
-# ranges, so that every exit code shows up.
+# ranges, so that every exit code shows up. Each command draws its budgets
+# and --eps always and its other flags at will, and about one argv in ten
+# adds a flag the command does not take.
 _FUZZ_BUDGETS = {
     "--samples": st.integers(0, 2000),
     "--fiber-points": st.integers(1, 200),
@@ -727,12 +802,21 @@ _FUZZ_FLAGS = {
 }
 
 
+_FUZZ_ALWAYS = {**_FUZZ_BUDGETS, "--eps": st.floats(0.0, 2.1)}
+
+
 @st.composite
 def _fuzz_argv(draw):
-    argv = [draw(st.sampled_from(_COMMANDS))]
+    command = draw(st.sampled_from(tuple(_READS)))
+    own = {_flag(name) for name in _READS[command]}
     flags = draw(st.fixed_dictionaries(
-        {**_FUZZ_BUDGETS, "--eps": st.floats(0.0, 2.1)},
-        optional=_FUZZ_FLAGS))
+        {f: s for f, s in _FUZZ_ALWAYS.items() if f in own},
+        optional={f: s for f, s in _FUZZ_FLAGS.items() if f in own}))
+    if draw(st.integers(0, 9)) == 5:
+        foreign = sorted({**_FUZZ_ALWAYS, **_FUZZ_FLAGS}.keys() - own)
+        flag = draw(st.sampled_from(foreign))
+        flags[flag] = draw({**_FUZZ_ALWAYS, **_FUZZ_FLAGS}[flag])
+    argv = [command]
     for flag, value in flags.items():
         argv += [flag, str(value)]
     return argv
@@ -745,6 +829,8 @@ def test_main_fuzz_exit_codes(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     lines = err.getvalue().splitlines()
+    if set(argv[1::2]) - {_flag(name) for name in _READS[argv[0]]}:
+        assert rc == 2 and lines[0].startswith("error: unrecognized"), lines
     if rc == 2:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     elif rc == 1:
@@ -756,7 +842,7 @@ def test_main_fuzz_exit_codes(argv):
 
 
 _REG = "reg:lp:1.5:3:w=0.05:d=0.01"
-_REG_BUDGETS = dict(samples=500, fiber_points=100, budget=3000)
+_REG_BUDGETS = dict(samples=500, fiber_points=100)
 _WAIST_REG = dict(command="verify-waist", norm=_REG, eps=0.5,
                   z_grid="-0.4:0.4:0.4", seed=4, **_REG_BUDGETS)
 _ISO_REG = dict(command="verify-iso", norm=_REG, eps=0.5, seed=7,
@@ -766,49 +852,95 @@ _ISO_REG = dict(command="verify-iso", norm=_REG, eps=0.5, seed=7,
 # One small report per command and distance path, pinned by the sha256 of
 # its emitted bytes: a refactor that keeps reports byte-identical keeps
 # every digest.
-@pytest.mark.parametrize("config, fmt, digest", [
-    (dict(command="bound", norm="lp:4:3", eps_grid="0.2:1.0:0.4"), "json",
-     "24d39e682564ff5650d3b2de578fd99523435f6e6dd43204d6b264dbec87ad33"),
-    (dict(command="compare", norm="lp:1.5:5", eps_grid="0.1:1.9:0.6"), "json",
-     "1658eddf2d08fe635c4ba792fdd6c9c9a141af6ea8d84d9c934a62230f9a2426"),
-    (dict(command="compare", norm="lp:1.5:5", eps_grid="0.1:1.9:0.6"), "csv",
-     "419afa5ecb5214bf23c7e40efb3c3178fa82dcf56f870ef55bd24faa5d997d6e"),
-    (dict(command="compare", norm=_REG, eps=0.5, budget=3000), "json",
-     "2991bfdf0f95212ac115e61a31d1ed6dc91e32950901c918f4d2e6c1fc3ef8eb"),
-    (dict(command="modulus", norm="lp:4:3", eps_grid="0.2:1.0:0.4",
-          budget=3000), "json",
-     "b6ffd30955a320ec8c3ad105ea655a5c5db7dbc72ba80a5a68142a6549a4d10f"),
-    (dict(command="modulus", norm=_REG, eps_grid="0.4:1.2:0.8",
-          budget=3000), "csv",
-     "02fdf2f8b758f321f2222a0071ee0029322d81a1a53e77d4c36b26a3cb421f1f"),
-    (dict(command="verify-waist", norm="euclidean:3", eps=0.5, samples=2000,
-          z_grid="-0.4:0.4:0.2", seed=1), "json",
-     "6370270e4081be01cc8d7c3fb3939c317cc6e746deec6516ec3d68697bd34598"),
-    (dict(command="verify-waist", norm="lp:4:3", eps=0.3, samples=2000,
-          z_grid="-0.4:0.4:0.2", seed=2), "json",
-     "4fd7c7bac4d2bd063340ccf1850c850623c6ff25cc506b1c448daa3c07251711"),
-    (dict(command="verify-waist", norm="euclidean:4", k=2, eps=0.5,
-          samples=2000, z_grid="-0.3:0.3:0.3", seed=3), "json",
-     "dc747d8cb5b4c1ad18b5999f30dd5a65f6a53117b7caf1165378a8ac1ccf7079"),
-    (_WAIST_REG, "json",
-     "dc267e1b4dd00cdc0a962cefd7d9134fc01e8a44d7ed327273cd3bc3ef928ce0"),
-    (dict(command="verify-iso", norm="euclidean:3", eps=0.5, samples=2000,
-          seed=5), "json",
-     "3360885f8e4efcc73fc4b19c85609b40e4bcfe18890274ca760e23b5680bee4b"),
-    (dict(command="verify-iso", norm="lp:4:3", eps=0.3, samples=2000,
-          seed=6), "json",
-     "710cba6f2f4c01878c89eba2754e74cd1e7f24757356d9db63f94a9be97292ff"),
-    (_ISO_REG, "json",
-     "73e7cc88d6b2d625c4856f680d31af053486f03475112590d4776656e16e6186"),
-    (dict(command="needle-suite", trials=100, seed=8), "json",
-     "8717898580f55a629e9b1c9fd43bfc3b82783f2f84c4b3a63886ff627c23e66d"),
-], ids=["bound", "compare-lp", "compare-csv", "compare-reg", "modulus-json", "modulus-csv",
-        "waist-euclidean", "waist-lp", "waist-k2", "waist-reg",
-        "iso-euclidean", "iso-lp", "iso-reg", "needle-suite"])
-def test_golden_report_digests(config, fmt, digest):
-    payload = emit_report(run_experiment(ExperimentConfig(**config)), None,
-                          fmt)
+_GOLDENS = [
+    pytest.param(
+        dict(command="bound", norm="lp:4:3", eps_grid="0.2:1.0:0.4"),
+        "7c2140007d2f7e6889db64724a676e85d11386cb3672c466350311ee1103f7ca",
+        id="bound"),
+    pytest.param(
+        dict(command="compare", norm="lp:1.5:5", eps_grid="0.1:1.9:0.6"),
+        "9f21e9de3dba59ac6f6722931fb1f29d3343565ea48c4b833ccc04bc9882b3ea",
+        id="compare-lp"),
+    pytest.param(
+        dict(command="compare", norm="lp:1.5:5", eps_grid="0.1:1.9:0.6",
+             format="csv"),
+        "419afa5ecb5214bf23c7e40efb3c3178fa82dcf56f870ef55bd24faa5d997d6e",
+        id="compare-csv"),
+    pytest.param(
+        dict(command="compare", norm=_REG, eps=0.5),
+        "3e976572222a3da77a35c460099622d4046471507b427348153ec7a79fdd80e5",
+        id="compare-reg"),
+    pytest.param(
+        dict(command="modulus", norm="lp:4:3", eps_grid="0.2:1.0:0.4",
+             budget=3000),
+        "323b7cb31f7ec38408073fd0287f0b1db46cf1717bcd10de5cfa76e5408398b1",
+        id="modulus-json"),
+    pytest.param(
+        dict(command="modulus", norm=_REG, eps_grid="0.4:1.2:0.8",
+             budget=3000, format="csv"),
+        "02fdf2f8b758f321f2222a0071ee0029322d81a1a53e77d4c36b26a3cb421f1f",
+        id="modulus-csv"),
+    pytest.param(
+        dict(command="verify-waist", norm="euclidean:3", eps=0.5,
+             samples=2000, z_grid="-0.4:0.4:0.2", seed=1),
+        "81f8b5f21e562c739dcfbe5aa442f5a13b762b547ba90b20c74825fa812ad429",
+        id="waist-euclidean"),
+    pytest.param(
+        dict(command="verify-waist", norm="lp:4:3", eps=0.3, samples=2000,
+             z_grid="-0.4:0.4:0.2", seed=2),
+        "742c10eda5cbe025f8293bf63fd150b612f4e81df94569cce93c35632bae8328",
+        id="waist-lp"),
+    pytest.param(
+        dict(command="verify-waist", norm="euclidean:4", k=2, eps=0.5,
+             samples=2000, z_grid="-0.3:0.3:0.3", seed=3),
+        "402d4000f3791abf4c1924ce5f0a2d7f2646dee4103717708da854577d4d66c1",
+        id="waist-k2"),
+    pytest.param(
+        _WAIST_REG,
+        "f894ceb4c1283f4bb31f4c9443175c150a57b367a0be217f8457e6c6ef788ba0",
+        id="waist-reg"),
+    pytest.param(
+        dict(command="verify-iso", norm="euclidean:3", eps=0.5, samples=2000,
+             seed=5),
+        "198a0532d3c6858272da104cc4a3a86f28f5f360db77caf7d9508e7fcdf782d8",
+        id="iso-euclidean"),
+    pytest.param(
+        dict(command="verify-iso", norm="lp:4:3", eps=0.3, samples=2000,
+             seed=6),
+        "f79dc6d054fd7f135de9f8e56da4485ac9d26089db41f149558818d1e77b5576",
+        id="iso-lp"),
+    pytest.param(
+        _ISO_REG,
+        "a9f7a27051916240ec09db104e8c283e6f2dc41b5d096181e62b6b3e94e468b8",
+        id="iso-reg"),
+    pytest.param(
+        dict(command="needle-suite", trials=100, seed=8),
+        "8717898580f55a629e9b1c9fd43bfc3b82783f2f84c4b3a63886ff627c23e66d",
+        id="needle-suite"),
+]
+
+
+def _golden_payload(config: dict) -> str:
+    return emit_report(run_experiment(ExperimentConfig(**config)), None,
+                       config.get("format", "json"))
+
+
+@pytest.mark.parametrize("config, digest", _GOLDENS)
+def test_golden_report_digests(config, digest):
+    payload = _golden_payload(config)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("config, digest", _GOLDENS)
+def test_golden_config_echo_reruns_from_a_config_file(config, digest,
+                                                      tmp_path, capsys):
+    # The echoed config is a --config file that gives the same bytes again.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(
+        run_experiment(ExperimentConfig(**config)).config))
+    assert main([config["command"], "--config", str(cfg_file)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("config, before", [(_WAIST_REG, 21_864),

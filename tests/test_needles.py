@@ -410,37 +410,60 @@ def test_coordinate_plane_radii_do_not_depend_on_dim():
 # Convex specs and derived densities
 # ---------------------------------------------------------------------------
 
-def _direct_spec(half_angle, axis=(0.0, 0.0, 1.0)):
-    return ConvexCapSpec(axis=axis, half_angle=half_angle)
+_ROUND = euclidean_norm(3)
 
 
-# A lune is convex exactly when 0 < alpha <= pi/2; a spec is checked when it
-# is built, by lune_spec or directly.
-@pytest.mark.parametrize("build", [lune_spec, _direct_spec],
+def _direct_spec(half_angle, axis, norm):
+    return ConvexCapSpec(axis=axis, half_angle=half_angle, norm=norm)
+
+
+def _via_lune_spec(half_angle, axis, norm):
+    # lune_spec builds on the round 2-sphere; replace builds the spec again
+    # on any other norm
+    if norm == _ROUND:
+        return lune_spec(half_angle, axis)
+    return dataclasses.replace(lune_spec(half_angle), axis=axis, norm=norm)
+
+
+# A lune is convex exactly when 0 < alpha <= pi/2, and it lies on a
+# 2-sphere; a spec is checked when it is built, by lune_spec or directly.
+@pytest.mark.parametrize("build", [_via_lune_spec, _direct_spec],
                          ids=["lune_spec", "direct"])
-@pytest.mark.parametrize("half_angle, axis, match", [
-    (1.58, (0.0, 0.0, 1.0), "half-angle"),
-    (1.6, (0.0, 0.0, 1.0), "half-angle"),
-    (2.5, (0.0, 0.0, 1.0), "half-angle"),
-    (0.0, (0.0, 0.0, 1.0), "half-angle"),
-    (-0.1, (0.0, 0.0, 1.0), "half-angle"),
-    (math.nan, (0.0, 0.0, 1.0), "half-angle"),
-    (math.inf, (0.0, 0.0, 1.0), "half-angle"),
-    (0.2, (0.0, 0.0, 0.0), "axis"),
-    (0.2, (0.0, 0.0, math.nan), "axis"),
-    (0.2, (0.0, 1.0), "axis"),
-    (0.4, (0.0, 0.0, 1.0), None),
-    (math.pi / 2, (0.0, 0.0, 1.0), None),
+@pytest.mark.parametrize("half_angle, axis, norm, match", [
+    (1.58, (0.0, 0.0, 1.0), _ROUND, "half-angle"),
+    (1.6, (0.0, 0.0, 1.0), _ROUND, "half-angle"),
+    (2.5, (0.0, 0.0, 1.0), _ROUND, "half-angle"),
+    (0.0, (0.0, 0.0, 1.0), _ROUND, "half-angle"),
+    (-0.1, (0.0, 0.0, 1.0), _ROUND, "half-angle"),
+    (math.nan, (0.0, 0.0, 1.0), _ROUND, "half-angle"),
+    (math.inf, (0.0, 0.0, 1.0), _ROUND, "half-angle"),
+    (0.2, (0.0, 0.0, 0.0), _ROUND, "axis"),
+    (0.2, (0.0, 0.0, math.nan), _ROUND, "axis"),
+    (0.2, (0.0, 1.0), _ROUND, "axis"),
+    (0.3, (0.0, 0.0, 0.0, 1.0), euclidean_norm(4), "2-sphere"),
+    (0.4, (0.0, 0.0, 1.0), _ROUND, None),
+    (math.pi / 2, (0.0, 0.0, 1.0), _ROUND, None),
 ])
-def test_lune_spec_is_checked_when_built(build, half_angle, axis, match):
+def test_lune_spec_is_checked_when_built(build, half_angle, axis, norm,
+                                         match):
     if match is None:
-        spec = build(half_angle, axis)
+        spec = build(half_angle, axis, norm)
         assert spec.half_angle == half_angle
         assert np.array_equal(spec.axis, axis)
         return
     with pytest.raises(ValueError, match=match) as err:
-        build(half_angle, axis)
+        build(half_angle, axis, norm)
     assert "\n" not in str(err.value)
+
+
+def test_lune_specs_compare_and_hash_by_value():
+    assert lune_spec(0.2) == lune_spec(0.2)
+    assert lune_spec(0.2) == ConvexCapSpec(axis=np.array([0.0, 0.0, 1.0]),
+                                           half_angle=0.2)
+    assert lune_spec(0.2) != lune_spec(0.1)
+    assert lune_spec(0.2) != lune_spec(0.2, axis=(1.0, 0.0, 0.0))
+    assert len({lune_spec(0.2), lune_spec(0.2), lune_spec(0.1)}) == 2
+    assert lune_spec(0.2).axis == (0.0, 0.0, 1.0)
 
 
 def test_lune_density_reconstruction_small_budget():

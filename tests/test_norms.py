@@ -23,7 +23,6 @@ from waistlab.norms import (
     norm_eval,
     numeric_modulus,
     parse_norm,
-    radial_project,
     rng_stream,
     sandwich_bounds,
     smooth_norm,
@@ -61,8 +60,8 @@ def radial_bilipschitz(norm_a, norm_b, pairs: int = 2000, seed: int = 0) -> floa
     xs = g / np.asarray(norm_eval(norm_a, g))[..., None]
     x, y = xs[:pairs], xs[pairs:]
     da = norm_eval(norm_a, x - y)
-    tx = radial_project(norm_b, x)
-    ty = radial_project(norm_b, y)
+    tx = x / np.asarray(norm_eval(norm_b, x))[:, None]
+    ty = y / np.asarray(norm_eval(norm_b, y))[:, None]
     db = norm_eval(norm_b, tx - ty)
     ok = da > 1e-9
     ratio = db[ok] / da[ok]
@@ -418,9 +417,9 @@ def test_regularized_midpoints_respect_the_certified_floor(text):
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     theta = rng.uniform(0.0, 2.0 * math.pi, pairs)
     apart = np.exp(rng.uniform(math.log(1e-3), math.log(1.5), pairs))
-    x, y = (radial_project(norm, np.cos(t)[:, None] * u
-                           + np.sin(t)[:, None] * v)
-            for t in (theta, theta + apart))
+    x, y = (w / np.asarray(norm_eval(norm, w))[:, None]
+            for w in (np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
+                      for t in (theta, theta + apart)))
     gap = 1.0 - np.asarray(norm_eval(norm, 0.5 * (x + y)))
     floor = analytic_modulus_curve(norm)(np.asarray(norm_eval(norm, x - y)))
     assert np.all(gap >= floor - 1e-12)
@@ -489,33 +488,6 @@ def test_analytic_moduli_are_monotone_and_small_at_zero():
         assert np.all(np.diff(vals) >= -1e-12)
         assert vals[0] < 1e-6
         assert np.all(vals[:-1] < 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Radial projection
-# ---------------------------------------------------------------------------
-
-def test_radial_project_examples():
-    assert np.allclose(radial_project(euclidean_norm(3), [0.0, 0.0, 2.0]),
-                       [0.0, 0.0, 1.0])
-    out = radial_project(lp_norm(4, 2), [1.0, 1.0])
-    assert np.allclose(out, [2 ** -0.25, 2 ** -0.25])
-    with pytest.raises(ValueError):
-        radial_project(euclidean_norm(3), [0.0, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("norm", [euclidean_norm(3), lp_norm(1.5, 3),
-                                  lp_norm(4, 4)])
-def test_radial_projection_two_lipschitz(norm):
-    # 1e6 random pairs with norms >= 1: ||proj x - proj y|| <= 2 ||x - y||.
-    n = 1_000_000
-    x = RNG.standard_normal((n, norm.dim))
-    y = RNG.standard_normal((n, norm.dim))
-    x = x / np.asarray(norm_eval(norm, x))[:, None] * RNG.uniform(1.0, 3.0, n)[:, None]
-    y = y / np.asarray(norm_eval(norm, y))[:, None] * RNG.uniform(1.0, 3.0, n)[:, None]
-    lhs = np.asarray(norm_eval(norm, radial_project(norm, x) - radial_project(norm, y)))
-    rhs = np.asarray(norm_eval(norm, x - y))
-    assert np.all(lhs <= 2.0 * rhs + 1e-12)
 
 
 # ---------------------------------------------------------------------------
