@@ -35,7 +35,6 @@ from .cone import (  # noqa: F401
     cap_neighborhood_measure,
     fiber_points,
     sample_conical,
-    set_measure,
 )
 from .needles import (  # noqa: F401
     ArcDensity,

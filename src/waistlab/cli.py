@@ -514,7 +514,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(file_data, dict):
             raise ConfigError(
                 f"--config file {args.config} must hold a JSON object")
-        file_data.pop("command", None)
+        command = file_data.pop("command", args.command)
+        if command != args.command:
+            raise ConfigError(
+                f"--config file {args.config} is a {command!r} config, not "
+                f"{args.command!r}")
         foreign = sorted(set(file_data) - set(reads))
         if foreign:
             raise ConfigError(

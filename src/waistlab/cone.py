@@ -14,8 +14,12 @@ Estimators (``best_fiber`` for tubes about fibers of a linear map,
 ``cap_neighborhood_measure`` for neighborhoods of a cap and its complement)
 take one sample batch for every norm kind, and the distance to a fiber in
 closed form where one exists, else to a fiber cloud, which can only
-overestimate it, so those estimates are conservative. They ask only whether
-a point lies within eps of the fiber, so the cloud path decides exactly that
+overestimate it, so those estimates are conservative. The closed form is
+built once per batch and map: the slice frame (rank check, pseudo-inverse,
+kernel) and the distance terms that depend only on the map and the points
+are computed once, and each fiber location z adds only the terms of its
+own point x0 = pinv z. The estimators ask only whether a point lies within
+eps of the fiber, so the cloud path decides exactly that
 (``within_norm_distance``) and evaluates the norm only for the candidates
 that can change the answer; ``min_norm_distance`` is its exact reference.
 ``fiber_points`` bisects for each fiber point and evaluates the norm only at
@@ -51,7 +55,6 @@ __all__ = [
     "rng_stream",
     "derive_seed",
     "sample_conical",
-    "set_measure",
     "fiber_points",
     "fiber_distance_method",
     "min_norm_distance",
@@ -212,50 +215,49 @@ def sample_conical(norm: NormDescriptor, count: int, seed: int,
     return SampleBatch(norm=norm, seed=seed, points=pts, count=count)
 
 
-def set_measure(batch: SampleBatch, indicator: Callable) -> MeasureEstimate:
-    """Fraction of batch points satisfying a vectorized indicator
-    (points array (count, dim) -> bool array)."""
-    if batch.count < 1:
-        raise ValueError("empty batch")
-    hits = np.asarray(indicator(batch.points), dtype=bool)
-    if hits.shape != (batch.count,):
-        raise ValueError("indicator must return one bool per point")
-    return MeasureEstimate.from_hits(int(hits.sum()), batch.count, seed=batch.seed)
-
-
 # ---------------------------------------------------------------------------
 # Fibers of linear maps
 # ---------------------------------------------------------------------------
 
-def _fiber_slice(norm: NormDescriptor, f, z
-                 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The minimal-Euclidean-norm solution x0 of f x = z, an orthonormal
-    basis of the kernel of f, as the columns of a (dim, dim - k) array, and
-    ||x0||.
+def _slice_frame(norm: NormDescriptor, f) -> tuple[np.ndarray, np.ndarray]:
+    """The part of the affine slice {f x = z} that does not depend on z:
+    the pseudo-inverse of f, and an orthonormal basis of its kernel, as the
+    columns of a (dim, dim - k) array.
 
-    Raises RankDeficientError unless f has full row rank, and
-    EmptyFiberError when ||x0|| >= 1, so the slice misses the open unit ball.
+    Raises RankDeficientError unless f has full row rank.
     """
     f = np.atleast_2d(np.asarray(f, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     k, d = f.shape
     if d != norm.dim:
         raise ValueError(f"map must have {norm.dim} columns, got {d}")
     if k >= d:
         raise ValueError(f"map must have fewer than {d} rows, got {k}")
-    if z.shape != (k,):
-        raise ValueError(f"target must have length {k}")
     if np.linalg.matrix_rank(f) < k:
         raise RankDeficientError("linear map must have full row rank")
-    x0 = np.linalg.pinv(f) @ z
+    _, _, vt = np.linalg.svd(f)
+    return np.linalg.pinv(f), vt[k:].T
+
+
+def _slice_point(norm: NormDescriptor, pinv: np.ndarray, z
+                 ) -> tuple[np.ndarray, float]:
+    """The minimal-Euclidean-norm solution x0 = pinv z of f x = z, and
+    ||x0||.
+
+    Raises EmptyFiberError when ||x0|| >= 1, so the slice misses the open
+    unit ball.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    k = pinv.shape[1]
+    if z.shape != (k,):
+        raise ValueError(f"target must have length {k}")
+    x0 = pinv @ z
     length = float(norm_eval(norm, x0))
     if length >= 1.0:
         raise EmptyFiberError(
             "slice does not meet the open unit ball (minimal-norm point has "
             f"norm {length:.6f})"
         )
-    _, _, vt = np.linalg.svd(f)
-    return x0, vt[k:].T, length
+    return x0, length
 
 
 # A margin on g(t) = ||x0 + t v|| - 1 far above the kernels' rounding error
@@ -352,7 +354,8 @@ def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarra
     evaluated test gives, and norm_eval gives each row its own bits, so the
     points are those of the plain 80-step bisection.
     """
-    x0, kernel, length = _fiber_slice(norm, f, z)
+    pinv, kernel = _slice_frame(norm, f)
+    x0, length = _slice_point(norm, pinv, z)
     rng = rng_stream(seed, 0)
     dirs = rng.standard_normal((count, kernel.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
@@ -414,65 +417,74 @@ def fiber_distance_method(norm: NormDescriptor, f) -> str:
     return "cloud"
 
 
-def _round_fiber_distance(points: np.ndarray, x0: np.ndarray,
-                          kernel: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point y to the round subsphere
-    {|x|_2 = 1} of the affine slice x0 + span(kernel).
+def _exact_fiber_distance(norm: NormDescriptor, f, points: np.ndarray
+                          ) -> Callable[[Sequence], np.ndarray]:
+    """The closed-form distance from each of ``points`` to the fiber
+    {||x|| = 1, f x = z}, as a function of z, for a pair that
+    ``fiber_distance_method`` calls "exact".
 
-    x0 is orthogonal to the kernel, so the subsphere is x0 + K u with
-    |u| = r = sqrt(1 - |x0|^2), and the distance is
-    sqrt(|P y - x0|^2 + (|K^T y| - r)^2), P projecting onto the row space.
+    The slice frame and every term that depends only on the map and the
+    points are computed here, once per batch; a call adds only the terms of
+    x0 = pinv z. Raises RankDeficientError here, and EmptyFiberError in a
+    call, as ``fiber_points`` does.
+
+    Round sphere: x0 is orthogonal to the kernel K, so the fiber is the
+    round subsphere x0 + K u with |u| = r = sqrt(1 - |x0|^2), and the
+    distance is sqrt(|P y - x0|^2 + (|K^T y| - r)^2), P projecting onto the
+    row space.
+
+    l_p with a coordinate map: the fiber is {x_T = x0_T, |x_R|_p = r}, T
+    the mapped columns, R the other coordinates and
+    r = (1 - |x0_T|_p^p)^(1/p). The p-th powers split over the two blocks,
+    and the distance from y_R to a sphere of radius r of any norm is
+    ||y_R| - r| (triangle inequality), so the distance is
+    (||y_R|_p - r|^p + |y_T - x0_T|_p^p)^(1/p).
     """
-    radius = math.sqrt(max(0.0, 1.0 - float(x0 @ x0)))
-    ky = points @ kernel
-    row = points - ky @ kernel.T
-    along = np.sqrt(np.einsum("ij,ij->i", ky, ky)) - radius
-    across = row - x0
-    return np.sqrt(np.einsum("ij,ij->i", across, across) + along * along)
-
-
-def _lp_fiber_distance(points: np.ndarray, p: float, columns: np.ndarray,
-                       target: np.ndarray) -> np.ndarray:
-    """l_p distance from each point y to the fiber {x_T = target,
-    |x_R|_p = r} of a coordinate map, where T are the mapped ``columns``,
-    R the other coordinates and r = (1 - |target|_p^p)^(1/p).
-
-    The p-th powers split over the two blocks, and the distance from y_R to
-    a sphere of radius r of any norm is ||y_R| - r| (triangle inequality),
-    so the distance is (||y_R|_p - r|^p + |y_T - target|_p^p)^(1/p).
-    """
-    rest = np.setdiff1d(np.arange(points.shape[1]), columns)
-    radius = max(0.0, 1.0 - float(np.sum(np.abs(target) ** p))) ** (1.0 / p)
-    along = np.sum(np.abs(points[:, rest]) ** p, axis=1) ** (1.0 / p) - radius
-    across = np.sum(np.abs(points[:, columns] - target) ** p, axis=1)
-    return (np.abs(along) ** p + across) ** (1.0 / p)
-
-
-def _exact_fiber_distance(norm: NormDescriptor, f, z
-                          ) -> Callable[[np.ndarray], np.ndarray]:
-    """Closed-form distance function to the fiber {||x|| = 1, f x = z} of a
-    pair that ``fiber_distance_method`` calls "exact". Raises as
-    ``fiber_points`` does on a rank-deficient map or an empty fiber."""
-    x0, kernel, _ = _fiber_slice(norm, f, z)
+    pinv, kernel = _slice_frame(norm, f)
     if norm.is_round:
-        return lambda points: _round_fiber_distance(points, x0, kernel)
+        ky = points @ kernel
+        row = points - ky @ kernel.T
+        ky_norm = np.sqrt(np.einsum("ij,ij->i", ky, ky))
+
+        def distance(z) -> np.ndarray:
+            x0, _ = _slice_point(norm, pinv, z)
+            radius = math.sqrt(max(0.0, 1.0 - float(x0 @ x0)))
+            along = ky_norm - radius
+            across = row - x0
+            return np.sqrt(np.einsum("ij,ij->i", across, across)
+                           + along * along)
+
+        return distance
+    p = norm.p
     columns = _coordinate_columns(f)
-    return lambda points: _lp_fiber_distance(points, norm.p, columns,
-                                             x0[columns])
+    rest = np.setdiff1d(np.arange(points.shape[1]), columns)
+    rest_norm = np.sum(np.abs(points[:, rest]) ** p, axis=1) ** (1.0 / p)
+    mapped = points[:, columns]
+
+    def distance(z) -> np.ndarray:
+        x0, _ = _slice_point(norm, pinv, z)
+        target = x0[columns]
+        radius = max(0.0, 1.0 - float(np.sum(np.abs(target) ** p))) ** (1.0 / p)
+        along = rest_norm - radius
+        across = np.sum(np.abs(mapped - target) ** p, axis=1)
+        return (np.abs(along) ** p + across) ** (1.0 / p)
+
+    return distance
 
 
-def _near_fiber(norm: NormDescriptor, f, z, eps: float, fiber_budget: int,
-                seed: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Predicate "within eps of the fiber {||x|| = 1, f x = z}", built once
-    per z by the method ``fiber_distance_method`` names: the closed-form
-    distance, or the distance to a cloud of ``fiber_budget`` fiber points.
-    Raises as ``fiber_points`` does on a rank-deficient map or an empty
-    fiber."""
+def _near_fiber(norm: NormDescriptor, f, points: np.ndarray, eps: float,
+                fiber_budget: int) -> Callable[[Sequence, int], np.ndarray]:
+    """``near(z, seed)``: which of ``points`` lie within eps of the fiber
+    {||x|| = 1, f x = z}, built once per batch by the method
+    ``fiber_distance_method`` names: the closed-form distance of
+    :func:`_exact_fiber_distance`, or the distance to a cloud of
+    ``fiber_budget`` fiber points drawn at ``seed``. Raises as
+    ``fiber_points`` does on a rank-deficient map or an empty fiber."""
     if fiber_distance_method(norm, f) == "cloud":
-        cloud = fiber_points(norm, f, z, fiber_budget, seed)
-        return lambda points: within_norm_distance(norm, points, cloud, eps)
-    distance = _exact_fiber_distance(norm, f, z)
-    return lambda points: distance(points) <= eps
+        return lambda z, seed: within_norm_distance(
+            norm, points, fiber_points(norm, f, z, fiber_budget, seed), eps)
+    distance = _exact_fiber_distance(norm, f, points)
+    return lambda z, seed: distance(z) <= eps
 
 
 def _kd_neighbors(points: np.ndarray, cloud: np.ndarray, reach: float):
@@ -593,17 +605,17 @@ def best_fiber(
     if not z_grid:
         raise ValueError("z_grid must be nonempty")
     batch = sample_conical(norm, sample_budget, derive_seed(seed, 2))
+    near = _near_fiber(norm, f, batch.points, eps, fiber_budget)
     estimates: list[Optional[MeasureEstimate]] = []
     for i, z in enumerate(z_grid):
         try:
-            near = _near_fiber(norm, f, z, eps, fiber_budget,
-                               derive_seed(seed, 3 + i))
+            hits = near(z, derive_seed(seed, 3 + i))
         except EmptyFiberError:
             estimates.append(None)
             continue
         estimates.append(
-            MeasureEstimate.from_hits(int(near(batch.points).sum()),
-                                      sample_budget, seed=seed)
+            MeasureEstimate.from_hits(int(hits.sum()), sample_budget,
+                                      seed=seed)
         )
     if all(e is None for e in estimates):
         raise EmptyFiberError("every grid point has an empty fiber")
@@ -662,8 +674,8 @@ def cap_neighborhood_measure(
     if in_a.all() or not in_a.any():
         raise EmptySetError(
             "no sample points landed in the cap or in its complement")
-    near = _near_fiber(norm, f, [tau], eps, fiber_budget,
-                       derive_seed(seed, 2))(batch.points)
+    near = _near_fiber(norm, f, batch.points, eps, fiber_budget)(
+        [tau], derive_seed(seed, 2))
     return (
         MeasureEstimate.from_hits(int((in_a | near).sum()), sample_budget,
                                   seed=seed),

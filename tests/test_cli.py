@@ -682,6 +682,24 @@ def test_config_key_the_command_does_not_take_exits_2(command, key, tmp_path,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, stored, rc", [
+    ("compare", "bound", 2), ("bound", "verify-iso", 2), ("bound", 3, 2),
+    ("bound", "bound", 0), ("compare", "compare", 0)])
+def test_config_command_must_be_the_subcommand(command, stored, rc, tmp_path,
+                                               capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"command": stored, "eps": 0.5}))
+    assert main([command, "--config", str(cfg_file)]) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert captured.err == (f"error: --config file {cfg_file} is a "
+                                f"{stored!r} config, not {command!r}\n")
+        assert captured.out == ""
+    else:
+        assert captured.err == ""
+        assert json.loads(captured.out)["config"]["command"] == command
+
+
 def test_python_api_ignores_fields_the_command_does_not_read():
     # A config built in Python may carry fields its command does not read:
     # they are neither validated nor echoed, and change no result.

@@ -9,7 +9,8 @@ from waistlab.cone import (
     MeasureEstimate,
     RankDeficientError,
     _exact_fiber_distance,
-    _fiber_slice,
+    _slice_frame,
+    _slice_point,
     best_fiber,
     cap_neighborhood_measure,
     derive_seed,
@@ -18,7 +19,6 @@ from waistlab.cone import (
     min_norm_distance,
     rng_stream,
     sample_conical,
-    set_measure,
     within_norm_distance,
 )
 from waistlab.norms import (
@@ -36,6 +36,15 @@ L43 = lp_norm(4, 3)
 REG3 = smooth_norm(lp_norm(1.5, 3), 0.05, 0.01)
 LAST_COORD = np.array([[0.0, 0.0, 1.0]])
 LAST_TWO = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+
+def _set_measure(batch, indicator):
+    """Fraction of batch points satisfying a vectorized indicator
+    (points array (count, dim) -> bool array)."""
+    hits = np.asarray(indicator(batch.points), dtype=bool)
+    assert hits.shape == (batch.count,)
+    return MeasureEstimate.from_hits(int(hits.sum()), batch.count,
+                                     seed=batch.seed)
 
 
 def _band_measure(eps: float) -> float:
@@ -70,7 +79,7 @@ def test_regularized_norm_falls_back_to_rejection():
     batch = sample_conical(norm, 4_000, seed=6)
     assert np.abs(np.asarray(norm_eval(norm, batch.points)) - 1.0).max() <= 1e-10
     # sign symmetry of the norm carries over to the cone measure
-    est = set_measure(batch, lambda pts: pts[:, 0] > 0)
+    est = _set_measure(batch, lambda pts: pts[:, 0] > 0)
     assert abs(est.mean - 0.5) <= 3.5 * est.std_error
     # no generator samples it exactly, so asking for one is an error
     with pytest.raises(ValueError, match="euclidean and l_p norms only"):
@@ -79,19 +88,19 @@ def test_regularized_norm_falls_back_to_rejection():
 
 def test_hemisphere_symmetry():
     batch = sample_conical(E3, 400_000, seed=11)
-    est = set_measure(batch, lambda pts: pts[:, 2] > 0)
+    est = _set_measure(batch, lambda pts: pts[:, 2] > 0)
     assert abs(est.mean - 0.5) <= 3.0 * est.std_error
 
 
 def test_lp_positive_orthant():
     batch = sample_conical(lp_norm(4, 3), 400_000, seed=12)
-    est = set_measure(batch, lambda pts: np.all(pts > 0, axis=1))
+    est = _set_measure(batch, lambda pts: np.all(pts > 0, axis=1))
     assert abs(est.mean - 0.125) <= 3.0 * est.std_error
 
 
 def test_euclidean_cap_matches_riemannian_area():
     batch = sample_conical(E3, 400_000, seed=13)
-    est = set_measure(batch, lambda pts: pts[:, 2] >= math.cos(math.pi / 3.0))
+    est = _set_measure(batch, lambda pts: pts[:, 2] >= math.cos(math.pi / 3.0))
     cap = (1.0 - math.cos(math.pi / 3.0)) / 2.0
     assert cap == pytest.approx(0.25, abs=1e-12)
     assert abs(est.mean - cap) <= 3.0 * est.std_error
@@ -139,16 +148,16 @@ def test_random_caps_match_analytic_areas():
         c = rng.standard_normal(3)
         c /= np.linalg.norm(c)
         angle = rng.uniform(0.3, 2.5)
-        est = set_measure(batch, lambda pts: pts @ c >= math.cos(angle))
+        est = _set_measure(batch, lambda pts: pts @ c >= math.cos(angle))
         assert abs(est.mean - (1.0 - math.cos(angle)) / 2.0) <= \
             3.5 * max(est.std_error, 1e-4)
 
 
 def test_set_measure_trivial_indicators():
     batch = sample_conical(E3, 1000, seed=1)
-    ones = set_measure(batch, lambda pts: np.ones(len(pts), dtype=bool))
+    ones = _set_measure(batch, lambda pts: np.ones(len(pts), dtype=bool))
     assert ones.mean == 1.0 and ones.std_error == 0.0
-    zeros = set_measure(batch, lambda pts: np.zeros(len(pts), dtype=bool))
+    zeros = _set_measure(batch, lambda pts: np.zeros(len(pts), dtype=bool))
     assert zeros.mean == 0.0
 
 
@@ -187,7 +196,8 @@ def test_fiber_points_offset_slice_geometry():
 
 def _fiber_points_full_bisection(norm, f, z, count, seed):
     """fiber_points with all 80 bisection steps, no early stop."""
-    x0, kernel, _ = _fiber_slice(norm, f, z)
+    pinv, kernel = _slice_frame(norm, f)
+    x0, _ = _slice_point(norm, pinv, z)
     rng = rng_stream(seed, 0)
     dirs = rng.standard_normal((count, kernel.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
@@ -238,9 +248,12 @@ def test_fiber_errors():
     rank_one = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
     with pytest.raises(RankDeficientError):
         fiber_points(E3, rank_one, [0.0, 0.0], 10, seed=1)
-    # the exact euclidean path checks the rank too
-    with pytest.raises(RankDeficientError):
-        best_fiber(E3, rank_one, 0.5, [[0.0, 0.0]], 100, 10, seed=1)
+    # the exact euclidean path checks the rank too, and so does the l_p
+    # path, where a repeated column makes the map no coordinate map
+    for norm in (E3, L43):
+        with pytest.raises(RankDeficientError):
+            best_fiber(norm, rank_one, 0.5, [[0.0, 0.0], [0.1, 0.2]], 100, 10,
+                       seed=1)
 
 
 
@@ -255,9 +268,9 @@ def test_square_map_has_no_fiber_to_sample():
                        seed=1)
 
 
-def _exact_distance(norm, f, z):
+def _exact_distance(norm, f, points):
     assert fiber_distance_method(norm, f) == "exact"
-    return _exact_fiber_distance(norm, f, z)
+    return _exact_fiber_distance(norm, f, points)
 
 
 def _last_coords(dim, k=1):
@@ -295,7 +308,7 @@ def test_exact_fiber_distance_is_the_cloud_limit():
     # the exact one, and 2 000 fiber points leave a gap under 0.01.
     pts = sample_conical(E3, 2_000, seed=61).points
     for z in (0.0, 0.5, 0.9):
-        exact = _exact_distance(E3, LAST_COORD, [z])(pts)
+        exact = _exact_distance(E3, LAST_COORD, pts)([z])
         cloud = min_norm_distance(E3, pts,
                                   fiber_points(E3, LAST_COORD, [z], 2_000, seed=62))
         assert np.all(cloud >= exact - 1e-12)
@@ -308,7 +321,7 @@ def test_exact_fiber_distance_codimension_two_oracle():
     # sqrt(2 - 2|a|), and |a|^2 is uniform on [0, 1], so the eps-tube has
     # measure 1 - (1 - eps^2/2)^2.
     pts = sample_conical(E4, 200_000, seed=63).points
-    dist = _exact_distance(E4, LAST_TWO, [0.0, 0.0])(pts)
+    dist = _exact_distance(E4, LAST_TWO, pts)([0.0, 0.0])
     oracle = np.sqrt(2.0 - 2.0 * np.hypot(pts[:, 0], pts[:, 1]))
     assert np.allclose(dist, oracle, rtol=0.0, atol=1e-7)
     eps = 0.5
@@ -321,14 +334,14 @@ def test_exact_fiber_distance_depends_on_the_fiber_only():
     rng = np.random.Generator(np.random.Philox(64))
     pts = sample_conical(E4, 5_000, seed=65).points
     z = np.array([0.3, -0.2])
-    coord = _exact_distance(E4, LAST_TWO, z)(pts)
+    coord = _exact_distance(E4, LAST_TWO, pts)(z)
     # a non-orthonormal map with the same fibers
     a = np.array([[2.0, 1.0], [0.5, 3.0]])
-    mixed = _exact_distance(E4, a @ LAST_TWO, a @ z)(pts)
+    mixed = _exact_distance(E4, a @ LAST_TWO, pts)(a @ z)
     assert np.allclose(mixed, coord, rtol=0.0, atol=1e-12)
     # an orthonormal map rotated by Q has the fibers rotated by Q^T
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    rotated = _exact_distance(E4, LAST_TWO @ q, z)(pts @ q)
+    rotated = _exact_distance(E4, LAST_TWO @ q, pts @ q)(z)
     assert np.allclose(rotated, coord, rtol=0.0, atol=1e-12)
 
 
@@ -359,7 +372,7 @@ def test_exact_path_skips_the_cloud_paths_empty_fibers():
         except EmptyFiberError:
             cloud_empty = True
         try:
-            _exact_distance(norm, f, z)
+            _exact_distance(norm, f, np.zeros((1, norm.dim)))(z)
             exact_empty = False
         except EmptyFiberError:
             exact_empty = True
@@ -381,7 +394,7 @@ def test_lp_exact_fiber_distance_is_the_cloud_limit():
         f = _last_coords(norm.dim)
         pts = sample_conical(norm, 2_000, seed=68).points
         for z in (0.0, 0.5, 0.9):
-            exact = _exact_distance(norm, f, [z])(pts)
+            exact = _exact_distance(norm, f, pts)([z])
             cloud = min_norm_distance(norm, pts,
                                       fiber_points(norm, f, [z], 2_000, seed=69))
             assert np.all(cloud >= exact - 1e-12), (norm, z)
@@ -399,10 +412,10 @@ def test_lp_exact_fiber_distance_codimension_two():
     f = _last_coords(5, 2)
     pts = sample_conical(norm, 2_000, seed=70).points
     for z in ([0.0, 0.0], [0.5, -0.3], [-0.2, 0.8]):
-        distance = _exact_distance(norm, f, z)
         cloud = fiber_points(norm, f, z, 2_000, seed=71)
-        assert np.abs(distance(cloud)).max() <= 1e-9
-        gap = min_norm_distance(norm, pts, cloud) - distance(pts)
+        assert np.abs(_exact_distance(norm, f, cloud)(z)).max() <= 1e-9
+        gap = (min_norm_distance(norm, pts, cloud)
+               - _exact_distance(norm, f, pts)(z))
         assert np.all(gap >= -1e-12)
         assert np.mean(gap) <= 0.06
 
@@ -423,7 +436,7 @@ def test_lp_exact_fiber_distance_brute_force_curve():
                                      np.full(t.size, z)])
             brute = np.array([np.asarray(norm_eval(norm, y - curve)).min()
                               for y in pts])
-            exact = _exact_distance(norm, LAST_COORD, [z])(pts)
+            exact = _exact_distance(norm, LAST_COORD, pts)([z])
             assert np.allclose(exact, brute, rtol=0.0, atol=1e-4), (p, z)
 
 
@@ -432,12 +445,12 @@ def test_lp_exact_fiber_distance_scaled_and_signed_rows():
     # same fibers as the plain coordinate map.
     norm = lp_norm(4, 5)
     pts = sample_conical(norm, 5_000, seed=73).points
-    plain = _exact_distance(norm, _last_coords(5), [0.4])(pts)
-    scaled = _exact_distance(norm, -2.0 * _last_coords(5), [-0.8])(pts)
+    plain = _exact_distance(norm, _last_coords(5), pts)([0.4])
+    scaled = _exact_distance(norm, -2.0 * _last_coords(5), pts)([-0.8])
     assert np.allclose(scaled, plain, rtol=0.0, atol=1e-12)
-    plain = _exact_distance(norm, _last_coords(5, 2), [0.3, -0.5])(pts)
+    plain = _exact_distance(norm, _last_coords(5, 2), pts)([0.3, -0.5])
     mixed = np.array([[0, 0, 0, 0, -1.0], [0, 0, 0, 3.0, 0]])
-    mixed = _exact_distance(norm, mixed, [0.5, 0.9])(pts)
+    mixed = _exact_distance(norm, mixed, pts)([0.5, 0.9])
     assert np.allclose(mixed, plain, rtol=0.0, atol=1e-12)
 
 
@@ -447,8 +460,8 @@ def test_lp2_exact_distance_is_the_round_one():
     pts = sample_conical(E3, 5_000, seed=74).points
     for f in (LAST_COORD, _rotated_row(3, 75)):
         for z in (0.0, 0.6):
-            round_d = _exact_distance(E3, f, [z])(pts)
-            lp2_d = _exact_distance(lp_norm(2, 3), f, [z])(pts)
+            round_d = _exact_distance(E3, f, pts)([z])
+            lp2_d = _exact_distance(lp_norm(2, 3), f, pts)([z])
             assert np.allclose(lp2_d, round_d, rtol=0.0, atol=1e-12)
 
 
@@ -601,12 +614,47 @@ def test_best_fiber_skips_empty_fibers():
                                  seed=38)
     assert z_star[0] == 0.0
     assert len(ests) == 1
-    with pytest.raises(EmptyFiberError):
-        best_fiber(E3, LAST_COORD, 0.5, [np.array([1.5])], 1_000, 100, seed=39)
+    for norm in (E3, L43):
+        with pytest.raises(EmptyFiberError):
+            best_fiber(norm, LAST_COORD, 0.5, [[1.5], [-1.0], [2.0]], 1_000,
+                       100, seed=39)
+
+
+# The exact-path configurations of verify-waist, each grid with a few empty
+# fibers mixed in.
+_EXACT_GRIDS = [
+    (E3, LAST_COORD, [[1.2]] + [[z] for z in np.linspace(-0.8, 0.8, 17)]
+     + [[-1.0]]),
+    (E4, LAST_TWO, [[a, b] for a in np.linspace(-0.4, 0.4, 5)
+                    for b in np.linspace(-0.4, 0.4, 5)] + [[0.8, 0.8]]),
+    (lp_norm(1.5, 5), _last_coords(5),
+     [[z] for z in np.linspace(-0.6, 0.6, 7)] + [[1.0]]),
+    (L43, LAST_COORD, [[-1.5]] + [[z] for z in np.linspace(-0.6, 0.6, 7)]),
+]
+
+
+@pytest.mark.parametrize("norm, f, z_grid", _EXACT_GRIDS,
+                         ids=[str(g[0]) for g in _EXACT_GRIDS])
+def test_best_fiber_grid_estimates_are_the_one_point_estimates(norm, f,
+                                                               z_grid):
+    # The map-only terms are computed once per batch; each grid estimate is
+    # still the estimate of its own one-point grid, bit for bit, and the
+    # grid skips exactly the points whose one-point grid has no fiber.
+    assert fiber_distance_method(norm, f) == "exact"
+    _, _, ests = best_fiber(norm, f, 0.4, z_grid, 4_000, 10, seed=76)
+    alone = []
+    for z in z_grid:
+        try:
+            alone.append(best_fiber(norm, f, 0.4, [z], 4_000, 10, seed=76)[1])
+        except EmptyFiberError:
+            pass
+    assert 0 < len(alone) < len(z_grid)
+    assert [(e.mean, e.std_error) for e in ests] == \
+        [(e.mean, e.std_error) for e in alone]
 
 
 def _cap_distance(norm, tau, points):
-    return _exact_distance(norm, LAST_COORD, [tau])(points)
+    return _exact_distance(norm, LAST_COORD, points)([tau])
 
 
 @pytest.mark.parametrize("norm", [lp_norm(1.5, 3), L43, E3], ids=str)
@@ -707,7 +755,7 @@ def test_cap_neighborhood_contains_the_cap_itself():
     tau = 0.6
     est_a, est_ac = cap_neighborhood_measure(REG3, LAST_COORD, tau, 0.2,
                                              20_000, 500, seed=43)
-    cap = set_measure(sample_conical(REG3, 20_000, seed=44),
+    cap = _set_measure(sample_conical(REG3, 20_000, seed=44),
                       lambda pts: pts[:, -1] >= tau)
     sigma = math.hypot(est_a.std_error, cap.std_error)
     assert est_a.mean >= cap.mean - 3.0 * sigma
