@@ -32,7 +32,6 @@ from .cone import (  # noqa: F401
     MeasureEstimate,
     SampleBatch,
     best_fiber,
-    cap_neighborhood_measure,
     fiber_points,
     sample_conical,
 )

@@ -31,12 +31,9 @@ from .bounds import (
 )
 from .cone import (
     EmptyFiberError,
-    EmptySetError,
+    MeasureEstimate,
     best_fiber,
-    cap_neighborhood_measure,
-    derive_seed,
     fiber_distance_method,
-    sample_conical,
 )
 from .needles import SUITE_MAX_N, SUITE_MIN_EPS, needle_suite
 from .norms import analytic_modulus_curve, numeric_modulus, parse_norm
@@ -54,7 +51,7 @@ _READS = {
     "verify-waist": ("norm", "k", "eps", "z_grid", "samples", "fiber_points",
                      "seed", "f_upper", "out"),
     "verify-iso": ("norm", "eps", "samples", "fiber_points", "seed",
-                   "f_upper", "cap_mass", "out"),
+                   "f_upper", "out"),
     "needle-suite": ("n", "eps", "eps_grid", "trials", "seed", "f_upper",
                      "out"),
     "compare": ("norm", "k", "eps", "eps_grid", "f_upper", "out", "format"),
@@ -94,7 +91,6 @@ class ExperimentConfig:
         "metavar": "LO:HI:STEP", "help": "grid of each coordinate of z"})
     seed: int = 0
     f_upper: str = F_UPPER_PI
-    cap_mass: float = 0.5
     trials: int = 1000
     budget: int = 100_000
     method: str = "auto"
@@ -160,8 +156,6 @@ class ExperimentConfig:
         if "f_upper" in reads and self.f_upper not in (F_UPPER_PI,
                                                        F_UPPER_HALF_PI):
             raise ConfigError(f"--f-upper must be pi or halfpi, got {self.f_upper}")
-        if "cap_mass" in reads and not (0.0 < self.cap_mass < 1.0):
-            raise ConfigError("cap-mass must lie in (0, 1)")
         if "method" in reads and self.method not in ("auto", "analytic",
                                                      "numeric"):
             raise ConfigError(
@@ -320,36 +314,52 @@ def _run_verify_waist(cfg: ExperimentConfig) -> tuple[dict, str]:
 
 
 def _run_verify_iso(cfg: ExperimentConfig) -> tuple[dict, str]:
+    """Check max(mu(A_eps), mu(A^c_eps)) >= w for the half-mass cap
+    A = {x_last >= 0}, with both neighborhoods read off one tube estimate.
+
+    For y outside A, in any norm, some nearest point of A lies on the
+    boundary fiber F = {x_last = 0}. Let a in A be nearest to y; as
+    y_last < 0 <= a_last, a != y. The unit sphere meets span(y, a) (any
+    plane through y if a = -y) in the unit circle of that normed plane, and
+    a lies on a half circle from y to -y. On the arc of that half circle
+    from y to a, the last coordinate goes from below 0 to at least 0, so it
+    crosses 0 at some x. By the monotonicity lemma (Martini, Swanepoel and
+    Weiss, Expo. Math. 19, 2001), ||y - x|| does not decrease as x runs
+    along a half circle from y to -y, so ||y - x|| <= ||y - a|| and x is
+    nearest too. The same holds for the complement. So
+    A_eps = A u (T_eps n A^c), T_eps the eps-tube about F.
+
+    Every norm kind is invariant under S: x_last -> -x_last (for ``reg:*``
+    the base norm is, and so are the mollifier's product Gauss-Legendre
+    nodes and weights), so the cone measure is too and mu(A) = 1/2 exactly.
+    S maps T_eps onto itself and swaps the two open halves, so
+    mu(A_eps) = mu(A^c_eps) = (1 + mu(T_eps)) / 2. ``best_fiber`` measures
+    the tube at z = 0, unbiased where its distance is exact and
+    conservative on a fiber cloud; the halved estimate has a quarter of
+    the tube estimate's variance.
+    A cap of any other mass c gives no stronger check, as
+    max(mu(A_eps), mu(A^c_eps)) >= max(c, 1 - c) >= 1/2.
+    """
     norm = parse_norm(cfg.norm)
     n = norm.sphere_dim
     modulus = analytic_modulus_curve(norm)
     bound = waist_lower_bound(BoundInputs(n=n, k=1, eps=cfg.eps,
                                           modulus=modulus, f_upper=cfg.f_upper))
-    # Cap through a threshold on the last coordinate, calibrated so the cap
-    # carries the requested cone mass. Each batch has its own seed path.
-    calib = sample_conical(norm, min(cfg.samples, 200_000),
-                           derive_seed(cfg.seed, 0))
-    tau = float(np.quantile(calib.points[:, -1], 1.0 - cfg.cap_mass))
     f = _coordinate_projection(norm.dim, 1)
-    try:
-        est_a, est_ac = cap_neighborhood_measure(
-            norm, f, tau, cfg.eps, cfg.samples, cfg.fiber_points, cfg.seed)
-    except EmptySetError as exc:
-        raise ConfigError(
-            f"no sample landed in the cap or its complement with --samples "
-            f"{cfg.samples}; raise --samples") from exc
-    best = max(est_a.mean, est_ac.mean)
-    sigma = max(est_a.std_error, est_ac.std_error, 1e-300)
-    passed = best >= bound.value - 3.0 * sigma
+    _, tube, _ = best_fiber(norm, f, cfg.eps, [[0.0]], cfg.samples,
+                            cfg.fiber_points, cfg.seed)
+    est = MeasureEstimate(mean=(1.0 + tube.mean) / 2.0,
+                          std_error=tube.std_error / 2.0, count=tube.count,
+                          seed=tube.seed)
+    passed = est.mean >= bound.value - 3.0 * est.std_error
     results = {
         "bound": bound.to_dict(),
-        "cap_threshold": tau,
-        "cap_mass_target": cfg.cap_mass,
-        "neighborhood_A": est_a.to_dict(),
-        "neighborhood_Ac": est_ac.to_dict(),
-        "max_neighborhood": best,
+        "neighborhood_A": est.to_dict(),
+        "neighborhood_Ac": est.to_dict(),
+        "max_neighborhood": est.mean,
         "fiber_distance": fiber_distance_method(norm, f),
-        "assertion": "max(mu(A+eps), mu(A^c+eps)) >= waist_bound - 3*std_error",
+        "assertion": "max(mu(A+eps), mu(A^c+eps)) >= waist_bound - "
+                     "3*std_error, A = {x_last >= 0}",
     }
     return results, "pass" if passed else "fail"
 

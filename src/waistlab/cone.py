@@ -10,18 +10,19 @@ the uniform measure. Samplers:
 * any other kind: rejection from a bounding Euclidean ball followed by
   radial projection.
 
-Estimators (``best_fiber`` for tubes about fibers of a linear map,
-``cap_neighborhood_measure`` for neighborhoods of a cap and its complement)
-take one sample batch for every norm kind, and the distance to a fiber in
-closed form where one exists, else to a fiber cloud, which can only
-overestimate it, so those estimates are conservative. The closed form is
-built once per batch and map: the slice frame (rank check, pseudo-inverse,
-kernel) and the distance terms that depend only on the map and the points
-are computed once, and each fiber location z adds only the terms of its
-own point x0 = pinv z. The estimators ask only whether a point lies within
-eps of the fiber, so the cloud path decides exactly that
-(``within_norm_distance``) and evaluates the norm only for the candidates
-that can change the answer; ``min_norm_distance`` is its exact reference.
+The estimator ``best_fiber`` measures tubes about fibers of a linear map;
+the cap neighborhoods ``verify-iso`` checks are a fixed function of the
+tube about the equatorial fiber. It takes one sample batch for every norm
+kind, and the distance to a fiber in closed form where one exists, else to
+a fiber cloud, which can only overestimate it, so those estimates are
+conservative. The closed form is built once per batch and map: the slice
+frame (rank check, pseudo-inverse, kernel) and the distance terms that
+depend only on the map and the points are computed once, and each fiber
+location z adds only the terms of its own point x0 = pinv z. The estimator
+asks only whether a point lies within eps of the fiber, so the cloud path
+decides exactly that (``within_norm_distance``) and evaluates the norm only
+for the candidates that can change the answer; ``min_norm_distance`` is its
+exact reference.
 ``fiber_points`` bisects for each fiber point and evaluates the norm only at
 the midpoints its convexity bracket leaves in doubt.
 
@@ -51,7 +52,6 @@ __all__ = [
     "MeasureEstimate",
     "EmptyFiberError",
     "RankDeficientError",
-    "EmptySetError",
     "rng_stream",
     "derive_seed",
     "sample_conical",
@@ -60,7 +60,6 @@ __all__ = [
     "min_norm_distance",
     "within_norm_distance",
     "best_fiber",
-    "cap_neighborhood_measure",
 ]
 
 
@@ -70,10 +69,6 @@ class EmptyFiberError(ValueError):
 
 class RankDeficientError(ValueError):
     """The linear map does not have full row rank."""
-
-
-class EmptySetError(ValueError):
-    """No sample points landed in the target set within budget."""
 
 
 @dataclass(frozen=True)
@@ -188,30 +183,15 @@ def _rejection_sphere_sample(norm: NormDescriptor, count: int,
     return out / lengths[:, None]
 
 
-def sample_conical(norm: NormDescriptor, count: int, seed: int,
-                   method: str = "auto") -> SampleBatch:
-    """Draw ``count`` cone-measure points on the unit sphere of ``norm``.
-
-    ``method``: "auto" picks the exact generalized-Gaussian generator for
-    euclidean/lp and rejection otherwise; "direct" and "rejection" force a
-    choice so the two samplers can be compared against each other; "direct"
-    on a regularized norm raises ValueError.
-    """
+def sample_conical(norm: NormDescriptor, count: int, seed: int) -> SampleBatch:
+    """Draw ``count`` cone-measure points on the unit sphere of ``norm``:
+    by the exact generalized-Gaussian generator where the norm has a
+    ``minkowski_p`` (euclidean and l_p), else by rejection."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = rng_stream(seed, 0)
-    if method == "auto":
-        method = "direct" if norm.minkowski_p is not None else "rejection"
-    if method == "direct":
-        if norm.minkowski_p is None:
-            raise ValueError(
-                f"method 'direct' samples euclidean and l_p norms only, got "
-                f"{norm}")
-        pts = _direct_sphere_sample(norm, count, rng)
-    elif method == "rejection":
-        pts = _rejection_sphere_sample(norm, count, rng)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
+    sample = (_direct_sphere_sample if norm.minkowski_p is not None
+              else _rejection_sphere_sample)
+    pts = sample(norm, count, rng_stream(seed, 0))
     return SampleBatch(norm=norm, seed=seed, points=pts, count=count)
 
 
@@ -398,8 +378,8 @@ def _coordinate_columns(f) -> Optional[np.ndarray]:
 
 
 def fiber_distance_method(norm: NormDescriptor, f) -> str:
-    """How the tube and cap estimators measure distance to a fiber of the
-    linear map ``f``.
+    """How ``best_fiber`` measures distance to a fiber of the linear map
+    ``f``.
 
     "exact": the distance has a closed form, so the estimate is unbiased.
     That holds on the round sphere (euclidean and lp:2 norms) with any
@@ -470,21 +450,6 @@ def _exact_fiber_distance(norm: NormDescriptor, f, points: np.ndarray
         return (np.abs(along) ** p + across) ** (1.0 / p)
 
     return distance
-
-
-def _near_fiber(norm: NormDescriptor, f, points: np.ndarray, eps: float,
-                fiber_budget: int) -> Callable[[Sequence, int], np.ndarray]:
-    """``near(z, seed)``: which of ``points`` lie within eps of the fiber
-    {||x|| = 1, f x = z}, built once per batch by the method
-    ``fiber_distance_method`` names: the closed-form distance of
-    :func:`_exact_fiber_distance`, or the distance to a cloud of
-    ``fiber_budget`` fiber points drawn at ``seed``. Raises as
-    ``fiber_points`` does on a rank-deficient map or an empty fiber."""
-    if fiber_distance_method(norm, f) == "cloud":
-        return lambda z, seed: within_norm_distance(
-            norm, points, fiber_points(norm, f, z, fiber_budget, seed), eps)
-    distance = _exact_fiber_distance(norm, f, points)
-    return lambda z, seed: distance(z) <= eps
 
 
 def _kd_neighbors(points: np.ndarray, cloud: np.ndarray, reach: float):
@@ -597,19 +562,27 @@ def best_fiber(
     ``fiber_budget`` is unused. "cloud": distances to a fiber cloud of
     ``fiber_budget`` points drawn from a per-z substream, which can only
     overestimate the true distance, so each estimate is a lower bound in
-    expectation (the conservative direction for checking waist bounds).
+    expectation (the conservative direction for checking waist bounds); a
+    larger budget extends the same cloud and never lowers an estimate.
     Ties break toward the first grid entry; grid points with empty fibers
     are skipped. Returns (z_star, best_estimate, all_estimates).
     """
     z_grid = [np.atleast_1d(np.asarray(z, dtype=float)) for z in z_grid]
     if not z_grid:
         raise ValueError("z_grid must be nonempty")
-    batch = sample_conical(norm, sample_budget, derive_seed(seed, 2))
-    near = _near_fiber(norm, f, batch.points, eps, fiber_budget)
+    points = sample_conical(norm, sample_budget, derive_seed(seed, 2)).points
+    cloud = fiber_distance_method(norm, f) == "cloud"
+    if not cloud:
+        distance = _exact_fiber_distance(norm, f, points)
     estimates: list[Optional[MeasureEstimate]] = []
     for i, z in enumerate(z_grid):
         try:
-            hits = near(z, derive_seed(seed, 3 + i))
+            if cloud:
+                fiber = fiber_points(norm, f, z, fiber_budget,
+                                     derive_seed(seed, 3 + i))
+                hits = within_norm_distance(norm, points, fiber, eps)
+            else:
+                hits = distance(z) <= eps
         except EmptyFiberError:
             estimates.append(None)
             continue
@@ -626,59 +599,3 @@ def best_fiber(
     kept = [e for e in estimates if e is not None]
     return z_grid[best_i], estimates[best_i], kept
 
-
-def cap_neighborhood_measure(
-    norm: NormDescriptor,
-    f,
-    tau: float,
-    eps: float,
-    sample_budget: int,
-    fiber_budget: int,
-    seed: int,
-) -> tuple[MeasureEstimate, MeasureEstimate]:
-    """Estimate the cone measures of the eps-neighborhoods of the cap
-    A = {f x >= tau} of a one-row map ``f`` and of its complement.
-
-    For y outside A, in any norm, some nearest point of A lies on the
-    boundary fiber {f x = tau}. Let a in A be nearest to y; as f y <
-    tau <= f a, a != y. The unit sphere meets span(y, a) (any plane through
-    y if a = -y) in the unit circle of that normed plane, and a lies on a
-    half circle from y to -y. On the arc of that half circle from y to a,
-    the linear f goes from below tau to at least tau, so it crosses tau at
-    some x. By the monotonicity lemma (Martini, Swanepoel and Weiss, Expo.
-    Math. 19, 2001), ||y - x|| does not decrease as x runs along a half
-    circle from y to -y, so ||y - x|| <= ||y - a|| and x is nearest too.
-    The same holds for the complement with -f. So both distances are the
-    distance to that fiber.
-
-    One batch at the seed path (seed, 1) serves both sets: a point counts
-    for A if it lies in A or within eps of the boundary fiber, and for the
-    complement if it lies outside A or within eps of it. The distance to
-    the fiber is taken as ``fiber_distance_method`` names. "exact": the
-    closed form, so each estimate is unbiased with its binomial standard
-    error, and ``fiber_budget`` is unused. "cloud": the distance to
-    ``fiber_budget`` fiber points drawn at derive_seed(seed, 2), which can
-    only overestimate it, so both estimates are conservative; a larger
-    budget extends the same cloud and never lowers them.
-
-    Raises EmptySetError when the batch has no point in the cap or none in
-    its complement.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    f = np.atleast_2d(np.asarray(f, dtype=float))
-    if f.shape[0] != 1:
-        raise ValueError(f"a cap needs a one-row map, got {f.shape[0]} rows")
-    batch = sample_conical(norm, sample_budget, derive_seed(seed, 1))
-    in_a = batch.points @ f[0] >= tau
-    if in_a.all() or not in_a.any():
-        raise EmptySetError(
-            "no sample points landed in the cap or in its complement")
-    near = _near_fiber(norm, f, batch.points, eps, fiber_budget)(
-        [tau], derive_seed(seed, 2))
-    return (
-        MeasureEstimate.from_hits(int((in_a | near).sum()), sample_budget,
-                                  seed=seed),
-        MeasureEstimate.from_hits(int((~in_a | near).sum()), sample_budget,
-                                  seed=seed),
-    )

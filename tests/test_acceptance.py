@@ -20,7 +20,13 @@ from waistlab.bounds import (
     sine_integrals,
     waist_lower_bound,
 )
-from waistlab.cone import MeasureEstimate, best_fiber, sample_conical
+from waistlab.cone import (
+    MeasureEstimate,
+    _direct_sphere_sample,
+    _rejection_sphere_sample,
+    best_fiber,
+    rng_stream,
+)
 from waistlab.needles import derived_density_estimate, lune_spec, needle_suite
 from waistlab.norms import (
     euclidean_modulus_curve,
@@ -32,13 +38,12 @@ from waistlab.norms import (
 MOD = euclidean_modulus_curve()
 
 
-def _set_measure(batch, indicator):
-    """Fraction of batch points satisfying a vectorized indicator
-    (points array (count, dim) -> bool array)."""
-    hits = np.asarray(indicator(batch.points), dtype=bool)
-    assert hits.shape == (batch.count,)
-    return MeasureEstimate.from_hits(int(hits.sum()), batch.count,
-                                     seed=batch.seed)
+def _set_measure(points, indicator):
+    """Fraction of ``points`` (count, dim) satisfying a vectorized indicator
+    (points array -> bool array)."""
+    hits = np.asarray(indicator(points), dtype=bool)
+    assert hits.shape == (points.shape[0],)
+    return MeasureEstimate.from_hits(int(hits.sum()), points.shape[0])
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -252,8 +257,8 @@ def test_criterion_7_bound_comparison():
 def test_criterion_8_sampler_validity():
     t0 = time.monotonic()
     norm = lp_norm(4, 3)
-    exact = sample_conical(norm, 1_000_000, seed=100, method="direct")
-    rej = sample_conical(norm, 1_000_000, seed=200, method="rejection")
+    exact = _direct_sphere_sample(norm, 1_000_000, rng_stream(100, 0))
+    rej = _rejection_sphere_sample(norm, 1_000_000, rng_stream(200, 0))
     rng = np.random.Generator(np.random.Philox(9))
     tests = [
         ("orthant+++", lambda p: np.all(p > 0, axis=1)),

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -271,21 +272,12 @@ def test_verify_waist_codimension_two(tmp_path):
 def test_verify_iso_pass(tmp_path):
     out = tmp_path / "vi.json"
     rc = main(["verify-iso", "--norm", "lp:4:3", "--eps", "0.3",
-               "--cap-mass", "0.5", "--samples", "3e4", "--fiber-points",
-               "2e3", "--seed", "3", "--out", str(out)])
+               "--samples", "3e4", "--fiber-points", "2e3", "--seed", "3",
+               "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
     assert data["status"] == "pass"
     assert data["results"]["max_neighborhood"] >= 0.5 - 0.02
-
-
-def test_verify_iso_empty_cloud_exits_2(capsys):
-    rc = main(["verify-iso", "--norm", "euclidean:3", "--eps", "0.5",
-               "--samples", "1", "--fiber-points", "1"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "--samples" in err
-    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify-waist", "verify-iso"])
@@ -310,17 +302,15 @@ def test_verify_iso_runs_at_nearby_seeds_share_no_batch(monkeypatch):
             return real(norm, count, batch_seed)
 
         monkeypatch.setattr(cone, "sample_conical", recording)
-        monkeypatch.setattr(cli, "sample_conical", recording)
         run_experiment(ExperimentConfig(command="verify-iso", norm="lp:4:3",
                                         eps=0.3, samples=2000,
                                         fiber_points=200, seed=seed))
         return seeds
 
     real = cone.sample_conical
-    # the calibration batch and the one batch both exact neighborhood
-    # estimates share
+    # one batch, which both neighborhood estimates share
     at_0, at_7 = batch_seeds(0), batch_seeds(7)
-    assert len(set(at_0)) == len(set(at_7)) == 2
+    assert len(at_0) == len(at_7) == 1
     assert not set(at_0) & set(at_7)
 
 
@@ -332,6 +322,75 @@ def test_verify_iso_reports_its_distance_method(norm, method):
         command="verify-iso", norm=norm, eps=0.5, samples=500,
         fiber_points=100, seed=2))
     assert report.results["fiber_distance"] == method
+
+
+def _iso(norm: str, eps: float, samples: int, fiber_points: int, seed: int):
+    report = run_experiment(ExperimentConfig(
+        command="verify-iso", norm=norm, eps=eps, samples=samples,
+        fiber_points=fiber_points, seed=seed))
+    return report.results
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_iso_round_sphere_oracle(seed):
+    # On S^2 the chordal eps-neighborhood of a hemisphere adds the band of
+    # measure eps sqrt(1 - eps^2/4) / 2 below the equator (Archimedes).
+    eps = 0.5
+    expected = 0.5 + eps * math.sqrt(1.0 - eps * eps / 4.0) / 2.0
+    assert expected == pytest.approx(0.742061, abs=5e-7)
+    res = _iso("euclidean:3", eps, 200_000, 1, seed)
+    est = res["neighborhood_A"]
+    assert res["neighborhood_Ac"] == est
+    assert res["max_neighborhood"] == est["mean"]
+    assert abs(est["mean"] - expected) <= 3.0 * est["std_error"]
+
+
+@pytest.mark.parametrize("norm, eps, samples, fiber_points, method", [
+    ("lp:4:3", 0.3, 200_000, 1, "exact"),
+    ("reg:lp:1.5:3:w=0.05:d=0.01", 0.5, 20_000, 500, "cloud")])
+def test_verify_iso_matches_the_two_sided_cap_count(norm, eps, samples,
+                                                    fiber_points, method):
+    # The reference law: on an independent batch, a point lies in A_eps if
+    # it lies in A = {x_last >= 0} or within eps of the boundary fiber
+    # {x_last = 0}, and in A^c_eps if it lies outside A or within eps of it.
+    res = _iso(norm, eps, samples, fiber_points, seed=5)
+    assert res["fiber_distance"] == method
+    parsed = norms.parse_norm(norm)
+    f = cli._coordinate_projection(parsed.dim, 1)
+    points = cone.sample_conical(parsed, samples, seed=901).points
+    if method == "exact":
+        near = cone._exact_fiber_distance(parsed, f, points)([0.0]) <= eps
+    else:
+        fiber = cone.fiber_points(parsed, f, [0.0], fiber_points, seed=902)
+        near = cone.within_norm_distance(parsed, points, fiber, eps)
+    in_a = points[:, -1] >= 0.0
+    est = res["neighborhood_A"]
+    for hits in (in_a | near, ~in_a | near):
+        ref = cone.MeasureEstimate.from_hits(int(hits.sum()), samples)
+        sigma = math.hypot(ref.std_error, est["std_error"])
+        assert abs(ref.mean - est["mean"]) <= 3.0 * sigma
+
+
+_ISO_CLOUD = "reg:lp:1.5:3:w=0.05:d=0.01"
+
+
+def test_verify_iso_cloud_estimate_is_deterministic():
+    assert _iso(_ISO_CLOUD, 0.4, 3_000, 300, seed=46) == \
+        _iso(_ISO_CLOUD, 0.4, 3_000, 300, seed=46)
+
+
+def test_larger_fiber_budget_never_lowers_the_iso_estimate():
+    # the cloud of a larger budget extends the smaller one, so no distance
+    # grows and no estimate falls: the cloud estimate is conservative
+    norm = norms.parse_norm(_ISO_CLOUD)
+    f = cli._coordinate_projection(norm.dim, 1)
+    small = cone.fiber_points(norm, f, [0.0], 300, seed=47)
+    large = cone.fiber_points(norm, f, [0.0], 3_000, seed=47)
+    assert np.array_equal(small, large[:300])
+    for seed in (1, 2, 3):
+        lo = _iso(_ISO_CLOUD, 0.3, 2_000, 300, seed)["max_neighborhood"]
+        hi = _iso(_ISO_CLOUD, 0.3, 2_000, 3_000, seed)["max_neighborhood"]
+        assert hi >= lo
 
 
 def _env_with_src() -> dict:
@@ -519,7 +578,7 @@ def test_config_file_unknown_method_exits_2(tmp_path, capsys):
 
 def test_config_accepts_int_for_float_field():
     cfg = ExperimentConfig.from_dict({"command": "bound", "norm": "lp:4:3",
-                                      "eps": 1, "cap_mass": 0.5})
+                                      "eps": 1})
     assert cfg.validate().eps == 1
 
 
@@ -544,7 +603,6 @@ _PLAUSIBLE = {
     "z_grid": st.sampled_from(["-0.8:0.8:0.1", "0:0:1", "1:0:1", "inf:1:1"]),
     "seed": st.integers(-2, 2**32),
     "f_upper": st.sampled_from(["pi", "halfpi", "tau"]),
-    "cap_mass": st.floats(-0.5, 1.5),
     "trials": st.integers(-1, 10**4),
     "budget": st.integers(-1, 10**5),
     "method": st.sampled_from(["auto", "analytic", "numeric", "exact"]),
@@ -671,7 +729,7 @@ def test_emit_report_refuses_csv_without_csv_form():
 
 @pytest.mark.parametrize("command, key", [
     ("bound", "budget"), ("bound", "z_grid"), ("verify-iso", "k"),
-    ("needle-suite", "norm"), ("modulus", "nope")])
+    ("verify-iso", "cap_mass"), ("needle-suite", "norm"), ("modulus", "nope")])
 def test_config_key_the_command_does_not_take_exits_2(command, key, tmp_path,
                                                       capsys):
     cfg_file = tmp_path / "cfg.json"
@@ -745,7 +803,14 @@ def test_subcommand_flags_are_its_read_set():
         assert {s for a in actions for s in a.option_strings} == \
             {_flag(f) for f in reads} | {"--config"}, name
         assert {a.dest for a in actions} == reads | {"config"}, name
-    assert sum(len(reads) for reads in _READS.values()) == 45
+    assert sum(len(reads) for reads in _READS.values()) == 44
+
+
+def test_every_config_field_is_read_by_some_command():
+    # A field no command reads has no flag and changes no result.
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    read = {name for reads in _READS.values() for name in reads}
+    assert fields - {"command"} == read
 
 
 _R2 = "reg:lp:1.5:2:w=0.05:d=0.01"
@@ -770,8 +835,8 @@ _READ_VALUES = {
                           f_upper="halfpi")),
     "verify-iso": (dict(norm=_R3, eps=0.5, samples=500, fiber_points=100,
                         seed=7),
-                   dict(norm="lp:4:3", eps=0.4, samples=600, fiber_points=50,
-                        seed=5, f_upper="halfpi", cap_mass=0.4)),
+                   dict(norm="lp:4:3", eps=0.4, samples=600, fiber_points=20,
+                        seed=5, f_upper="halfpi")),
     "needle-suite": (dict(trials=20, seed=4),
                      dict(n=4, eps=0.3, eps_grid="0.2:0.6:0.2", trials=21,
                           seed=5, f_upper="halfpi")),
@@ -814,7 +879,6 @@ _FUZZ_FLAGS = {
                                    "0.3:2.4:0.7"]),
     "--seed": st.integers(0, 2**64),
     "--f-upper": st.sampled_from(["pi", "halfpi", "tau"]),
-    "--cap-mass": st.floats(0.05, 0.95),
     "--method": st.sampled_from(["auto", "analytic", "numeric"]),
     "--format": st.sampled_from(["json", "json", "csv"]),
 }
@@ -920,16 +984,16 @@ _GOLDENS = [
     pytest.param(
         dict(command="verify-iso", norm="euclidean:3", eps=0.5, samples=2000,
              seed=5),
-        "198a0532d3c6858272da104cc4a3a86f28f5f360db77caf7d9508e7fcdf782d8",
+        "51572de99ac4e4dea41fa0177937fd62f49a78857bc4e1d09a4e4bc6c0cf007f",
         id="iso-euclidean"),
     pytest.param(
         dict(command="verify-iso", norm="lp:4:3", eps=0.3, samples=2000,
              seed=6),
-        "f79dc6d054fd7f135de9f8e56da4485ac9d26089db41f149558818d1e77b5576",
+        "6b5d14b119abdd3806ee32ea52676231c7dd5e3d005e33116e9a56d897448867",
         id="iso-lp"),
     pytest.param(
         _ISO_REG,
-        "a9f7a27051916240ec09db104e8c283e6f2dc41b5d096181e62b6b3e94e468b8",
+        "a4a521ae56996cf4d2342c6c8c62cd8b78718f8ceb4d980f3a21610c85d50214",
         id="iso-reg"),
     pytest.param(
         dict(command="needle-suite", trials=100, seed=8),

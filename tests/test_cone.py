@@ -5,14 +5,12 @@ import pytest
 
 from waistlab.cone import (
     EmptyFiberError,
-    EmptySetError,
     MeasureEstimate,
     RankDeficientError,
     _exact_fiber_distance,
     _slice_frame,
     _slice_point,
     best_fiber,
-    cap_neighborhood_measure,
     derive_seed,
     fiber_distance_method,
     fiber_points,
@@ -81,9 +79,6 @@ def test_regularized_norm_falls_back_to_rejection():
     # sign symmetry of the norm carries over to the cone measure
     est = _set_measure(batch, lambda pts: pts[:, 0] > 0)
     assert abs(est.mean - 0.5) <= 3.5 * est.std_error
-    # no generator samples it exactly, so asking for one is an error
-    with pytest.raises(ValueError, match="euclidean and l_p norms only"):
-        sample_conical(norm, 10, seed=6, method="direct")
 
 
 def test_hemisphere_symmetry():
@@ -690,9 +685,9 @@ def test_round_cap_distance_is_the_chord_to_the_boundary_circle():
 @pytest.mark.parametrize(
     "norm", ["lp:1.2:2", "lp:4:2", "reg:lp:1.5:2:w=0.05:d=0.01"])
 def test_norm_distance_grows_along_half_circles(norm):
-    # The monotonicity lemma that cap_neighborhood_measure's boundary
-    # argument rests on: on the unit circle of a normed plane, ||y - x||
-    # does not decrease as x runs along either half circle from y to -y.
+    # The monotonicity lemma that verify-iso's boundary argument rests on:
+    # on the unit circle of a normed plane, ||y - x|| does not decrease as
+    # x runs along either half circle from y to -y.
     norm = parse_norm(norm)
 
     def circle(theta):
@@ -707,21 +702,6 @@ def test_norm_distance_grows_along_half_circles(norm):
             assert np.all(np.diff(dist) >= -1e-12), (anchor, way)
 
 
-def test_cap_neighborhood_round_sphere_oracle():
-    # on S^2 the cap {x_3 >= tau} has angular radius acos(tau); its chordal
-    # eps-neighborhood adds r = 2 asin(eps / 2), and a cap of angular radius
-    # theta has measure (1 - cos theta) / 2; the complement is the cap of
-    # radius pi - acos(tau) about the other pole
-    tau, eps = 0.3, 0.5
-    r = 2.0 * math.asin(eps / 2.0)
-    est_a, est_ac = cap_neighborhood_measure(E3, LAST_COORD, tau, eps,
-                                             200_000, 1, seed=73)
-    expected_a = (1.0 - math.cos(math.acos(tau) + r)) / 2.0
-    expected_ac = (1.0 - math.cos(math.pi - math.acos(tau) + r)) / 2.0
-    assert abs(est_a.mean - expected_a) <= 3.0 * est_a.std_error
-    assert abs(est_ac.mean - expected_ac) <= 3.0 * est_ac.std_error
-
-
 @pytest.mark.parametrize("norm", [E3, L43], ids=str)
 def test_exact_cap_distance_never_exceeds_the_cloud_distance(norm):
     # a cloud inside the cap can only overestimate the distance to it, so
@@ -733,53 +713,3 @@ def test_exact_cap_distance_never_exceeds_the_cloud_distance(norm):
     probe = probe[probe[:, -1] < tau]
     cloud_d = min_norm_distance(norm, probe, cloud)
     assert np.all(_cap_distance(norm, tau, probe) <= cloud_d + 1e-12)
-
-
-def test_cap_neighborhood_measure_contract():
-    one_point = lambda norm: cap_neighborhood_measure(norm, LAST_COORD, 0.3,
-                                                      0.5, 1, 1, seed=76)
-    with pytest.raises(EmptySetError):
-        one_point(E3)
-    with pytest.raises(ValueError, match="one-row map"):
-        cap_neighborhood_measure(E4, LAST_TWO, 0.0, 0.5, 1_000, 100, seed=76)
-    # the whole sphere lies within eps = 2 of any point
-    est_a, est_ac = cap_neighborhood_measure(L43, LAST_COORD, 0.0, 2.0,
-                                             1_000, 100, seed=76)
-    assert est_a.mean == est_ac.mean == 1.0
-    # a regularized norm takes the same path, with a fiber cloud
-    with pytest.raises(EmptySetError):
-        one_point(REG3)
-
-
-def test_cap_neighborhood_contains_the_cap_itself():
-    tau = 0.6
-    est_a, est_ac = cap_neighborhood_measure(REG3, LAST_COORD, tau, 0.2,
-                                             20_000, 500, seed=43)
-    cap = _set_measure(sample_conical(REG3, 20_000, seed=44),
-                      lambda pts: pts[:, -1] >= tau)
-    sigma = math.hypot(est_a.std_error, cap.std_error)
-    assert est_a.mean >= cap.mean - 3.0 * sigma
-    assert est_ac.mean >= 1.0 - cap.mean - 3.0 * sigma
-
-
-def test_cap_neighborhood_measure_deterministic():
-    a = cap_neighborhood_measure(REG3, LAST_COORD, 0.0, 0.4, 3_000, 300,
-                                 seed=46)
-    b = cap_neighborhood_measure(REG3, LAST_COORD, 0.0, 0.4, 3_000, 300,
-                                 seed=46)
-    assert a == b
-
-
-def test_larger_fiber_budget_never_lowers_the_cap_estimates():
-    # the cloud of a larger budget extends the smaller one, so no distance
-    # grows and no estimate falls: the cloud estimate is conservative
-    tau = 0.2
-    small = fiber_points(REG3, LAST_COORD, [tau], 300, seed=47)
-    large = fiber_points(REG3, LAST_COORD, [tau], 3_000, seed=47)
-    assert np.array_equal(small, large[:300])
-    for seed in (1, 2, 3):
-        lo = cap_neighborhood_measure(REG3, LAST_COORD, tau, 0.3, 2_000,
-                                      300, seed)
-        hi = cap_neighborhood_measure(REG3, LAST_COORD, tau, 0.3, 2_000,
-                                      3_000, seed)
-        assert hi[0].mean >= lo[0].mean and hi[1].mean >= lo[1].mean

@@ -605,6 +605,35 @@ def test_regularized_sandwich_holds_at_every_width(base, d, w):
     assert c1 >= 0.4 * (v / e).min()
 
 
+def _reflected_pair(norm):
+    """Norms of 20 000 random rows and of the same rows with the last
+    coordinate negated."""
+    x = rng_stream(37).standard_normal((20_000, norm.dim))
+    y = x.copy()
+    y[:, -1] = -y[:, -1]
+    return np.asarray(norm_eval(norm, x)), np.asarray(norm_eval(norm, y))
+
+
+@pytest.mark.parametrize("text", ["euclidean:3", "euclidean:5", "lp:1.5:3",
+                                  "lp:1.5:5", "lp:4:3", "lp:4:5"])
+def test_norm_is_invariant_under_reflecting_the_last_coordinate(text):
+    # verify-iso reads mu(A) = 1/2 and the symmetric halves of the tube off
+    # this symmetry of the cone measure
+    a, b = _reflected_pair(parse_norm(text))
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("base", ["lp:1.5:3", "lp:4:2"])
+@pytest.mark.parametrize("d", [0.0, 0.01])
+@pytest.mark.parametrize("w", [0.05, 0.3, 8.3])
+def test_regularized_norm_is_invariant_under_reflecting_the_last_coordinate(
+        base, d, w):
+    # The Gauss-Legendre nodes and weights are symmetric, so the reflection
+    # only permutes the terms of the mollifier's sum.
+    a, b = _reflected_pair(parse_norm(f"reg:{base}:w={w!r}:d={d!r}"))
+    assert np.all(np.abs(a - b) <= 1e-14 * a)
+
+
 # ---------------------------------------------------------------------------
 # Seeded streams
 # ---------------------------------------------------------------------------
