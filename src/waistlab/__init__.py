@@ -38,6 +38,7 @@ from .cone import (  # noqa: F401
 from .needles import (  # noqa: F401
     ArcDensity,
     ConvexCapSpec,
+    EmptyConvexSetError,
     decay_bound_check,
     derived_density_estimate,
     is_weakly_concave,

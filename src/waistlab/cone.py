@@ -16,13 +16,18 @@ tube about the equatorial fiber. It takes one sample batch for every norm
 kind, and the distance to a fiber in closed form where one exists, else to
 a fiber cloud, which can only overestimate it, so those estimates are
 conservative. The closed form is built once per batch and map: the slice
-frame (rank check, pseudo-inverse, kernel) and the distance terms that
-depend only on the map and the points are computed once, and each fiber
-location z adds only the terms of its own point x0 = pinv z. The estimator
-asks only whether a point lies within eps of the fiber, so the cloud path
-decides exactly that (``within_norm_distance``) and evaluates the norm only
-for the candidates that can change the answer; ``min_norm_distance`` is its
-exact reference.
+frame (rank check, pseudo-inverse, row space, kernel) and a few scalars per
+point that depend only on the map and the points are computed once, and
+each fiber location z adds only the terms of its own point x0 = pinv z. The
+estimator asks only whether a point lies within eps of the fiber. The exact
+path answers that from the per-point scalars by comparing the q-th power of
+the distance with eps^q (q = 2 on the round sphere, p on l_p), with no root
+taken; the rows whose power lies in a narrow band about eps^q, far wider
+than the rounding of either form, take the closed-form distance, its
+reference, so each answer is the one that distance gives. The cloud path
+decides the same question (``within_norm_distance``) and evaluates the norm
+only for the candidates that can change the answer; ``min_norm_distance``
+is its exact reference.
 ``fiber_points`` bisects for each fiber point and evaluates the norm only at
 the midpoints its convexity bracket leaves in doubt.
 
@@ -199,10 +204,12 @@ def sample_conical(norm: NormDescriptor, count: int, seed: int) -> SampleBatch:
 # Fibers of linear maps
 # ---------------------------------------------------------------------------
 
-def _slice_frame(norm: NormDescriptor, f) -> tuple[np.ndarray, np.ndarray]:
+def _slice_frame(norm: NormDescriptor, f
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The part of the affine slice {f x = z} that does not depend on z:
-    the pseudo-inverse of f, and an orthonormal basis of its kernel, as the
-    columns of a (dim, dim - k) array.
+    the pseudo-inverse of f, and orthonormal bases of its row space and of
+    its kernel, as the rows of a (k, dim) array and the columns of a
+    (dim, dim - k) array.
 
     Raises RankDeficientError unless f has full row rank.
     """
@@ -215,7 +222,7 @@ def _slice_frame(norm: NormDescriptor, f) -> tuple[np.ndarray, np.ndarray]:
     if np.linalg.matrix_rank(f) < k:
         raise RankDeficientError("linear map must have full row rank")
     _, _, vt = np.linalg.svd(f)
-    return np.linalg.pinv(f), vt[k:].T
+    return np.linalg.pinv(f), vt[:k], vt[k:].T
 
 
 def _slice_point(norm: NormDescriptor, pinv: np.ndarray, z
@@ -334,7 +341,7 @@ def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarra
     evaluated test gives, and norm_eval gives each row its own bits, so the
     points are those of the plain 80-step bisection.
     """
-    pinv, kernel = _slice_frame(norm, f)
+    pinv, _, kernel = _slice_frame(norm, f)
     x0, length = _slice_point(norm, pinv, z)
     rng = rng_stream(seed, 0)
     dirs = rng.standard_normal((count, kernel.shape[1]))
@@ -397,59 +404,181 @@ def fiber_distance_method(norm: NormDescriptor, f) -> str:
     return "cloud"
 
 
-def _exact_fiber_distance(norm: NormDescriptor, f, points: np.ndarray
-                          ) -> Callable[[Sequence], np.ndarray]:
-    """The closed-form distance from each of ``points`` to the fiber
-    {||x|| = 1, f x = z}, as a function of z, for a pair that
+# Half-width of the band about eps^q in which ``_ExactTube.within`` leaves
+# the answer to the reference formula, per unit of the rounding scale its
+# docstring derives; far above that rounding.
+_BAND = 2.0 ** -32
+
+
+def _abs_power(x: np.ndarray, q: float) -> None:
+    """x <- |x|^q in place, by squaring where q is a power of two."""
+    mantissa, exponent = math.frexp(q)
+    if mantissa == 0.5 and exponent >= 2:
+        for _ in range(exponent - 1):
+            np.multiply(x, x, out=x)
+    else:
+        np.abs(x, out=x)
+        np.power(x, q, out=x)
+
+
+class _ExactTube:
+    """The closed-form distance from each of a batch of points to the fiber
+    {||x|| = 1, f x = z}, and the eps-tube about it, for a pair that
     ``fiber_distance_method`` calls "exact".
 
-    The slice frame and every term that depends only on the map and the
-    points are computed here, once per batch; a call adds only the terms of
-    x0 = pinv z. Raises RankDeficientError here, and EmptyFiberError in a
-    call, as ``fiber_points`` does.
+    The slice frame and the per-point scalars, which depend only on the map
+    and the points, are computed here, once per batch; a fiber location z
+    adds only the terms of x0 = pinv z. Raises RankDeficientError here, and
+    EmptyFiberError for a z, as ``fiber_points`` does.
 
-    Round sphere: x0 is orthogonal to the kernel K, so the fiber is the
-    round subsphere x0 + K u with |u| = r = sqrt(1 - |x0|^2), and the
-    distance is sqrt(|P y - x0|^2 + (|K^T y| - r)^2), P projecting onto the
-    row space.
+    Round sphere: x0 lies in the row space of f, orthogonal to the kernel
+    K, so the fiber is the round subsphere x0 + K u with |u| = r =
+    sqrt(1 - |x0|^2), and the distance is
+    sqrt(|P y - x0|^2 + (|K^T y| - r)^2), P projecting onto the row space.
+    In an orthonormal basis V of the row space |P y - x0|^2 = |a - a0|^2,
+    a = V y and a0 = V x0, so the scalars a_j and b = |K^T y| of each point
+    carry its distance.
 
     l_p with a coordinate map: the fiber is {x_T = x0_T, |x_R|_p = r}, T
     the mapped columns, R the other coordinates and
     r = (1 - |x0_T|_p^p)^(1/p). The p-th powers split over the two blocks,
     and the distance from y_R to a sphere of radius r of any norm is
     ||y_R| - r| (triangle inequality), so the distance is
-    (||y_R|_p - r|^p + |y_T - x0_T|_p^p)^(1/p).
-    """
-    pinv, kernel = _slice_frame(norm, f)
-    if norm.is_round:
-        ky = points @ kernel
-        row = points - ky @ kernel.T
-        ky_norm = np.sqrt(np.einsum("ij,ij->i", ky, ky))
+    (||y_R|_p - r|^p + |y_T - x0_T|_p^p)^(1/p), carried by the scalars
+    a_j = y_Tj and b = |y_R|_p.
 
-        def distance(z) -> np.ndarray:
-            x0, _ = _slice_point(norm, pinv, z)
+    ``distance`` is the reference formula; ``within`` answers the tube
+    question from the scalars, with the answers the reference gives.
+    """
+
+    def __init__(self, norm: NormDescriptor, f, points: np.ndarray):
+        pinv, basis, kernel = _slice_frame(norm, f)
+        self.norm, self.pinv, self.basis = norm, pinv, basis
+        self.points, self.kernel = points, kernel
+        dim = points.shape[1]
+        if norm.is_round:
+            self.q = 2.0
+            ky = points @ kernel
+            self.outer = np.einsum("ij,ij->i", ky, ky)
+            np.sqrt(self.outer, out=self.outer)
+            # a, coordinate-major: one contiguous array per basis vector
+            self.inner = basis @ points.T
+            # m >= max |y|_2^2, as |y|_2 <= b + sum_j |a_j|
+            reach = self.outer.max() + np.sum(np.maximum(
+                self.inner.max(axis=1), -self.inner.min(axis=1)))
+            self.slack = (dim * dim * max(1.0, float(reach) ** 2), 1.0)
+        else:
+            p = self.q = norm.p
+            self.columns = _coordinate_columns(f)
+            rest = np.setdiff1d(np.arange(dim), self.columns)
+            self.outer = (np.sum(np.abs(points[:, rest]) ** p, axis=1)
+                          ** (1.0 / p))
+            self.inner = points.T[self.columns]
+            self.slack = (0.0, p + dim)
+        # The reference's row-space parts P y, built once a row needs them.
+        self.row = None
+        self.work = np.empty((2, points.shape[0]))
+
+    def _slice(self, z) -> tuple[np.ndarray, float, np.ndarray]:
+        """x0 = pinv z, the radius r of the fiber about it, and the fiber's
+        inner coordinates (a0 = V x0, or x0_T on l_p)."""
+        x0, _ = _slice_point(self.norm, self.pinv, z)
+        if self.norm.is_round:
             radius = math.sqrt(max(0.0, 1.0 - float(x0 @ x0)))
-            along = ky_norm - radius
-            across = row - x0
+            return x0, radius, self.basis @ x0
+        p = self.q
+        target = x0[self.columns]
+        radius = max(0.0, 1.0 - float(np.sum(np.abs(target) ** p))) ** (1 / p)
+        return x0, radius, target
+
+    def _reference(self, x0: np.ndarray, radius: float, rows=slice(None)
+                   ) -> np.ndarray:
+        """The reference formula's distances of the points ``rows``."""
+        along = self.outer[rows] - radius
+        if self.norm.is_round:
+            if self.row is None:
+                ky = self.points @ self.kernel
+                self.row = self.points - ky @ self.kernel.T
+            across = self.row[rows] - x0
             return np.sqrt(np.einsum("ij,ij->i", across, across)
                            + along * along)
-
-        return distance
-    p = norm.p
-    columns = _coordinate_columns(f)
-    rest = np.setdiff1d(np.arange(points.shape[1]), columns)
-    rest_norm = np.sum(np.abs(points[:, rest]) ** p, axis=1) ** (1.0 / p)
-    mapped = points[:, columns]
-
-    def distance(z) -> np.ndarray:
-        x0, _ = _slice_point(norm, pinv, z)
-        target = x0[columns]
-        radius = max(0.0, 1.0 - float(np.sum(np.abs(target) ** p))) ** (1.0 / p)
-        along = rest_norm - radius
-        across = np.sum(np.abs(mapped - target) ** p, axis=1)
+        p = self.q
+        # point-major, the layout the formula sums over
+        mapped = self.inner[:, rows].T.copy()
+        across = np.sum(np.abs(mapped - x0[self.columns]) ** p, axis=1)
         return (np.abs(along) ** p + across) ** (1.0 / p)
 
-    return distance
+    def distance(self, z) -> np.ndarray:
+        """The distance from each point to the fiber at ``z``."""
+        x0, radius, _ = self._slice(z)
+        return self._reference(x0, radius)
+
+    def within(self, z, eps: float) -> np.ndarray:
+        """Whether each point lies within ``eps`` of the fiber at ``z``:
+        ``distance(z) <= eps`` row for row, with no root taken and no
+        (count, dim) array formed.
+
+        It compares s = dist^q with E = eps^q, q = 2 on the round sphere and
+        q = p on l_p, where s = |b - r|^q + sum_j |a_j - a0_j|^q is summed
+        in place in one buffer. That s rounds differently from the
+        reference's own sum S, so s decides a row only outside the band
+        [E - w, E + w]; the rows in the band take the reference formula.
+        With u = 2^-53:
+
+        * The reference's test fl(S^(1/q)) <= eps follows S <= E except
+          within a relative 8 q u of E: its root is within a few ulps, and
+          so is E = fl(eps^q).
+        * Round sphere: each term of either sum squares a difference of
+          coordinates of y and x0 in an orthonormal frame, each one a dot
+          product of length at most dim (two in turn for the reference's
+          P y), so of absolute error about dim u m at most, m >= 1 a bound
+          on |y|_2^2 over the batch (|x0| < 1). With the frame's
+          orthonormality error from the SVD, both sums lie within
+          16 dim^2 u m of the exact one; b and r are shared bits.
+        * l_p: both sums add the same k + 1 nonnegative terms in another
+          order, each the p-th power of a shared difference, taken within a
+          few ulps by pow or within a relative p u by squarings, so they
+          lie within a relative (p + 2 k + 16) u of each other. Terms below
+          the normal range add at most (k + 1) 2^-1074, far below a band
+          about a normal E.
+
+        So w = 2^-32 (dim^2 m + E) on the round sphere and
+        w = 2^-32 (p + dim) E on l_p are over 10^4 times those bounds.
+        Where E is not a positive normal double (large p with small eps, or
+        eps <= 0) every row takes the reference formula.
+        """
+        x0, radius, shift = self._slice(z)
+        try:
+            e = float(eps) ** self.q if eps > 0 else 0.0
+        except OverflowError:
+            e = math.inf
+        if not np.finfo(float).tiny <= e < math.inf:
+            return self._reference(x0, radius) <= eps
+        absolute, relative = self.slack
+        width = _BAND * (absolute + relative * e)
+        s, term = self.work
+        np.subtract(self.outer, radius, out=s)
+        _abs_power(s, self.q)
+        for a, t in zip(self.inner, shift):
+            np.subtract(a, t, out=term)
+            _abs_power(term, self.q)
+            s += term
+        hits = s < e - width
+        band = np.flatnonzero(hits != (s <= e + width))
+        if band.size:
+            hits[band] = self._reference(x0, radius, band) <= eps
+        return hits
+
+
+def _exact_fiber_distance(norm: NormDescriptor, f, points: np.ndarray
+                          ) -> Callable[[Sequence], np.ndarray]:
+    """The closed-form distance from each of ``points`` to the fiber
+    {||x|| = 1, f x = z}, as a function of z, for a pair that
+    ``fiber_distance_method`` calls "exact" (see :class:`_ExactTube`).
+    ``best_fiber`` asks only whether it is at most eps, which
+    ``_ExactTube.within`` answers with less work; this is its exact
+    reference."""
+    return _ExactTube(norm, f, points).distance
 
 
 def _kd_neighbors(points: np.ndarray, cloud: np.ndarray, reach: float):
@@ -573,7 +702,7 @@ def best_fiber(
     points = sample_conical(norm, sample_budget, derive_seed(seed, 2)).points
     cloud = fiber_distance_method(norm, f) == "cloud"
     if not cloud:
-        distance = _exact_fiber_distance(norm, f, points)
+        tube = _ExactTube(norm, f, points)
     estimates: list[Optional[MeasureEstimate]] = []
     for i, z in enumerate(z_grid):
         try:
@@ -582,13 +711,13 @@ def best_fiber(
                                      derive_seed(seed, 3 + i))
                 hits = within_norm_distance(norm, points, fiber, eps)
             else:
-                hits = distance(z) <= eps
+                hits = tube.within(z, eps)
         except EmptyFiberError:
             estimates.append(None)
             continue
         estimates.append(
-            MeasureEstimate.from_hits(int(hits.sum()), sample_budget,
-                                      seed=seed)
+            MeasureEstimate.from_hits(int(np.count_nonzero(hits)),
+                                      sample_budget, seed=seed)
         )
     if all(e is None for e in estimates):
         raise EmptyFiberError("every grid point has an empty fiber")

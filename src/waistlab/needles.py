@@ -37,6 +37,7 @@ from .norms import (
 __all__ = [
     "ArcDensity",
     "ConvexCapSpec",
+    "EmptyConvexSetError",
     "WeakConcavityReport",
     "MaxStructureReport",
     "DecayReport",

@@ -7,6 +7,7 @@ from waistlab.cone import (
     EmptyFiberError,
     MeasureEstimate,
     RankDeficientError,
+    _ExactTube,
     _exact_fiber_distance,
     _slice_frame,
     _slice_point,
@@ -191,7 +192,7 @@ def test_fiber_points_offset_slice_geometry():
 
 def _fiber_points_full_bisection(norm, f, z, count, seed):
     """fiber_points with all 80 bisection steps, no early stop."""
-    pinv, kernel = _slice_frame(norm, f)
+    pinv, _, kernel = _slice_frame(norm, f)
     x0, _ = _slice_point(norm, pinv, z)
     rng = rng_stream(seed, 0)
     dirs = rng.standard_normal((count, kernel.shape[1]))
@@ -377,6 +378,132 @@ def test_exact_path_skips_the_cloud_paths_empty_fibers():
     z_grid = [z for norm, f, z in cases if norm is E3 and f is LAST_COORD]
     _, _, ests = best_fiber(E3, LAST_COORD, 0.5, z_grid, 1_000, 10, seed=66)
     assert len(ests) == len(z_grid) - sum(empty[:len(z_grid)])
+
+
+def _record_reference(monkeypatch) -> list:
+    """Patch the exact path's reference formula to record, per call, the
+    rows it evaluates."""
+    calls = []
+    real = _ExactTube._reference
+
+    def recording(self, x0, radius, rows=slice(None)):
+        calls.append(np.arange(self.outer.size)[rows])
+        return real(self, x0, radius, rows)
+
+    monkeypatch.setattr(_ExactTube, "_reference", recording)
+    return calls
+
+
+_EDGE = (-1.0, -math.nextafter(1.0, 0.0), -0.3, 0.0, 0.5, 0.9999999999, 1.0,
+         math.nextafter(1.0, 2.0))
+
+
+def _along_row_space(f, seed):
+    """z = f x for x = t v, v a unit vector of the row space of f, so the
+    slice point has |x0| = t: inside, at and past the empty-fiber edge."""
+    v = f.T @ np.random.Generator(np.random.Philox(seed)).standard_normal(
+        f.shape[0])
+    v /= np.linalg.norm(v)
+    return [f @ (t * v) for t in
+            (0.0, 0.5, 0.999999, 0.9999999999, 1.0, 1.0 + 1e-9)]
+
+
+def _random_map(k, dim, seed):
+    return np.random.Generator(np.random.Philox(seed)).standard_normal(
+        (k, dim))
+
+
+_ROOT = math.sqrt(0.5)
+_TUBE_CASES = {
+    "euclidean:3": (E3, LAST_COORD, [[z] for z in _EDGE]),
+    "euclidean:3 random map": (E3, _random_map(1, 3, 76),
+                               _along_row_space(_random_map(1, 3, 76), 77)),
+    "lp:2:4": (lp_norm(2, 4), _last_coords(4), [[z] for z in _EDGE]),
+    "lp:2:4 random map": (lp_norm(2, 4), _random_map(2, 4, 78),
+                          _along_row_space(_random_map(2, 4, 78), 79)),
+    "euclidean:4 k=2": (E4, LAST_TWO, [
+        [0.8, 0.6], [0.6, 0.8], [_ROOT, _ROOT],
+        [math.nextafter(_ROOT, 0.0)] * 2, [0.0, 1.0], [0.5, 0.5],
+        [0.0, 0.0], [-0.3, 0.7]]),
+    "euclidean:3 scaled": (E3, 2.0 * LAST_COORD,
+                           [[2.0 * z] for z in _EDGE] + [[1.9999999999]]),
+    "lp:1.5:5 scaled": (lp_norm(1.5, 5), -2.0 * _last_coords(5),
+                        [[-2.0 * z] for z in _EDGE]),
+    "lp:1.5:5 signed k=2": (lp_norm(1.5, 5),
+                            np.array([[0, 0, 0, 0, -1.0], [0, 0, 0, 3.0, 0]]),
+                            [[0.5, 0.9], [-0.2, 2.4], [0.0, 0.0], [0.9, 0.3],
+                             [0.9, 3.0]]),
+    "lp:4:3 scaled": (L43, np.array([[0.0, 3.0, 0.0]]),
+                      [[3.0 * z] for z in _EDGE]),
+    "lp:4:3 signed": (L43, -1.0 * LAST_COORD, [[z] for z in _EDGE]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TUBE_CASES))
+def test_exact_tube_within_is_the_reference(monkeypatch, case):
+    # within(z, eps) decides from the per-point scalars and leaves the rows
+    # near eps to the reference formula, so every answer is distance <= eps.
+    norm, f, z_grid = _TUBE_CASES[case]
+    assert fiber_distance_method(norm, f) == "exact"
+    pts = sample_conical(norm, 3_000, seed=80).points
+    tube = _ExactTube(norm, f, pts)
+    calls = _record_reference(monkeypatch)
+    empty = 0
+    for z in z_grid:
+        try:
+            dist = tube.distance(z)
+        except EmptyFiberError:
+            with pytest.raises(EmptyFiberError):
+                tube.within(z, 0.5)
+            empty += 1
+            continue
+        for eps in (-0.5, 0.0, 1e-3, 0.01, 0.1, 0.3, 0.5, 1.0, 2.0):
+            assert np.array_equal(tube.within(z, eps), dist <= eps), (z, eps)
+        # rows at distance eps to within two ulps fall in the band, where
+        # the reference formula decides them
+        for i in (0, int(np.argsort(dist)[dist.size // 2])):
+            eps = float(dist[i])
+            for _ in range(2):
+                eps = math.nextafter(eps, 0.0)
+            for _ in range(5):
+                calls.clear()
+                assert np.array_equal(tube.within(z, eps), dist <= eps), \
+                    (z, eps)
+                assert len(calls) == 1 and i in calls[0]
+                assert calls[0].size < dist.size
+                eps = math.nextafter(eps, 3.0)
+    assert 0 < empty < len(z_grid)
+
+
+def test_exact_tube_takes_the_reference_where_eps_power_underflows(
+        monkeypatch):
+    # eps^p = 1e-360 is no positive normal double, so no band about it
+    # holds and every row takes the reference formula; rows on the fiber
+    # are within eps.
+    norm = lp_norm(60, 3)
+    calls = _record_reference(monkeypatch)
+    for z in ([0.0], [0.5]):
+        pts = np.vstack([sample_conical(norm, 2_000, seed=81).points,
+                         fiber_points(norm, LAST_COORD, z, 5, seed=82)])
+        tube = _ExactTube(norm, LAST_COORD, pts)
+        calls.clear()
+        hits = tube.within(z, 1e-6)
+        assert np.array_equal(hits, tube.distance(z) <= 1e-6)
+        assert hits[-5:].all()
+        assert calls[0].size == pts.shape[0]
+
+
+@pytest.mark.parametrize("norm, eps, z_grid", [
+    (E3, 0.5, np.linspace(-0.8, 0.8, 17)),
+    (L43, 0.3, np.linspace(-0.6, 0.6, 7))])
+def test_best_fiber_exact_path_evaluates_no_reference_rows(
+        monkeypatch, norm, eps, z_grid):
+    # The band about eps^q is narrow enough that a 1e5-point batch has no
+    # row in it at any grid point: the per-point scalars decide every row.
+    calls = _record_reference(monkeypatch)
+    best_fiber(norm, LAST_COORD, eps, [[z] for z in z_grid], 100_000, 10,
+               seed=83)
+    assert sum(rows.size for rows in calls) == 0
 
 
 def test_lp_exact_fiber_distance_is_the_cloud_limit():

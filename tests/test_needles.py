@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+import waistlab
 from waistlab import cli, needles
 from waistlab.cone import rng_stream, sample_conical
 from waistlab.needles import (
     ArcDensity,
     ConvexCapSpec,
+    EmptyConvexSetError,
     decay_bound_check,
     derived_density_estimate,
     is_weakly_concave,
@@ -535,6 +537,15 @@ def test_lune_family_shares_one_axis():
     # the axes are compared after normalizing
     specs = [lune_spec(0.2), lune_spec(0.1, axis=(0.0, 0.0, 2.0))]
     assert derived_density_estimate(specs, 100_000, seed=8)[1].accepted
+
+
+def test_derived_density_refuses_a_lune_the_budget_barely_reaches():
+    # a lune of half-angle 0.05 holds 0.05 / pi of the measure, so about
+    # 160 of 10 000 draws land in it, short of the 1000 the histogram needs
+    with pytest.raises(EmptyConvexSetError, match="insufficient acceptance"):
+        derived_density_estimate([lune_spec(0.05)], 10_000, seed=4)
+    assert waistlab.EmptyConvexSetError is EmptyConvexSetError
+    assert issubclass(EmptyConvexSetError, ValueError)
 
 
 def test_derived_density_rejects_non_round_norm():
