@@ -408,19 +408,17 @@ def _along_row_space(f, seed):
             (0.0, 0.5, 0.999999, 0.9999999999, 1.0, 1.0 + 1e-9)]
 
 
-def _random_map(k, dim, seed):
-    return np.random.Generator(np.random.Philox(seed)).standard_normal(
-        (k, dim))
-
-
 _ROOT = math.sqrt(0.5)
+# seeded random full-rank maps
+_RANDOM_1x3 = np.random.Generator(np.random.Philox(76)).standard_normal((1, 3))
+_RANDOM_2x4 = np.random.Generator(np.random.Philox(78)).standard_normal((2, 4))
 _TUBE_CASES = {
     "euclidean:3": (E3, LAST_COORD, [[z] for z in _EDGE]),
-    "euclidean:3 random map": (E3, _random_map(1, 3, 76),
-                               _along_row_space(_random_map(1, 3, 76), 77)),
+    "euclidean:3 random map": (E3, _RANDOM_1x3,
+                               _along_row_space(_RANDOM_1x3, 77)),
     "lp:2:4": (lp_norm(2, 4), _last_coords(4), [[z] for z in _EDGE]),
-    "lp:2:4 random map": (lp_norm(2, 4), _random_map(2, 4, 78),
-                          _along_row_space(_random_map(2, 4, 78), 79)),
+    "lp:2:4 random map": (lp_norm(2, 4), _RANDOM_2x4,
+                          _along_row_space(_RANDOM_2x4, 79)),
     "euclidean:4 k=2": (E4, LAST_TWO, [
         [0.8, 0.6], [0.6, 0.8], [_ROOT, _ROOT],
         [math.nextafter(_ROOT, 0.0)] * 2, [0.0, 1.0], [0.5, 0.5],
