@@ -24,10 +24,15 @@ path answers that from the per-point scalars by comparing the q-th power of
 the distance with eps^q (q = 2 on the round sphere, p on l_p), with no root
 taken; the rows whose power lies in a narrow band about eps^q, far wider
 than the rounding of either form, take the closed-form distance, its
-reference, so each answer is the one that distance gives. The cloud path
-decides the same question (``within_norm_distance``) and evaluates the norm
-only for the candidates that can change the answer; ``min_norm_distance``
-is its exact reference.
+reference, so each answer is the one that distance gives. The slice points
+of a whole z grid take one norm evaluation. The cloud path decides the same
+question (``within_norm_distance``): a Euclidean KD query settles most
+points with no norm evaluated, and each remaining candidate is decided by
+the cheap per-row bracket of ``norms.norm_bracket`` wherever it settles the
+answer, so the norm itself, the mollified one on a regularized norm, is
+evaluated only where the bracket leaves it in doubt. ``min_norm_distance``
+is its exact reference. The rejection sampler rejects by the same bracket
+the draws it puts outside the unit ball.
 ``fiber_points`` bisects for each fiber point and evaluates the norm only at
 the midpoints its convexity bracket leaves in doubt.
 
@@ -47,6 +52,7 @@ import numpy as np
 from .norms import (
     NormDescriptor,
     derive_seed,
+    norm_bracket,
     norm_eval,
     rng_stream,
     sandwich_bounds,
@@ -152,9 +158,16 @@ def _direct_sphere_sample(norm: NormDescriptor, count: int,
 
 def _rejection_sphere_sample(norm: NormDescriptor, count: int,
                              rng: np.random.Generator) -> np.ndarray:
-    # Uniform in a Euclidean ball covering the unit ball, keep points inside
-    # the norm ball, project radially: uniform-in-ball projects to the cone
-    # measure.
+    """``count`` cone-measure points on the unit sphere of any norm: draws
+    uniform in a Euclidean ball covering the unit ball, kept in order while
+    inside the norm ball and projected radially (uniform in the ball
+    projects to the cone measure).
+
+    Only draws the bracket of ``norm_bracket`` cannot put outside the ball
+    (lo <= 1) take ``norm_eval``, which then decides them and gives the kept
+    ones their lengths. A draw with lo > 1 has a value above 1, so the kept
+    draws, their lengths and the points are those of evaluating every draw.
+    """
     c1, c2 = sandwich_bounds(norm)
     radius = 1.0 / c1
     dim = norm.dim
@@ -169,18 +182,19 @@ def _rejection_sphere_sample(norm: NormDescriptor, count: int,
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
         r = radius * rng.random(n_draw) ** (1.0 / dim)
         pts = g * r[:, None]
+        maybe = np.flatnonzero(norm_bracket(norm, pts)[0] <= 1.0)
         start = 0
-        while filled < count and start < n_draw:
+        while filled < count and start < maybe.size:
             # Draws are kept in order, so none past the last one kept needs
             # its norm: chunks of the count still missing (at least 64)
             # evaluate few draws past it.
-            stop = min(n_draw, start + max(64, count - filled))
-            values = np.asarray(norm_eval(norm, pts[start:stop]))
+            rows = maybe[start : start + max(64, count - filled)]
+            values = np.asarray(norm_eval(norm, pts[rows]))
             kept = np.flatnonzero(values <= 1.0)[: count - filled]
-            out[filled : filled + kept.size] = pts[start + kept]
+            out[filled : filled + kept.size] = pts[rows[kept]]
             lengths[filled : filled + kept.size] = values[kept]
             filled += kept.size
-            start = stop
+            start += rows.size
     # The norms that accepted the draws project them too: norm_eval gives
     # each row its own bits, so this is out / norm_eval(norm, out).
     if np.any(lengths == 0):
@@ -225,26 +239,42 @@ def _slice_frame(norm: NormDescriptor, f
     return np.linalg.pinv(f), vt[:k], vt[k:].T
 
 
-def _slice_point(norm: NormDescriptor, pinv: np.ndarray, z
-                 ) -> tuple[np.ndarray, float]:
-    """The minimal-Euclidean-norm solution x0 = pinv z of f x = z, and
-    ||x0||.
-
-    Raises EmptyFiberError when ||x0|| >= 1, so the slice misses the open
-    unit ball.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+def _slice_points(norm: NormDescriptor, pinv: np.ndarray, z_grid
+                  ) -> list[tuple[np.ndarray, float]]:
+    """Per target z of ``z_grid``, the minimal-Euclidean-norm solution
+    x0 = pinv z of f x = z and ||x0||. The norms take one ``norm_eval``
+    call, which gives each row the bits it has alone."""
     k = pinv.shape[1]
-    if z.shape != (k,):
-        raise ValueError(f"target must have length {k}")
-    x0 = pinv @ z
-    length = float(norm_eval(norm, x0))
+    x0 = np.empty((len(z_grid), pinv.shape[0]))
+    for i, z in enumerate(z_grid):
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        if z.shape != (k,):
+            raise ValueError(f"target must have length {k}")
+        x0[i] = pinv @ z
+    lengths = np.asarray(norm_eval(norm, x0)).tolist()
+    return list(zip(x0, lengths))
+
+
+def _nonempty(x0: np.ndarray, length: float) -> np.ndarray:
+    """``x0`` of a slice point with norm ``length``.
+
+    Raises EmptyFiberError when ``length`` >= 1, so the slice misses the
+    open unit ball.
+    """
     if length >= 1.0:
         raise EmptyFiberError(
             "slice does not meet the open unit ball (minimal-norm point has "
             f"norm {length:.6f})"
         )
-    return x0, length
+    return x0
+
+
+def _slice_point(norm: NormDescriptor, pinv: np.ndarray, z
+                 ) -> tuple[np.ndarray, float]:
+    """x0 = pinv z and ||x0|| for one target z; raises EmptyFiberError as
+    :func:`_nonempty` does."""
+    x0, length = _slice_points(norm, pinv, [z])[0]
+    return _nonempty(x0, length), length
 
 
 # A margin on g(t) = ||x0 + t v|| - 1 far above the kernels' rounding error
@@ -479,17 +509,15 @@ class _ExactTube:
         self.row = None
         self.work = np.empty((2, points.shape[0]))
 
-    def _slice(self, z) -> tuple[np.ndarray, float, np.ndarray]:
-        """x0 = pinv z, the radius r of the fiber about it, and the fiber's
-        inner coordinates (a0 = V x0, or x0_T on l_p)."""
-        x0, _ = _slice_point(self.norm, self.pinv, z)
+    def _slice(self, x0: np.ndarray) -> tuple[float, np.ndarray]:
+        """The radius r of the fiber about the slice point x0 = pinv z, and
+        the fiber's inner coordinates (a0 = V x0, or x0_T on l_p)."""
         if self.norm.is_round:
-            radius = math.sqrt(max(0.0, 1.0 - float(x0 @ x0)))
-            return x0, radius, self.basis @ x0
+            return math.sqrt(max(0.0, 1.0 - float(x0 @ x0))), self.basis @ x0
         p = self.q
         target = x0[self.columns]
         radius = max(0.0, 1.0 - float(np.sum(np.abs(target) ** p))) ** (1 / p)
-        return x0, radius, target
+        return radius, target
 
     def _reference(self, x0: np.ndarray, radius: float, rows=slice(None)
                    ) -> np.ndarray:
@@ -510,13 +538,19 @@ class _ExactTube:
 
     def distance(self, z) -> np.ndarray:
         """The distance from each point to the fiber at ``z``."""
-        x0, radius, _ = self._slice(z)
-        return self._reference(x0, radius)
+        x0, _ = _slice_point(self.norm, self.pinv, z)
+        return self._reference(x0, self._slice(x0)[0])
 
     def within(self, z, eps: float) -> np.ndarray:
         """Whether each point lies within ``eps`` of the fiber at ``z``:
-        ``distance(z) <= eps`` row for row, with no root taken and no
-        (count, dim) array formed.
+        ``within_slice`` at its slice point."""
+        return self.within_slice(_slice_point(self.norm, self.pinv, z)[0],
+                                 eps)
+
+    def within_slice(self, x0: np.ndarray, eps: float) -> np.ndarray:
+        """Whether each point lies within ``eps`` of the fiber through the
+        slice point ``x0`` = pinv z (of norm below 1): ``distance(z) <= eps``
+        row for row, with no root taken and no (count, dim) array formed.
 
         It compares s = dist^q with E = eps^q, q = 2 on the round sphere and
         q = p on l_p, where s = |b - r|^q + sum_j |a_j - a0_j|^q is summed
@@ -547,7 +581,7 @@ class _ExactTube:
         Where E is not a positive normal double (large p with small eps, or
         eps <= 0) every row takes the reference formula.
         """
-        x0, radius, shift = self._slice(z)
+        radius, shift = self._slice(x0)
         try:
             e = float(eps) ** self.q if eps > 0 else 0.0
         except OverflowError:
@@ -581,18 +615,21 @@ def _exact_fiber_distance(norm: NormDescriptor, f, points: np.ndarray
     return _ExactTube(norm, f, points).distance
 
 
-def _kd_neighbors(points: np.ndarray, cloud: np.ndarray, reach: float):
-    """A KD tree of ``cloud`` and, per point, its Euclidean distances and
-    indices to the min(64, cloud size) nearest cloud points closer than
-    ``reach`` (inf and cloud.shape[0] past them), as (points, k) arrays."""
-    # Only the cloud paths reach the KD tree; importing it here keeps
-    # scipy.spatial out of every run that measures distances exactly.
-    from scipy.spatial import cKDTree
+def _kd_neighbors(points: np.ndarray, cloud: np.ndarray, reach: float,
+                  k: int = 64, tree=None):
+    """A KD tree of ``cloud`` (``tree`` if given) and, per point, its
+    Euclidean distances and indices to the min(k, cloud size) nearest cloud
+    points closer than ``reach`` (inf and cloud.shape[0] past them), as
+    (points, k) arrays. Each point's lists depend on that point alone."""
+    if tree is None:
+        # Only the cloud paths reach the KD tree; importing it here keeps
+        # scipy.spatial out of every run that measures distances exactly.
+        from scipy.spatial import cKDTree
 
-    tree = cKDTree(cloud)
-    # Enough neighbours that few rows reach a per-row ball query; the count
-    # changes no answer.
-    k = min(64, cloud.shape[0])
+        tree = cKDTree(cloud)
+    # The default 64 is enough neighbours that few rows reach a per-row
+    # ball query; the count changes no answer.
+    k = min(k, cloud.shape[0])
     d2, idx = tree.query(points, k=k, distance_upper_bound=reach)
     shape = (points.shape[0], k)
     return tree, np.reshape(d2, shape), np.reshape(idx, shape)
@@ -631,43 +668,62 @@ def min_norm_distance(norm: NormDescriptor, points: np.ndarray,
     return best
 
 
+def _within(norm: NormDescriptor, y: np.ndarray, eps: float) -> np.ndarray:
+    """``norm_eval(norm, y) <= eps`` row for row, with the norm evaluated
+    only on the rows that ``norm_bracket`` leaves in doubt: hi <= eps is
+    within and lo > eps is not."""
+    lo, hi = norm_bracket(norm, y)
+    hit = hi <= eps
+    doubt = np.flatnonzero(~hit & (lo <= eps))
+    if doubt.size:
+        hit[doubt] = np.asarray(norm_eval(norm, y[doubt])) <= eps
+    return hit
+
+
 def within_norm_distance(norm: NormDescriptor, points: np.ndarray,
                          cloud: np.ndarray, eps: float) -> np.ndarray:
     """Whether each point lies within norm distance ``eps`` of the cloud:
     ``min_norm_distance(norm, points, cloud) <= eps`` row for row, with the
     norm evaluated only where that answer depends on it.
 
-    The KD query keeps the 64 nearest cloud points closer than eps / c1 in
-    the Euclidean metric, as ||y|| >= c1 |y|_2 rules out the rest. A row
-    whose nearest one is closer than eps / c2 is within eps with no
-    evaluation, as ||y|| <= c2 |y|_2. Every other row evaluates its
-    candidates nearest first, only while c1 d2_j leaves eps in reach, and
-    stops at the first within eps. A row still open after all 64 looks at
-    every cloud point within eps / c1 by a ball query. norm_eval gives each
-    row its own bits, so each answer is the one the full minimum gives.
+    Only cloud points closer than eps / c1 in the Euclidean metric can be
+    within eps, as ||y|| >= c1 |y|_2. A 1-NN query settles two kinds of row
+    with no norm evaluated: a row whose nearest cloud point is closer than
+    eps / c2 is within eps, as ||y|| <= c2 |y|_2, and a row with no cloud
+    point within eps / c1 is not. The other rows take the 64 nearest cloud
+    points within eps / c1, nearest first, only while c1 d2_j leaves eps in
+    reach, and stop at the first within eps. A row still open after all 64
+    looks at every cloud point within eps / c1 by a ball query. Each
+    candidate is decided by its ``norm_bracket`` where that settles it and
+    by ``norm_eval`` otherwise, so on a regularized norm few candidates take
+    the mollified norm. The neighbour lists of a point depend on that point
+    alone, and norm_eval gives each row its own bits, so each answer is the
+    one the full minimum gives.
     """
     c1, c2 = sandwich_bounds(norm)
     # The 1e-12 covers rounding, and the KD bound is strict.
     reach = eps * (1.0 + 1e-12)
-    tree, d2, idx = _kd_neighbors(points, cloud, reach / c1)
+    tree, d1, _ = _kd_neighbors(points, cloud, reach / c1, k=1)
     # The 1e-9 covers the kernel's rounding.
-    near = c2 * d2[:, 0] * (1.0 + 1e-9) < eps
-    rows = np.flatnonzero(~near)
+    near = c2 * d1[:, 0] * (1.0 + 1e-9) < eps
+    open_rows = np.flatnonzero(~near & (d1[:, 0] < math.inf))
+    ask = points[open_rows]
+    _, d2, idx = _kd_neighbors(ask, cloud, reach / c1, tree=tree)
+    rows = np.arange(open_rows.size)
     for j in range(idx.shape[1]):
         rows = rows[c1 * d2[rows, j] < reach]
         if not rows.size:
             break
-        hit = np.asarray(norm_eval(
-            norm, points[rows] - cloud[idx[rows, j]])) <= eps
-        near[rows[hit]] = True
+        hit = _within(norm, ask[rows] - cloud[idx[rows, j]], eps)
+        near[open_rows[rows[hit]]] = True
         rows = rows[~hit]
     if idx.shape[1] < cloud.shape[0]:
         for i in rows:
-            cand = np.setdiff1d(tree.query_ball_point(points[i], r=reach / c1),
+            cand = np.setdiff1d(tree.query_ball_point(ask[i], r=reach / c1),
                                 idx[i])
             if cand.size:
-                near[i] = np.min(np.asarray(norm_eval(
-                    norm, points[i] - cloud[cand]))) <= eps
+                near[open_rows[i]] = _within(norm, ask[i] - cloud[cand],
+                                             eps).any()
     return near
 
 
@@ -703,6 +759,7 @@ def best_fiber(
     cloud = fiber_distance_method(norm, f) == "cloud"
     if not cloud:
         tube = _ExactTube(norm, f, points)
+        slices = _slice_points(norm, tube.pinv, z_grid)
     estimates: list[Optional[MeasureEstimate]] = []
     for i, z in enumerate(z_grid):
         try:
@@ -711,7 +768,7 @@ def best_fiber(
                                      derive_seed(seed, 3 + i))
                 hits = within_norm_distance(norm, points, fiber, eps)
             else:
-                hits = tube.within(z, eps)
+                hits = tube.within_slice(_nonempty(*slices[i]), eps)
         except EmptyFiberError:
             estimates.append(None)
             continue

@@ -1,7 +1,7 @@
 """Uniformly convex norms on finite-dimensional spaces.
 
 Provides norm descriptors (Euclidean, l_p, regularized/smoothed variants),
-norm evaluation, moduli of convexity (a closed form or certified floor for
+norm evaluation and certified per-row brackets of it, moduli of convexity (a closed form or certified floor for
 every norm kind, plus a numeric search over 2-D sections), radial
 projection, Euclidean sandwich constants, and the seeded random streams
 every estimator draws from.
@@ -31,6 +31,7 @@ __all__ = [
     "parse_norm",
     "format_norm",
     "norm_eval",
+    "norm_bracket",
     "sandwich_bounds",
     "rng_stream",
     "derive_seed",
@@ -442,6 +443,66 @@ def sandwich_bounds(norm: NormDescriptor) -> tuple[float, float]:
     s = norm._node_mean  # type: ignore[attr-defined]
     return (math.sqrt(max(b1, s - b2) ** 2 + norm.delta_reg),
             math.sqrt((b2 + s) ** 2 + norm.delta_reg))
+
+
+# Relative widening of both ends of a regularized norm's bracket, far above
+# the rounding that ``norm_bracket``'s docstring bounds.
+_BRACKET_MARGIN = 1e-9
+# Rows whose Euclidean length or base norm lies outside this range get the
+# bracket (0, inf).
+_BRACKET_RANGE = (2.0**-511, 2.0**511)
+
+
+def norm_bracket(norm: NormDescriptor, x):
+    """Bounds (lo, hi) with lo <= ``norm_eval(norm, x)`` <= hi row by row,
+    for the shapes ``norm_eval`` takes. Each row's bounds depend on that row
+    alone.
+
+    Euclidean and l_p norms give lo = hi = ``norm_eval(norm, x)``, the same
+    bits, so a caller keeps one code path for every norm kind.
+
+    A regularized norm N = sqrt(M^2 + d r^2), r = |x|_2, takes a bracket
+    from one base-norm evaluation per row. The arguments of
+    ``sandwich_bounds``, made there at r = 1, hold at every r: with b the
+    base norm N_0 of x and s the node mean, b <= M(x) <= b + s r (Jensen
+    below, as the nodes are symmetric, and the triangle inequality above).
+    So N lies in [L, H], L = hypot(b, sqrt(d) r) and
+    H = hypot(b + s r, sqrt(d) r), and the bracket is
+    [L - m H, (1 + m) H] with m = 1e-9.
+
+    The margin covers the rounding of both sides. Let u = 2^-53 and let r
+    and b lie in [2^-511, 2^511], so that no square leaves the normal range
+    but the terms of r^2 and d r^2, which add at most 2^-50 N relative. The
+    kernel averages N_0(R x / r' - y_i) over at most 8^4 nodes, r' the
+    computed r, and scales by r' / R. As (r' / R) N_0(R x / r' - y) =
+    N_0(x - r' y / R), using r' for r moves M by at most |r' - r| s. N_0 is
+    an absolute norm, so a relative error e in every coordinate moves it by
+    a relative e at most: the rounding of R x / r' moves M by a few u b,
+    and each node term is rounded by a relative (dim + 5) u. The weighted
+    sum, and the weights' sum, which is 1 only up to rounding, add 8^4 u
+    each. So the computed N is within 2^14 u H of N, as is the rescaled
+    form ``norm_eval`` takes for a row whose value leaves the normal range.
+    The computed b, r, L and H are within a relative (dim + 8) u. So
+    m = 1e-9, over 10^3 times 2^14 u, covers both.
+
+    A row whose r or b lies outside that range (0, subnormal or huge
+    scale, inf or NaN) gets (0, inf), and ``norm_eval`` decides it.
+    """
+    if norm.kind != "regularized":
+        value = norm_eval(norm, x)
+        return value, value
+    x = np.asarray(x, dtype=float)
+    b = np.asarray(norm_eval(norm.base, x))
+    with np.errstate(all="ignore"):
+        r = np.sqrt(np.einsum("...i,...i->...", x, x))
+        across = math.sqrt(norm.delta_reg) * r
+        hi = np.hypot(b + norm._node_mean * r, across)  # type: ignore[attr-defined]
+        lo = np.hypot(b, across) - _BRACKET_MARGIN * hi
+        hi *= 1.0 + _BRACKET_MARGIN
+    low, high = _BRACKET_RANGE
+    tame = (r >= low) & (r <= high) & (b >= low) & (b <= high)
+    lo, hi = np.where(tame, lo, 0.0), np.where(tame, hi, math.inf)
+    return (float(lo), float(hi)) if x.ndim == 1 else (lo, hi)
 
 
 # ---------------------------------------------------------------------------

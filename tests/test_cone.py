@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from waistlab import cone, norms
 from waistlab.cone import (
     EmptyFiberError,
     MeasureEstimate,
     RankDeficientError,
     _ExactTube,
     _exact_fiber_distance,
+    _rejection_sphere_sample,
     _slice_frame,
     _slice_point,
     best_fiber,
@@ -80,6 +82,42 @@ def test_regularized_norm_falls_back_to_rejection():
     # sign symmetry of the norm carries over to the cone measure
     est = _set_measure(batch, lambda pts: pts[:, 0] > 0)
     assert abs(est.mean - 0.5) <= 3.5 * est.std_error
+
+
+
+def _rejection_reference(norm, count, rng):
+    """The rejection sampler with every draw's norm evaluated: the kept
+    draws are the first ones of each batch inside the unit ball."""
+    c1, c2 = sandwich_bounds(norm)
+    dim = norm.dim
+    rate = max(0.02, (c1 / c2) ** dim)
+    kept, lengths, filled = [], [], 0
+    while filled < count:
+        n_draw = max(1024, int(1.5 * (count - filled) / rate))
+        g = rng.standard_normal((n_draw, dim))
+        g /= np.linalg.norm(g, axis=-1, keepdims=True)
+        pts = g * ((1.0 / c1) * rng.random(n_draw) ** (1.0 / dim))[:, None]
+        values = np.asarray(norm_eval(norm, pts))
+        inside = np.flatnonzero(values <= 1.0)[: count - filled]
+        kept.append(pts[inside])
+        lengths.append(values[inside])
+        filled += inside.size
+    return np.vstack(kept) / np.concatenate(lengths)[:, None]
+
+
+@pytest.mark.parametrize("name", ["reg:lp:1.5:3:w=0.05:d=0.01",
+                                  "reg:euclidean:3:w=0.05:d=0.01",
+                                  "reg:lp:4:2:w=0.3:d=0"])
+def test_rejection_sampler_equals_evaluating_every_draw(name):
+    # Draws the bracket puts outside the unit ball are rejected unevaluated;
+    # the points are those of evaluating every draw, bit for bit.
+    norm = parse_norm(name)
+    for count in (1, 63, 64, 2_000):
+        for seed in (0, 1, 17):
+            got = _rejection_sphere_sample(norm, count, rng_stream(seed, 0))
+            assert np.array_equal(
+                got, _rejection_reference(norm, count, rng_stream(seed, 0))), \
+                (count, seed)
 
 
 def test_hemisphere_symmetry():
@@ -621,7 +659,7 @@ _MASK_NORMS = ["reg:lp:1.5:3:w=0.05:d=0.01", "reg:euclidean:3:w=0.05:d=0.01",
 @pytest.mark.parametrize("name", _MASK_NORMS)
 def test_within_norm_distance_is_the_thresholded_minimum(name, size):
     norm = parse_norm(name)
-    c2 = sandwich_bounds(norm)[1]
+    c1, c2 = sandwich_bounds(norm)
     cloud = sample_conical(norm, size, seed=81).points
     # sphere points, and points within 0.05 / c2 of a cloud point, which are
     # within every eps >= 0.05 with no norm evaluated
@@ -629,17 +667,69 @@ def test_within_norm_distance_is_the_thresholded_minimum(name, size):
     offsets = rng.standard_normal((50, 3))
     offsets *= 0.05 / c2 * rng.random((50, 1)) / \
         np.linalg.norm(offsets, axis=1, keepdims=True)
+    # points at norm distance 0.05 (1 +- 0.4%) from a cloud point, a band
+    # the bracket of a regularized norm leaves in doubt, kept where that
+    # point is the only one within reach at eps = 0.05, and points with no
+    # cloud point within reach at any eps here
+    shell = rng.standard_normal((60, 3))
+    shell /= np.linalg.norm(shell, axis=1, keepdims=True)
+    shell *= 0.05 * (1.0 + rng.uniform(-0.004, 0.004, (60, 1))) / \
+        np.asarray(norm_eval(norm, shell))[:, None]
+    alone = cloud[rng.integers(0, size, 60)] + shell
+    euclid = np.linalg.norm(alone[:, None, :] - cloud[None, :, :], axis=-1)
+    alone = alone[(c1 * euclid < 0.05 * (1.0 + 1e-12)).sum(axis=1) == 1]
+    assert alone.shape[0] >= 20
     pts = np.vstack([sample_conical(norm, 300, seed=83).points,
-                     cloud[rng.integers(0, size, 50)] + offsets])
+                     cloud[rng.integers(0, size, 50)] + offsets, alone,
+                     10.0 * sample_conical(norm, 20, seed=84).points])
+    far = slice(350 + alone.shape[0], None)
     exact = min_norm_distance(norm, pts, cloud)
     assert np.array_equal(exact, _brute_min_distance(norm, pts, cloud))
+    assert np.all(c1 * np.linalg.norm(pts[far, None, :] - cloud[None, :, :],
+                                      axis=-1) > 2.0 * exact[:350].max())
     # eps equal to some row's distance puts that row at exactly eps
-    ties = np.sort(exact)[[0, 120, 250, 349]]
+    ties = np.sort(exact[:350])[[0, 120, 250, 349]]
     for eps in (0.05, 0.3, 0.8, *ties):
         got = within_norm_distance(norm, pts, cloud, eps)
         assert np.array_equal(got, exact <= eps), eps
     assert got[exact == ties[-1]].all()
-    assert within_norm_distance(norm, pts, cloud, 0.05)[300:].all()
+    assert not got[far].any()
+    got = within_norm_distance(norm, pts, cloud, 0.05)
+    assert got[300:350].all()
+    assert got[350:far.start].any()
+    # The mollified euclidean norm is round to about 1e-12, so there a row
+    # within reach, 0.05 / c1, is within eps too.
+    if not name.startswith("reg:euclidean"):
+        assert not got[350:far.start].all()
+
+
+
+def test_within_norm_distance_evaluates_few_mollified_rows(monkeypatch):
+    # A fiber cloud and a sample batch at the benchmark's scale: the
+    # base-norm bracket decides almost every candidate, so at most 1% of
+    # them take the mollified kernel.
+    norm = REG3
+    pts = sample_conical(norm, 2_000, seed=86).points
+    cloud = fiber_points(norm, LAST_COORD, [0.0], 500, seed=87)
+    candidates, mollified = [], []
+    real_bracket, real_kernel = cone.norm_bracket, norms._mollified_base
+
+    def bracket(norm, x):
+        candidates.append(np.asarray(x).shape[0])
+        return real_bracket(norm, x)
+
+    def kernel(norm, x):
+        mollified.append(x.shape[0])
+        return real_kernel(norm, x)
+
+    monkeypatch.setattr(cone, "norm_bracket", bracket)
+    monkeypatch.setattr(norms, "_mollified_base", kernel)
+    got = within_norm_distance(norm, pts, cloud, 0.5)
+    monkeypatch.undo()
+    assert np.array_equal(got, min_norm_distance(norm, pts, cloud) <= 0.5)
+    assert 0 < got.sum() < pts.shape[0]
+    assert sum(candidates) > pts.shape[0]
+    assert sum(mollified) <= 0.01 * sum(candidates)
 
 
 @pytest.mark.parametrize("name", _MASK_NORMS)
@@ -663,10 +753,14 @@ def test_within_norm_distance_looks_past_the_64_nearest(name):
     shell = y + rho * dirs[order[-100:]]
     far = y + rho_far * dirs[order[0]]
     assert rho * c1 < eps
+    # with rows that no cloud point is within reach of, which the staged
+    # query settles before the 64-nearest query
+    rows = np.vstack([y, y + 3.0, y - 3.0])
     for cloud, within in ((np.vstack([shell, far]), True), (shell, False)):
-        exact = min_norm_distance(norm, y[None, :], cloud)
-        assert np.array_equal(within_norm_distance(norm, y[None, :], cloud,
-                                                   eps), exact <= eps)
+        exact = min_norm_distance(norm, rows, cloud)
+        assert np.array_equal(within_norm_distance(norm, rows, cloud, eps),
+                              exact <= eps)
+        assert exact[1:].min() > 2.0 * eps
         # The mollified euclidean norm is round to about 1e-12, so there the
         # far point is no farther out than the shell, and only agreement is
         # checked.

@@ -20,6 +20,7 @@ from waistlab.norms import (
     lp_modulus,
     lp_modulus_curve,
     lp_norm,
+    norm_bracket,
     norm_eval,
     numeric_modulus,
     parse_norm,
@@ -528,6 +529,62 @@ def test_sandwich_property_random_vectors(norm):
     v = np.asarray(norm_eval(norm, x))
     assert np.all(v >= c1 * e - 1e-9)
     assert np.all(v <= c2 * e + 1e-9)
+
+
+
+# ---------------------------------------------------------------------------
+# Per-row brackets
+# ---------------------------------------------------------------------------
+
+def _bracket_rows(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random rows over a wide range of scales, and rows of extreme scale:
+    zero, 1e-200 and 1e200 scale, inf and NaN."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    tame = rng.standard_normal((300, dim))
+    tame[100:] *= 10.0 ** rng.uniform(-150.0, 150.0, (200, 1))
+    tame[:10] *= rng.integers(0, 2, (10, dim))  # some zero coordinates
+    tame[:10, 0] = 1.0
+    wild = np.zeros((9, dim))
+    wild[1:3] = 1e-200 * rng.standard_normal((2, dim))
+    wild[3:5] = 1e200 * rng.standard_normal((2, dim))
+    wild[5, 0], wild[6, -1] = math.inf, -math.inf
+    wild[7, 0], wild[8] = math.nan, math.nan
+    return tame, wild
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("base", ["lp:1.5", "lp:4", "euclidean"])
+def test_norm_bracket_holds_the_regularized_norm(base, dim):
+    tame, wild = _bracket_rows(dim, 90 + dim)
+    for w in (0.0, 0.05, 0.3, 8.3):
+        for d in (0.0, 0.01):
+            norm = parse_norm(f"reg:{base}:{dim}:w={w}:d={d}")
+            lo, hi = norm_bracket(norm, tame)
+            v = np.asarray(norm_eval(norm, tame))
+            assert np.all((0.0 < lo) & (lo <= v) & (v <= hi)
+                          & (hi < math.inf)), (w, d)
+            lo, hi = norm_bracket(norm, wild)
+            assert np.all(lo == 0.0) and np.all(hi == math.inf), (w, d)
+            # each row's bracket is the one it has alone
+            for i in (0, 150, 299):
+                assert norm_bracket(norm, tame[i]) == \
+                    (norm_bracket(norm, tame)[0][i],
+                     norm_bracket(norm, tame)[1][i])
+    with pytest.raises(DimensionMismatchError):
+        norm_bracket(norm, np.ones((2, dim + 1)))
+
+
+@pytest.mark.parametrize("name", ["euclidean:3", "lp:1.5:4", "lp:4:2",
+                                  "lp:2:3"])
+def test_norm_bracket_is_norm_eval_on_closed_form_norms(name):
+    norm = parse_norm(name)
+    tame, wild = _bracket_rows(norm.dim, 95)
+    rows = np.vstack([tame, wild])
+    v = np.asarray(norm_eval(norm, rows))
+    lo, hi = norm_bracket(norm, rows)
+    assert np.array_equal(lo, v, equal_nan=True)
+    assert np.array_equal(hi, v, equal_nan=True)
+    assert norm_bracket(norm, rows[3]) == (v[3], v[3])
 
 
 # ---------------------------------------------------------------------------
