@@ -1,10 +1,10 @@
 """Uniformly convex norms on finite-dimensional spaces.
 
 Provides norm descriptors (Euclidean, l_p, regularized/smoothed variants),
-norm evaluation and certified per-row brackets of it, moduli of convexity (a closed form or certified floor for
-every norm kind, plus a numeric search over 2-D sections), radial
-projection, Euclidean sandwich constants, and the seeded random streams
-every estimator draws from.
+norm evaluation and certified per-row brackets of it, moduli of convexity
+(a closed form or certified floor for every norm kind, plus a numeric
+search over 2-D sections), radial projection, Euclidean sandwich
+constants, and the seeded random streams every estimator draws from.
 
 All objects are immutable after construction and every operation is a pure
 function, so everything here is safe to call from concurrent workers.
@@ -483,7 +483,7 @@ def norm_bracket(norm: NormDescriptor, x):
     each. So the computed N is within 2^14 u H of N, as is the rescaled
     form ``norm_eval`` takes for a row whose value leaves the normal range.
     The computed b, r, L and H are within a relative (dim + 8) u. So
-    m = 1e-9, over 10^3 times 2^14 u, covers both.
+    m = 1e-9, over 500 times 2^14 u, covers both.
 
     A row whose r or b lies outside that range (0, subnormal or huge
     scale, inf or NaN) gets (0, inf), and ``norm_eval`` decides it.

@@ -84,7 +84,6 @@ def test_regularized_norm_falls_back_to_rejection():
     assert abs(est.mean - 0.5) <= 3.5 * est.std_error
 
 
-
 def _rejection_reference(norm, count, rng):
     """The rejection sampler with every draw's norm evaluated: the kept
     draws are the first ones of each batch inside the unit ball."""
@@ -701,7 +700,6 @@ def test_within_norm_distance_is_the_thresholded_minimum(name, size):
     # within reach, 0.05 / c1, is within eps too.
     if not name.startswith("reg:euclidean"):
         assert not got[350:far.start].all()
-
 
 
 def test_within_norm_distance_evaluates_few_mollified_rows(monkeypatch):
