@@ -167,7 +167,9 @@ def waist_lower_bound(inputs: BoundInputs) -> BoundValue:
 
     with F, G the sine masses of :func:`sine_integrals` at eps/2. The factor
     (1 - 2 delta) is clamped at 0, so a modulus above 1/2 degrades to the
-    trivial bound w = 1. Nondecreasing in eps for fixed (n, k).
+    trivial bound w = 1. Nondecreasing in eps for fixed (n, k). Where
+    (k+1)^(k+1) overflows a double (k >= 143) the second term X is taken
+    from its logarithm, and w = 1/(1 + X).
     """
     n, k, eps = inputs.n, inputs.k, inputs.eps
     delta = float(inputs.modulus(eps / 2.0))
@@ -178,7 +180,18 @@ def waist_lower_bound(inputs: BoundInputs) -> BoundValue:
     if eps / 2.0 > 0.0:
         F, G = sine_integrals(k, eps / 2.0, inputs.f_upper)
         if G > 0.0:
-            value = 1.0 / (1.0 + shrink * (k + 1.0) ** (k + 1.0) * F / G)
+            try:
+                power = (k + 1.0) ** (k + 1.0)
+            except OverflowError:
+                base = max(0.0, 1.0 - 2.0 * delta)
+                value = 1.0
+                if base > 0.0 and F > 0.0:
+                    log_x = ((n - k) * math.log(base)
+                             + (k + 1.0) * math.log(k + 1.0)
+                             + math.log(F) - math.log(G))
+                    value = float(special.expit(-log_x))
+            else:
+                value = 1.0 / (1.0 + shrink * power * F / G)
     return BoundValue(
         value=value,
         kind="waist",

@@ -2,13 +2,15 @@
 needle property suite, with reproducible seeded configs and JSON/CSV reports.
 
 Exit codes: 0 all assertions passed, 1 a mathematical assertion failed,
-2 usage or configuration error.
+2 usage or configuration error, 3 an internal error (any other exception,
+reported on one ``error: internal: <type>: <message>`` line).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 import time
@@ -236,9 +238,10 @@ def _coordinate_projection(dim: int, k: int) -> np.ndarray:
 
 
 def _z_product_grid(spec: str, k: int) -> list[np.ndarray]:
-    axis = _parse_grid(spec)
-    grids = np.meshgrid(*([axis] * k), indexing="ij")
-    return [np.array(t) for t in zip(*(g.ravel() for g in grids))]
+    # The k-fold product of the axis, last coordinate fastest; an ndarray
+    # of k axes would limit k to numpy's 64 dimensions.
+    return [np.array(t)
+            for t in itertools.product(_parse_grid(spec), repeat=k)]
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +578,12 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A crash must not read as a failed assertion (exit 1).
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
     if not config.out:
         sys.stdout.write(payload)
     if report.status in ("pass", "fail"):

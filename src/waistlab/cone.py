@@ -33,8 +33,8 @@ answer, so the norm itself, the mollified one on a regularized norm, is
 evaluated only where the bracket leaves it in doubt. ``min_norm_distance``
 is its exact reference. The rejection sampler rejects by the same bracket
 the draws it puts outside the unit ball.
-``fiber_points`` bisects for each fiber point and evaluates the norm only at
-the midpoints its convexity bracket leaves in doubt.
+``fiber_points`` finds each fiber point by Illinois (modified regula falsi)
+steps on a per-row bracket, to a computed norm within 2^-50 of 1.
 
 Determinism contract: every estimator is a pure function of
 (norm, seed, budgets); parallel-safe substreams are derived from the seed
@@ -277,52 +277,48 @@ def _slice_point(norm: NormDescriptor, pinv: np.ndarray, z
     return _nonempty(x0, length), length
 
 
-# A margin on g(t) = ||x0 + t v|| - 1 far above the kernels' rounding error
-# near the unit sphere (a few ulps of 1), so a computed g beyond it has the
-# sign of the exact one.
-_SIGN_MARGIN = 1e-12
-# Illinois steps at most; a row stops once it reaches |g| < _SIGN_MARGIN.
-_SECANT_STEPS = 12
+# A row stops once its computed g(t) = ||x0 + t v|| - 1 is within four ulps
+# of 0, or its bracket within four ulps of t, or after this many steps.
+_ROOT_TOL = 2.0 ** -50
+_ROOT_STEPS = 100
 
 
-def _certified_bracket(norm: NormDescriptor, x0: np.ndarray, v: np.ndarray,
-                       g0: float, top: float
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``v``, points a <= b such that the computed
-    g(t) = ||x0 + t v|| - 1 is negative for 0 <= t <= a and positive for
-    t >= b; a = -inf or b = inf where no such point was found.
+def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarray:
+    """Points y with f y = z and ||y|| = 1: the computed norm of each is
+    within 2^-50 of 1, unless its bracket closed to a few ulps first.
 
-    g is convex with g(0) = ``g0`` < 0, and with m = _SIGN_MARGIN a computed
-    g(t) beyond +-m has the sign of the exact one. So an evaluated t with
-    g(t) <= -m is a lower point when g0 <= -m too, as g stays below
-    max(g0, g(t)) on [0, t]; and a t with g(t) >= m is an upper point, as a
-    convex g with g(0) < 0 < g(t) grows beyond t. The points are the ones
-    Illinois (modified regula falsi) steps on [0, ``top``] evaluate; a row
-    takes steps until its g is within m of 0. Such a t is then probed at
-    t (1 -+ h), h = 4 m / -g0, where convexity gives
-    g(t (1 - h)) <= (1 - h) g(t) + h g0 and g(t (1 + h)) >= (1 + h) g(t) -
-    h g0, both beyond m when h is small.
+    Takes the minimal-Euclidean-norm solution x0 of f x = z, draws random
+    unit kernel directions v, and solves g(t) = ||x0 + t v|| - 1 = 0 for
+    t > 0 on [0, 1/c1]; the root is unique because g is convex with
+    g(0) < 0, and it lies in that bracket because x0 is orthogonal to the
+    kernel, so ||x0 + t v|| >= c1 |x0 + t v|_2 >= c1 t.
+
+    Every row takes Illinois steps (the modified regula falsi of Dowell and
+    Jarratt) on its own bracket: the secant point, or the midpoint where
+    that falls outside the bracket, and the g of an end kept twice in a row
+    halved. A row stops once its computed |g| <= 2^-50, once its bracket is
+    within four ulps of t, or after 100 steps, and takes the evaluated t of
+    smallest |g|. A row's steps read only its own values, and norm_eval
+    gives each row its own bits, so each point is the same in any batch.
     """
-    m = _SIGN_MARGIN
-    count = v.shape[0]
-    lower = np.full(count, 0.0 if g0 <= -m else -np.inf)
-    upper = np.full(count, np.inf)
+    pinv, _, kernel = _slice_frame(norm, f)
+    x0, length = _slice_point(norm, pinv, z)
+    rng = rng_stream(seed, 0)
+    dirs = rng.standard_normal((count, kernel.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    v = dirs @ kernel.T
 
     def g_at(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        g = np.asarray(norm_eval(norm, x0 + t[:, None] * v[rows])) - 1.0
-        if g0 <= -m:
-            lower[rows] = np.maximum(lower[rows], np.where(g <= -m, t, -np.inf))
-        upper[rows] = np.minimum(upper[rows], np.where(g >= m, t, np.inf))
-        return g
+        return np.asarray(norm_eval(norm, x0 + t[:, None] * v[rows])) - 1.0
 
-    t_lo, g_lo = np.zeros(count), np.full(count, g0)
-    t_hi = np.full(count, top)
+    t_lo, g_lo = np.zeros(count), np.full(count, length - 1.0)
+    t_hi = np.full(count, 1.0 / sandwich_bounds(norm)[0])
     g_hi = g_at(np.arange(count), t_hi)
-    last = t_hi.copy()
+    best_t, best_g = t_hi.copy(), np.abs(g_hi)
     # -1 after t_lo moved, 1 after t_hi moved, 0 before the first step
     moved = np.zeros(count)
-    rows = np.flatnonzero(np.abs(g_hi) >= m)
-    for _ in range(_SECANT_STEPS):
+    rows = np.flatnonzero(best_g > _ROOT_TOL)
+    for _ in range(_ROOT_STEPS):
         if not rows.size:
             break
         tl, th, gl, gh = t_lo[rows], t_hi[rows], g_lo[rows], g_hi[rows]
@@ -331,7 +327,9 @@ def _certified_bracket(norm: NormDescriptor, x0: np.ndarray, v: np.ndarray,
         # Values of one sign, or a bracket that has closed, take the midpoint.
         t = np.where((t > tl) & (t < th), t, 0.5 * (tl + th))
         g = g_at(rows, t)
-        last[rows] = t
+        better = np.abs(g) < best_g[rows]
+        best_t[rows] = np.where(better, t, best_t[rows])
+        best_g[rows] = np.where(better, np.abs(g), best_g[rows])
         below = g < 0.0
         # Illinois: halve the value at an end that is kept twice in a row.
         g_hi[rows] = np.where(below, np.where(moved[rows] == -1, 0.5 * gh, gh), g)
@@ -339,64 +337,9 @@ def _certified_bracket(norm: NormDescriptor, x0: np.ndarray, v: np.ndarray,
         t_lo[rows] = np.where(below, t, tl)
         t_hi[rows] = np.where(below, th, t)
         moved[rows] = np.where(below, -1.0, 1.0)
-        rows = rows[np.abs(g) >= m]
-    if g0 <= -m:
-        # The rows left in ``rows`` ran out of steps before |g| < m.
-        converged = np.ones(count, dtype=bool)
-        converged[rows] = False
-        h = 4.0 * m / -g0
-        t_in, t_out = last * (1.0 - h), last * (1.0 + h)
-        for todo, t in ((np.flatnonzero(converged & (lower < t_in)), t_in),
-                        (np.flatnonzero(converged & (upper > t_out)), t_out)):
-            if todo.size:
-                g_at(todo, t[todo])
-    return lower, upper
-
-
-def fiber_points(norm: NormDescriptor, f, z, count: int, seed: int) -> np.ndarray:
-    """Points y with ||y|| = 1 and f y = z (exactly, up to 1e-10 on the norm).
-
-    Takes the minimal-Euclidean-norm solution x0 of f x = z, draws random
-    unit kernel directions v, and solves g(t) = ||x0 + t v|| - 1 = 0 for
-    t > 0 by bisection on [0, 1/c1]; the root is unique because g is convex
-    with g(0) < 0, and it lies in that bracket because x0 is orthogonal to
-    the kernel, so ||x0 + t v|| >= c1 |x0 + t v|_2 >= c1 t.
-
-    The bisection evaluates only the midpoints in doubt. A few secant steps
-    first find per row a lower point a and an upper point b where |g|
-    exceeds a margin far above rounding (see :func:`_certified_bracket`). A
-    midpoint <= a is inside by convexity, and a midpoint >= b is outside,
-    as g is increasing past its root; the norm is evaluated only for the
-    rows whose midpoint lies in (a, b). Those decisions are the ones the
-    evaluated test gives, and norm_eval gives each row its own bits, so the
-    points are those of the plain 80-step bisection.
-    """
-    pinv, _, kernel = _slice_frame(norm, f)
-    x0, length = _slice_point(norm, pinv, z)
-    rng = rng_stream(seed, 0)
-    dirs = rng.standard_normal((count, kernel.shape[1]))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    v = dirs @ kernel.T
-    top = 1.0 / sandwich_bounds(norm)[0]
-    lower, upper = _certified_bracket(norm, x0, v, length - 1.0, top)
-    lo = np.zeros(count)
-    hi = np.full(count, top)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        inside = mid <= lower
-        doubt = np.flatnonzero((mid > lower) & (mid < upper))
-        if doubt.size:
-            inside[doubt] = np.asarray(norm_eval(
-                norm, x0 + mid[doubt, None] * v[doubt])) < 1.0
-        new_lo = np.where(inside, mid, lo)
-        new_hi = np.where(inside, hi, mid)
-        # An unchanged bracket gives the same mid and the same test again,
-        # so every later step would leave it as it is.
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    t = 0.5 * (lo + hi)
-    return x0 + t[:, None] * v
+        rows = rows[(np.abs(g) > _ROOT_TOL)
+                    & (t_hi[rows] - t_lo[rows] > 4.0 * np.spacing(t))]
+    return x0 + best_t[:, None] * v
 
 
 def _coordinate_columns(f) -> Optional[np.ndarray]:

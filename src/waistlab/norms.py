@@ -3,8 +3,8 @@
 Provides norm descriptors (Euclidean, l_p, regularized/smoothed variants),
 norm evaluation and certified per-row brackets of it, moduli of convexity
 (a closed form or certified floor for every norm kind, plus a numeric
-search over 2-D sections), radial projection, Euclidean sandwich
-constants, and the seeded random streams every estimator draws from.
+search over 2-D sections), Euclidean sandwich constants, and the seeded
+random streams every estimator draws from.
 
 All objects are immutable after construction and every operation is a pure
 function, so everything here is safe to call from concurrent workers.
@@ -584,7 +584,7 @@ def analytic_modulus_curve(norm: NormDescriptor) -> ModulusCurve:
 
     A regularized norm N(x)^2 = M(x)^2 + d |x|_2^2, with M the mollified
     base, takes a certified floor. It rests on the convexity of M, which N
-    needs to be a norm at all and which the fiber bisection and the cap
+    needs to be a norm at all and which the fiber root finder and the cap
     argument of ``cone`` rest on too (the test suite checks it on random
     sections). For unit x and y,
     M((x+y)/2)^2 <= ((M(x) + M(y))/2)^2 <= (M(x)^2 + M(y)^2)/2, and the

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -22,7 +23,11 @@ from waistlab.bounds import (
 )
 from waistlab.cli import ExperimentConfig, emit_report, run_experiment
 from waistlab.cone import sample_conical
-from waistlab.norms import euclidean_modulus_curve, euclidean_norm
+from waistlab.norms import (
+    ModulusCurve,
+    euclidean_modulus_curve,
+    euclidean_norm,
+)
 
 MOD = euclidean_modulus_curve()
 
@@ -217,6 +222,31 @@ def test_sine_mass_keeps_the_incomplete_beta_where_sine_squared_is_normal():
         for r in radii:
             assert math.sin(r) ** 2 >= 2.2250738585072014e-308
             assert bounds_module._sine_mass(m, r) == incomplete_beta_mass(m, r)
+
+
+@pytest.mark.parametrize("n, k", [
+    (50_000, 143), (92_000, 150), (150_000, 145), (200, 150), (200_000, 143)])
+def test_waist_bound_past_the_overflow_of_the_power(n, k):
+    # (k+1)^(k+1) overflows a double from k = 143 on; the bound then takes
+    # X from logs. Reference: the formula in 50-digit decimals.
+    w = waist_lower_bound(BoundInputs(n=n, k=k, eps=0.5, modulus=MOD)).value
+    assert 0.0 <= w <= 1.0
+    delta = float(MOD(0.25))
+    far, near = sine_integrals(k, 0.25)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        x = (decimal.Decimal(1.0 - 2.0 * delta) ** (n - k)
+             * decimal.Decimal(k + 1) ** (k + 1)
+             * decimal.Decimal(far) / decimal.Decimal(near))
+        expected = float(1 / (1 + x))
+    assert w == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+def test_waist_bound_with_no_shrink_past_the_overflow_is_trivial():
+    # a modulus of 1/2 at eps/2 clamps 1 - 2 delta at 0, as below k = 143
+    half = ModulusCurve(label="half", fn=lambda eps: 0.5)
+    for k in (8, 150):
+        w = waist_lower_bound(BoundInputs(n=200, k=k, eps=0.5, modulus=half))
+        assert w.value == 1.0
 
 
 def test_waist_bound_grows_with_n():

@@ -228,7 +228,9 @@ def test_fiber_points_offset_slice_geometry():
 
 
 def _fiber_points_full_bisection(norm, f, z, count, seed):
-    """fiber_points with all 80 bisection steps, no early stop."""
+    """The reference fiber points: 80 bisection steps on [0, 1/c1] for the
+    root of g(t) = ||x0 + t v|| - 1 along the directions fiber_points
+    draws."""
     pinv, _, kernel = _slice_frame(norm, f)
     x0, _ = _slice_point(norm, pinv, z)
     rng = rng_stream(seed, 0)
@@ -259,9 +261,18 @@ def _fiber_points_full_bisection(norm, f, z, count, seed):
     (smooth_norm(lp_norm(1.5, 3), 0.05, 0.01), LAST_COORD, [0.9]),
     (parse_norm("reg:lp:4:3:w=0.2:d=0"), LAST_COORD, [0.9]),
 ])
-def test_fiber_points_bisection_stops_at_its_fixed_point(norm, f, z):
-    got = fiber_points(norm, f, z, 200, seed=9)
-    assert np.array_equal(got, _fiber_points_full_bisection(norm, f, z, 200, 9))
+def test_fiber_points_are_roots_to_a_few_ulps(norm, f, z):
+    got = fiber_points(norm, f, z, 300, seed=9)
+    # on the sphere to 8 ulps of 1, twice the root finder's stopping |g|
+    assert np.abs(np.asarray(norm_eval(norm, got)) - 1.0).max() <= 2.0 ** -49
+    assert np.abs(got @ f.T - z).max() <= 1e-12
+    # within 2^-47 (about 7e-15) of the bisection's points, relative to
+    # their length: both roots lie within a few ulps of g = 0
+    ref = _fiber_points_full_bisection(norm, f, z, 300, 9)
+    assert (np.linalg.norm(got - ref, axis=1)
+            <= 2.0 ** -47 * np.linalg.norm(ref, axis=1)).all()
+    # each row's steps read only its own values
+    assert np.array_equal(fiber_points(norm, f, z, 200, seed=9), got[:200])
 
 
 @pytest.mark.parametrize("norm", [
@@ -269,7 +280,7 @@ def test_fiber_points_bisection_stops_at_its_fixed_point(norm, f, z):
     "reg:lp:1.5:3:w=0.05:d=1e44", "reg:euclidean:3:w=1e30:d=0.01"])
 def test_fiber_points_lie_on_spheres_of_tiny_radius(norm):
     # the unit sphere has Euclidean radius about 1/w or 1/sqrt(d); the root
-    # lies in [0, 1/c1], so the bisection needs no bracket search
+    # lies in [0, 1/c1], so the root finder needs no bracket search
     norm = parse_norm(norm)
     pts = fiber_points(norm, LAST_COORD, [0.0], 50, seed=2)
     assert np.abs(np.asarray(norm_eval(norm, pts)) - 1.0).max() <= 1e-12
