@@ -173,7 +173,7 @@ def waist_lower_bound(inputs: BoundInputs) -> BoundValue:
     """
     n, k, eps = inputs.n, inputs.k, inputs.eps
     delta = float(inputs.modulus(eps / 2.0))
-    shrink = max(0.0, 1.0 - 2.0 * delta) ** (n - k)
+    base = max(0.0, 1.0 - 2.0 * delta)
     # The near mass G underflows to 0 at tiny eps, and eps/2 itself does at
     # the smallest subnormal eps; the bound is 0 there.
     value = 0.0
@@ -183,7 +183,7 @@ def waist_lower_bound(inputs: BoundInputs) -> BoundValue:
             try:
                 power = (k + 1.0) ** (k + 1.0)
             except OverflowError:
-                base = max(0.0, 1.0 - 2.0 * delta)
+                # X = 0 where a factor is 0
                 value = 1.0
                 if base > 0.0 and F > 0.0:
                     log_x = ((n - k) * math.log(base)
@@ -191,7 +191,7 @@ def waist_lower_bound(inputs: BoundInputs) -> BoundValue:
                              + math.log(F) - math.log(G))
                     value = float(special.expit(-log_x))
             else:
-                value = 1.0 / (1.0 + shrink * power * F / G)
+                value = 1.0 / (1.0 + base ** (n - k) * power * F / G)
     return BoundValue(
         value=value,
         kind="waist",
