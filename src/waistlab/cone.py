@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -545,17 +545,6 @@ class _ExactTube:
         if band.size:
             hits[band] = self._reference(x0, radius, band) <= eps
         return hits
-
-
-def _exact_fiber_distance(norm: NormDescriptor, f, points: np.ndarray
-                          ) -> Callable[[Sequence], np.ndarray]:
-    """The closed-form distance from each of ``points`` to the fiber
-    {||x|| = 1, f x = z}, as a function of z, for a pair that
-    ``fiber_distance_method`` calls "exact" (see :class:`_ExactTube`).
-    ``best_fiber`` asks only whether it is at most eps, which
-    ``_ExactTube.within`` answers with less work; this is its exact
-    reference."""
-    return _ExactTube(norm, f, points).distance
 
 
 def _kd_neighbors(points: np.ndarray, cloud: np.ndarray, reach: float,

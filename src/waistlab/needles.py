@@ -609,34 +609,6 @@ def lune_spec(half_angle: float, axis=(0.0, 0.0, 1.0)) -> ConvexCapSpec:
     return ConvexCapSpec(axis=axis, half_angle=half_angle)
 
 
-def _lune_colatitudes(spec: ConvexCapSpec, count: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """The colatitudes about the axis of ``count`` points uniform on the
-    lune ``spec`` of the round 2-sphere.
-
-    In the axis component z and the azimuth phi about the axis, the uniform
-    measure of S^2 is dz dphi / (4 pi) (Archimedes), so on the lune z is
-    U(-1, 1) and phi is U(-alpha, alpha), independently. The colatitude
-    arccos z reads z alone; the azimuths are drawn all the same, after the
-    z of the batch, so the stream stays that of drawing whole points.
-    """
-    z = rng.uniform(-1.0, 1.0, count)
-    rng.uniform(-spec.half_angle, spec.half_angle, count)
-    return np.arccos(z)
-
-
-# Most points the lune sampler holds at once: a hemisphere lune keeps half
-# of its draws.
-_LUNE_CHUNK = 1_000_000
-
-
-def _chunks(total: int) -> list[int]:
-    """Sizes of the consecutive batches, of at most _LUNE_CHUNK, that make
-    up ``total`` points."""
-    return [min(_LUNE_CHUNK, total - start)
-            for start in range(0, total, _LUNE_CHUNK)]
-
-
 @dataclass(frozen=True)
 class DerivedDensityDiagnostics:
     alphas: tuple
@@ -648,9 +620,6 @@ class DerivedDensityDiagnostics:
     l1_vs_limit: float          # L1 distance of the last density to sin(theta)/2
     sup_density: float          # sup of density w.r.t. the great-circle cone measure
     sup_density_bound: float
-    homogeneity: tuple          # (t, observed, expected, sigma) rows
-    radial_exponent: float      # fitted exponent of the radial mass law
-    density_exponent: float     # implied homogeneity degree of the cone density
     small_ball: tuple           # (theta, r, mass, bound) rows
     small_ball_constant: float  # tightest observed constant mass * rho / r
     cap_bound: tuple            # (theta, r, mass, lower_bound) rows
@@ -665,23 +634,24 @@ def derived_density_estimate(
     """Empirical density of the measure derived from a shrinking family of
     lunes about one axis on the round 2-sphere.
 
-    Samples the cone measure conditioned on each lune, bins the colatitude
-    about the shared axis into 40 bins, and checks: convergence along the
-    family, the cubic radial mass law of the cone over the set, the
-    bounded-density estimate sup <= 2^(n+1) / mu_1(S), and at 20 random
-    probes the small-ball bound 2^(n+2) r / rho and the projected cap lower
-    bound with angle phi(r) = 2 asin(r / (4 sqrt(n+1))).
+    Draws the colatitude histogram about the shared axis, in 40 bins, of
+    the cone measure conditioned on each lune, and checks: convergence
+    along the family, the bounded-density estimate sup <= 2^(n+1) /
+    mu_1(S), and at 20 random probes the small-ball bound 2^(n+2) r / rho
+    and the projected cap lower bound with angle
+    phi(r) = 2 asin(r / (4 sqrt(n+1))).
 
     ``sample_budget`` counts cone-measure draws per lune. A lune of
     half-angle alpha holds cone measure alpha / pi, so each lune's accepted
-    count is Binomial(sample_budget, alpha / pi), and the accepted points
-    are drawn uniformly on the lune directly, as rejection from the budget
-    would leave them. The colatitude histogram reads only their axis
-    coordinate z ~ U(-1, 1); their azimuths are drawn and discarded, so the
-    random stream is that of drawing whole points. The radial law draws
-    sample_budget // 4 points of the ball the same way. Only round-sphere
-    norms are accepted: the exact sampler, the limit sin(theta) / 2 and the
-    constants rho = 2 and mu_1(S) = 1/2 hold there alone.
+    count is Binomial(sample_budget, alpha / pi), as rejection from the
+    budget would leave it. The uniform measure of S^2 is dz dphi / (4 pi)
+    in the axis coordinate z and the azimuth phi (Archimedes), so on the
+    lune z is U(-1, 1) whatever alpha is. The bin counts of the accepted
+    colatitudes arccos z are therefore Multinomial(accepted, p), with
+    p_i = (cos e_i - cos e_(i+1)) / 2 for the bin edges e, and are drawn
+    from that law directly. Only round-sphere norms are accepted: this law,
+    the limit sin(theta) / 2 and the constants rho = 2 and mu_1(S) = 1/2
+    hold there alone.
     """
     if not specs:
         raise ValueError("need at least one spec")
@@ -705,20 +675,18 @@ def derived_density_estimate(
     edges = np.linspace(0.0, math.pi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    # Stream paths under ``seed``: the probes take 5, lune idx draws from
-    # (11, idx) and the radial law from (12,).
+    # Stream paths under ``seed``: the probes take 5, and lune idx draws its
+    # accepted count and then its bin counts from (11, idx).
+    bin_mass = 0.5 * -np.diff(np.cos(edges))
     densities = []
     accepted_counts = []
     for idx, spec in enumerate(specs):
         rng = rng_stream(seed, 11, idx)
         accepted = int(rng.binomial(sample_budget, spec.half_angle / math.pi))
-        counts = np.zeros(bins)
-        for size in _chunks(accepted):
-            counts += np.histogram(_lune_colatitudes(spec, size, rng),
-                                   bins=edges)[0]
         if accepted < 1000:
             raise EmptyConvexSetError(
                 f"insufficient acceptance: {accepted} points in budget")
+        counts = rng.multinomial(accepted, bin_mass)
         densities.append(counts / (accepted * (edges[1] - edges[0])))
         accepted_counts.append(accepted)
 
@@ -739,34 +707,12 @@ def derived_density_estimate(
     sup_density = float(densities[-1].max() * 2.0 * math.pi)
     sup_bound = 2.0 ** (n + 1) / 0.5
 
-    # Radial mass law of the cone over the smallest lune. Of sample_budget
-    # // 4 points uniform in the ball, Binomial(., alpha / pi) lie in the
-    # cone, and their radii are U^(1/dim), independent of the directions.
-    rng = rng_stream(seed, 12)
-    in_cone = int(rng.binomial(sample_budget // 4,
-                               specs[-1].half_angle / math.pi))
-    shells = (0.5, 0.75)
-    below = np.zeros(len(shells), dtype=np.int64)
-    for size in _chunks(in_cone):
-        radii = rng.random(size) ** (1.0 / norm.dim)
-        below += [np.count_nonzero(radii <= t) for t in shells]
-    homog_rows = []
-    homog_ok = True
-    for t, hits in zip(shells, below.tolist()):
-        obs = hits / in_cone
-        exp = t ** (n + 1)
-        sigma = math.sqrt(exp * (1.0 - exp) / in_cone)
-        homog_rows.append((t, obs, exp, sigma))
-        homog_ok = homog_ok and abs(obs - exp) <= 3.0 * sigma
-    lo_m, hi_m = homog_rows[0][1], homog_rows[1][1]
-    radial_exponent = math.log(hi_m / lo_m) / math.log(0.75 / 0.5)
-
     rho = 2.0  # norm diameter of the half-circle support (antipodal chord)
     rng = rng_stream(seed, 5)
     small_rows = []
     tight = 0.0
     cap_rows = []
-    ok = homog_ok and sup_density <= sup_bound
+    ok = sup_density <= sup_bound
     width = edges[1] - edges[0]
     for _ in range(20):
         theta_x = float(rng.uniform(0.1, math.pi - 0.1))
@@ -801,11 +747,6 @@ def derived_density_estimate(
         l1_vs_limit=l1_vs_limit,
         sup_density=sup_density,
         sup_density_bound=sup_bound,
-        homogeneity=tuple(homog_rows),
-        radial_exponent=radial_exponent,
-        # radial mass scales like r^(n+1); peeling off the k+1 powers of the
-        # support's own cone leaves the density's homogeneity degree n - k
-        density_exponent=radial_exponent - 2.0,
         small_ball=tuple(small_rows),
         small_ball_constant=tight,
         cap_bound=tuple(cap_rows),

@@ -406,7 +406,7 @@ def test_verify_iso_matches_the_two_sided_cap_count(norm, eps, samples,
     f = cli._coordinate_projection(parsed.dim, 1)
     points = cone.sample_conical(parsed, samples, seed=901).points
     if method == "exact":
-        near = cone._exact_fiber_distance(parsed, f, points)([0.0]) <= eps
+        near = cone._ExactTube(parsed, f, points).distance([0.0]) <= eps
     else:
         fiber = cone.fiber_points(parsed, f, [0.0], fiber_points, seed=902)
         near = cone.within_norm_distance(parsed, points, fiber, eps)

@@ -9,7 +9,6 @@ from waistlab.cone import (
     MeasureEstimate,
     RankDeficientError,
     _ExactTube,
-    _exact_fiber_distance,
     _rejection_sphere_sample,
     _slice_frame,
     _slice_point,
@@ -314,7 +313,7 @@ def test_square_map_has_no_fiber_to_sample():
 
 def _exact_distance(norm, f, points):
     assert fiber_distance_method(norm, f) == "exact"
-    return _exact_fiber_distance(norm, f, points)
+    return _ExactTube(norm, f, points).distance
 
 
 def _last_coords(dim, k=1):
