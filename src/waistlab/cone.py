@@ -377,9 +377,9 @@ def fiber_distance_method(norm: NormDescriptor, f) -> str:
     return "cloud"
 
 
-# Half-width of the band about eps^q in which ``_ExactTube.within`` leaves
-# the answer to the reference formula, per unit of the rounding scale its
-# docstring derives; far above that rounding.
+# Half-width of the band about eps^q in which ``_ExactTube.within_slice``
+# leaves the answer to the reference formula, per unit of the rounding scale
+# its docstring derives; far above that rounding.
 _BAND = 2.0 ** -32
 
 
@@ -420,8 +420,8 @@ class _ExactTube:
     (||y_R|_p - r|^p + |y_T - x0_T|_p^p)^(1/p), carried by the scalars
     a_j = y_Tj and b = |y_R|_p.
 
-    ``distance`` is the reference formula; ``within`` answers the tube
-    question from the scalars, with the answers the reference gives.
+    ``distance`` is the reference formula; ``within_slice`` answers the
+    tube question from the scalars, with the answers the reference gives.
     """
 
     def __init__(self, norm: NormDescriptor, f, points: np.ndarray):
@@ -483,12 +483,6 @@ class _ExactTube:
         """The distance from each point to the fiber at ``z``."""
         x0, _ = _slice_point(self.norm, self.pinv, z)
         return self._reference(x0, self._slice(x0)[0])
-
-    def within(self, z, eps: float) -> np.ndarray:
-        """Whether each point lies within ``eps`` of the fiber at ``z``:
-        ``within_slice`` at its slice point."""
-        return self.within_slice(_slice_point(self.norm, self.pinv, z)[0],
-                                 eps)
 
     def within_slice(self, x0: np.ndarray, eps: float) -> np.ndarray:
         """Whether each point lies within ``eps`` of the fiber through the

@@ -159,17 +159,19 @@ class ArcDensity:
         """(mu(B(z, eps)), mu(B(z, 2 eps)^c)) in norm distance around the
         density maximum z, by trapezoid quadrature with linear
         interpolation at the balls' edges."""
-        dist = self.dist_to_index(self.argmax_index)
-        ball, within = _mass_below(
-            self.grid[None], (self.values * self.cone_weight)[None],
-            dist - np.array([eps, 2.0 * eps])[:, None, None])[:, 0]
+        dist = self.dist_to_index(self.argmax_index)[None]
+        r = np.array([[eps], [2.0 * eps]])
+        ball, within = _ball_mass(
+            self.grid[None], (self.values * self.cone_weight)[None], dist, r,
+            _ball_edges(dist, r))[:, 0]
         return float(ball), float(1.0 - within)
 
 
 # The row kernels below take (B, G) arrays, one arc per row, and give each
-# row the bits it has alone: elementwise ufuncs, reductions along the last
-# axis and sums over each row's own compacted entries. The single-needle
-# functions call them on one-row batches and ``needle_suite`` on blocks.
+# row the bits it has alone: elementwise ufuncs, reductions and cumulative
+# sums along the last axis, and reductions over each row's own index runs.
+# The single-needle functions call them on one-row batches and
+# ``needle_suite`` on blocks.
 
 
 def _coordinate_plane(dim: int) -> tuple:
@@ -207,56 +209,80 @@ def _section_dist(x, y, z):
     """Euclidean distances from every point of each row's planar section
     curve (x, y) to the row's point at index ``z``."""
     rows = np.arange(z.size)
-    return np.hypot(x - x[rows, z][:, None], y - y[rows, z][:, None])
+    dx = x - x[rows, z][:, None]
+    dy = y - y[rows, z][:, None]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
-def _row_sums(terms, mask):
-    """Each row's sum over its masked entries, for a mask of shape
-    (..., G). ``terms`` holds the masked entries of all rows, row after
-    row, so a row's sum runs over the same contiguous elements as
-    ``np.sum(row[mask_row])`` and has its bits."""
-    counts = np.count_nonzero(mask, axis=-1).ravel()
-    ends = np.cumsum(counts)
-    out = np.zeros(counts.size)
-    one = counts == 1  # the sum of one element is that element
-    out[one] = terms[ends[one] - 1]
-    for r in np.flatnonzero(counts > 1).tolist():
-        out[r] = np.add.reduce(terms[ends[r] - counts[r]:ends[r]])
-    return out.reshape(mask.shape[:-1])
+# Norm balls around a needle's maximum are index intervals. By the
+# monotonicity lemma for normed planes (Martini, Swanepoel and Weiss, Expo.
+# Math. 19, 2001), the norm distance from a point of a section circle grows
+# along each arc of the circle shorter than pi that starts at the point, and
+# every needle spans less than pi. So each side of the center is a run of
+# increasing distances, and {dist <= r} is the run of indices [first, last]
+# around the center.
 
 
-def _mass_below(grid, fw, s):
-    """Row by row, the fw-mass of {theta : s(theta) <= 0}, trapezoid
-    quadrature with linear interpolation at sign crossings. ``grid`` and
-    ``fw`` have shape (B, G); ``s`` has shape (B, G), or (T, B, G) for T
-    signed functions of the same rows, giving a (T, B) result."""
+def _ball_edges(dist, r):
+    """The first and the last index of each row's ball {dist <= r}: for
+    (B, G) distances and radii of shape (T, B), two (T, B) index arrays."""
+    inside = dist <= r[..., None]
+    first = np.argmax(inside, axis=-1)
+    last = inside.shape[-1] - 1 - np.argmax(inside[..., ::-1], axis=-1)
+    return first, last
+
+
+def _ball_mass(grid, fw, dist, r, edges):
+    """Row by row, the fw-mass of the ball {dist <= r} with the given
+    ``_ball_edges``: trapezoid quadrature over the ball's intervals, plus the
+    parts of the two intervals that straddle its edges, up to the point
+    where linear interpolation of dist reaches r. ``grid``, ``fw`` and
+    ``dist`` have shape (B, G), ``r`` and each edge array (T, B), and so
+    has the result."""
+    first, last = edges
+    rows = np.arange(grid.shape[0])
+    size = grid.shape[-1]
     h = np.diff(grid, axis=-1)
-    f0, f1 = fw[:, :-1], fw[:, 1:]
-    at_most, above = s <= 0, s > 0
-    full = at_most[..., :-1] & at_most[..., 1:]
-    out = _row_sums(np.broadcast_to(h * 0.5 * (f0 + f1), full.shape)[full],
-                    full)
-    enter = at_most[..., :-1] & above[..., 1:]
-    idx, t, _, fc = _crossings(h, f0, f1, s, enter)
-    out += _row_sums(h[idx] * t * 0.5 * (f0[idx] + fc), enter)
-    leave = above[..., :-1] & at_most[..., 1:]
-    idx, _, rest, fc = _crossings(h, f0, f1, s, leave)
-    out += _row_sums(h[idx] * rest * 0.5 * (fc + f1[idx]), leave)
-    return out
+    # before[:, j] is the mass of the intervals left of grid point j + 1
+    before = np.cumsum(h * 0.5 * (fw[:, :-1] + fw[:, 1:]), axis=-1)
+    mass = (np.where(last > 0, before[rows, last - 1], 0.0)
+            - np.where(first > 0, before[rows, first - 1], 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # The interval after the last point inside, up to its crossing at
+        # the fraction t of its length
+        j = np.minimum(last, size - 2)
+        s0, s1 = dist[rows, j] - r, dist[rows, j + 1] - r
+        f0, f1 = fw[rows, j], fw[rows, j + 1]
+        t = -s0 / (s1 - s0)
+        fc = f0 + t * (f1 - f0)
+        mass += np.where(last < size - 1, h[rows, j] * t * 0.5 * (f0 + fc),
+                         0.0)
+        # The interval before the first point inside, from its crossing on.
+        # 1 - t is s1 / (s1 - s0): where s0 dwarfs s1, t rounds to 1 and
+        # 1 - t would lose all of its digits.
+        j = np.maximum(first - 1, 0)
+        s0, s1 = dist[rows, j] - r, dist[rows, j + 1] - r
+        f0, f1 = fw[rows, j], fw[rows, j + 1]
+        t = -s0 / (s1 - s0)
+        fc = f0 + t * (f1 - f0)
+        mass += np.where(first > 0,
+                         h[rows, j] * (s1 / (s1 - s0)) * 0.5 * (fc + f1), 0.0)
+    return mass
 
 
-def _crossings(h, f0, f1, s, mask):
-    """(row, interval) indices of the masked sign changes of ``s``, row
-    after row, with the fractions t and 1 - t of each interval before and
-    after the crossing and the interpolated fw at the crossing. 1 - t is
-    s1 / (s1 - s0): where s0 dwarfs s1, t rounds to 1 and 1 - t would
-    lose all of its digits."""
-    row, j = np.divmod(np.flatnonzero(mask), mask.shape[-1])
-    s = s.reshape(-1, s.shape[-1])
-    s0, s1 = s[row, j], s[row, j + 1]
-    idx = (row % h.shape[0], j)
-    t = -s0 / (s1 - s0)
-    return idx, t, s1 / (s1 - s0), f0[idx] + t * (f1[idx] - f0[idx])
+def _segment_reduce(ufunc, a, starts, stops):
+    """``ufunc.reduce`` over each nonempty segment [start, stop) of the
+    flattened ``a``; an empty segment gives an arbitrary value."""
+    flat = a.reshape(-1)
+    end = flat.size - 1
+    # reduceat takes no index past the last element: a segment that ends
+    # the array stops one short of it and takes that element afterwards
+    idx = np.minimum(np.stack([starts, stops], axis=-1).ravel(), end)
+    out = ufunc.reduceat(flat, idx)[::2].reshape(starts.shape)
+    return np.where(stops > end, ufunc(out, flat[end]), out)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +303,11 @@ def is_weakly_concave(d: ArcDensity) -> WeakConcavityReport:
     For each pair (x, y) with radial midpoint z = (x+y)/2 / ||(x+y)/2||,
     requires (f^(1/m)(x) + f^(1/m)(y)) / 2 <= (1 - delta(||x-y||)) f^(1/m)(z)
     plus a slack of WEAK_CONCAVITY_TOL * (1 + rhs) absorbing the grid
-    interpolation of z.
+    interpolation of z. f^(1/m)(z) is read off the parabola through three
+    grid points around z. Off a round sphere, z lies away from the angular
+    midpoint of x and y, and linear interpolation would err at second
+    order: on 700-point grids of lp:4:3 arcs it fell below the slack and
+    flagged correct densities.
     """
     g = d.grid
     n = g.size
@@ -289,7 +319,7 @@ def is_weakly_concave(d: ArcDensity) -> WeakConcavityReport:
     center = 0.5 * (g[0] + g[-1])
     theta_mid += 2.0 * math.pi * np.round((center - theta_mid) / (2.0 * math.pi))
     lhs = 0.5 * (hroot[idx_i] + hroot[idx_j])
-    rhs = (1.0 - np.asarray(d.modulus(dist))) * np.interp(theta_mid, g, hroot)
+    rhs = (1.0 - np.asarray(d.modulus(dist))) * _parabola(theta_mid, g, hroot)
     margin = rhs + WEAK_CONCAVITY_TOL * (1.0 + np.abs(rhs)) - lhs
     bad = margin < 0
     worst = float(margin.min()) if margin.size else math.inf
@@ -301,6 +331,17 @@ def is_weakly_concave(d: ArcDensity) -> WeakConcavityReport:
         ok=False, checked_pairs=idx_i.size,
         witness=(int(idx_i[first]), int(idx_j[first])), worst_margin=worst,
     )
+
+
+def _parabola(x, g, y):
+    """y on the grid g, interpolated at x by the parabola through g[k],
+    g[k + 1] and g[k + 2], where g[k] starts the interval of x (the last
+    three points at the grid's end)."""
+    k = np.clip(np.searchsorted(g, x) - 1, 0, g.size - 3)
+    x0, x1, x2 = g[k], g[k + 1], g[k + 2]
+    s01 = (y[k + 1] - y[k]) / (x1 - x0)
+    s12 = (y[k + 2] - y[k + 1]) / (x2 - x1)
+    return y[k] + (x - x0) * (s01 + (x - x1) * (s12 - s01) / (x2 - x0))
 
 
 @dataclass(frozen=True)
@@ -357,9 +398,11 @@ def decay_bound_check(d: ArcDensity, eps: float) -> DecayReport:
     if eps <= 0:
         raise ValueError("eps must be positive")
     z = d.argmax_index
+    dist = d.dist_to_index(z)[None]
+    r = np.array([[eps], [2.0 * eps]])
     ok, checked, worst = _decay(
-        d.values[None], d.dist_to_index(z)[None], np.array([z]),
-        np.array([eps]), np.array([_shrink(d.modulus, eps, d.m)]))
+        d.values[None], dist, np.array([z]), r,
+        np.array([_shrink(d.modulus, eps, d.m)]), _ball_edges(dist, r))
     return DecayReport(ok=bool(ok[0]), checked=int(checked[0]),
                        vacuous=bool(checked[0] == 0),
                        worst_margin=float(worst[0]))
@@ -370,28 +413,34 @@ def _shrink(modulus: ModulusCurve, eps: float, m: int) -> float:
     return max(0.0, 1.0 - 2.0 * float(modulus(eps))) ** m
 
 
-def _decay(v, dist, z, eps, factor):
+def _decay(v, dist, z, r, factor, edges):
     """Row kernel of :func:`decay_bound_check`: (ok, checked, worst margin)
-    per row, for the rows' centers ``z``, radii ``eps`` and factors."""
-    idx = np.arange(v.shape[1])
+    per row, for the rows' centers ``z``, radii r = (eps, 2 eps) of shape
+    (2, B), factors, and the ``_ball_edges`` of both balls.
+
+    Each side of the center takes the minimum of v over its part of the eps
+    ball and the maximum over its points at distance >= 2 eps, a run from
+    the row's end to the 2 eps ball. Its margin (factor m_in + tol) - max
+    is the least of the per-point margins, bit for bit, as rounding is
+    monotone."""
+    first, last = edges
+    size = v.shape[1]
+    base = np.arange(z.size) * size
     rows = np.arange(z.size)
-    near = dist <= eps[:, None]
-    far = dist >= 2.0 * eps[:, None]
-    ok = np.ones(z.size, dtype=bool)
-    checked = np.zeros(z.size, dtype=int)
-    worst = np.full(z.size, math.inf)
-    for side in (idx >= z[:, None], idx <= z[:, None]):
-        in_ball = side & near
-        m_in = np.where(in_ball, v, np.inf).min(axis=1)
-        m_in = np.where(in_ball.any(axis=1), m_in, v[rows, z])
-        out = side & far
-        margin = np.where(out, (factor * m_in + QUADRATURE_TOL)[:, None] - v,
-                          np.inf)
-        side_worst = margin.min(axis=1)
-        checked += np.count_nonzero(out, axis=1)
-        worst = np.minimum(worst, side_worst)
-        ok &= side_worst >= 0
-    return ok, checked, worst
+    # Far runs [0, lo) and [hi, G): the 2 eps ball's edge points are far
+    # when they lie at 2 eps exactly.
+    lo = first[1] + (dist[rows, first[1]] >= r[1])
+    hi = last[1] + (dist[rows, last[1]] < r[1])
+    m_in = _segment_reduce(np.minimum, v, base + np.stack([first[0], z]),
+                           base + np.stack([z, last[0]]) + 1)
+    far_start = np.stack([np.zeros_like(lo), hi])
+    far_stop = np.stack([lo, np.full_like(hi, size)])
+    v_far = _segment_reduce(np.maximum, v, base + far_start, base + far_stop)
+    checked = far_stop - far_start
+    v_far = np.where(checked > 0, v_far, -math.inf)
+    margin = (factor * m_in + QUADRATURE_TOL) - v_far
+    return ((margin >= 0).all(axis=0), checked.sum(axis=0),
+            np.minimum(margin[0], margin[1]))
 
 
 @dataclass(frozen=True)
@@ -465,8 +514,7 @@ def random_arc_density(
         norm = euclidean_norm(m + 2)  # ambient n + 1 with k = 1
     if modulus is None:
         modulus = euclidean_modulus_curve()
-    length, start, phases, scales = _draw_arc(rng)
-    grid = start + np.linspace(0.0, length, grid_size)
+    _, arcs = _draw_arcs(rng, 1)
     if norm.is_round:
         plane = _coordinate_plane(norm.dim)
     else:
@@ -476,24 +524,62 @@ def random_arc_density(
         b -= (b @ a) * a
         b /= np.linalg.norm(b)
         plane = (a, b)
-    values, dirs, radii, _ = _arc_rows(grid[None], [phases], [scales],
-                                       np.array([m]), norm, plane)
-    return ArcDensity(norm=norm, grid=grid, values=values[0], m=m,
+    grid, values, dirs, radii, _ = _arc_rows(arcs, grid_size, np.array([m]),
+                                             norm, plane)
+    return ArcDensity(norm=norm, grid=grid[0], values=values[0], m=m,
                       modulus=modulus, plane=plane, section=(dirs[0], radii[0]))
 
 
-def _arc_rows(grid, phases, scales, m, norm, plane):
-    """Arc densities for a (B, G) block of grids in one plane of ``norm``:
-    the row's envelope of its functionals (``_envelope``), raised to the
-    row's exponent in ``m`` and normalized against the cone weight. Returns
-    (values, directions, section radii, cone weight)."""
-    h = _envelope(grid, phases, scales)
-    dirs, radii = _section(norm, plane, np.cos(grid), np.sin(grid))
+# Most linear functionals an arc envelope takes.
+_MAX_FUNCTIONALS = 6
+
+
+def _draw_arcs(rng, count, low=(), high=()):
+    """Draw ``count`` arcs and their linear functionals in two Generator
+    calls: one integer call for the columns in [low, high) and each arc's
+    functional count, then one call for 2 + 2 * _MAX_FUNCTIONALS uniforms
+    per arc. An arc has length in [0.8, 2.4], a start angle, and 2 to 6
+    functionals, whose phases keep every functional positive on the arc
+    [start, start + length]; of its _MAX_FUNCTIONALS phase and scale slots
+    it uses as many as it has functionals. The arcs come in order of
+    decreasing functional count, as ``_envelope`` takes them. Returns the
+    integer columns and the arcs (lengths, starts, phases, scales,
+    counts)."""
+    ints = rng.integers((*low, 2), (*high, _MAX_FUNCTIONALS + 1),
+                        size=(count, len(low) + 1))
+    u = rng.random((count, 2 + 2 * _MAX_FUNCTIONALS))
+    order = np.argsort(-ints[:, -1], kind="stable")
+    ints, u = ints[order], u[order]
+    lengths = 0.8 + (_MAX_ARC_LENGTH - 0.8) * u[:, 0]
+    starts = 2.0 * math.pi * u[:, 1]
+    lo = (starts + lengths - math.pi / 2.0 + 0.05)[:, None]
+    hi = (starts + math.pi / 2.0 - 0.05)[:, None]
+    phases = lo + (hi - lo) * u[:, 2:2 + _MAX_FUNCTIONALS]
+    log_lo, log_hi = math.log(0.3), math.log(3.0)
+    scales = np.exp(log_lo + (log_hi - log_lo) * u[:, 2 + _MAX_FUNCTIONALS:])
+    return ints[:, :-1], (lengths, starts, phases, scales, ints[:, -1])
+
+
+def _arc_rows(arcs, grid_size, m, norm, plane):
+    """Arc densities for a block of drawn ``arcs`` in one plane of ``norm``:
+    on each row's grid, the envelope of its functionals (``_envelope``),
+    raised to the row's exponent in ``m`` and normalized against the cone
+    weight. Returns (grids, values, directions, section radii, cone
+    weight), each with one row per arc."""
+    lengths, starts, phases, scales, counts = arcs
+    # start + np.linspace(0, length, grid_size), bit for bit
+    grid = np.arange(grid_size) * (lengths / (grid_size - 1))[:, None]
+    grid[:, -1] = lengths
+    grid += starts[:, None]
+    cos, sin = np.cos(grid), np.sin(grid)
+    h = _envelope(cos, sin, scales * np.cos(phases), scales * np.sin(phases),
+                  counts)
+    dirs, radii = _section(norm, plane, cos, sin)
     if not norm.is_round:
         # Section radius enters through the homogeneous extension: the
         # linear functional at the unit-norm point x(theta) is
         # r(theta) * cos offset. On the round sphere r is 1.
-        h = h * radii
+        h *= radii
     # One power call per exponent: with an array of exponents np.power
     # rounds differently from the scalar-exponent call of a lone row.
     profile = np.empty_like(grid)
@@ -501,44 +587,25 @@ def _arc_rows(grid, phases, scales, m, norm, plane):
         rows = np.flatnonzero(m == mi)
         profile[rows] = np.power(h[rows], mi)
     w = _cone_weight(grid, radii)
-    return _normalize(grid, profile, w), dirs, radii, w
+    return grid, _normalize(grid, profile, w), dirs, radii, w
 
 
-def _draw_arc(rng):
-    """Draw an arc and its linear functionals: length in [0.8, 2.4], start
-    angle, and the phases and scales of 2 to 6 functionals. The phases keep
-    every functional positive on the arc [start, start + length]."""
-    length = rng.uniform(0.8, _MAX_ARC_LENGTH)
-    start = rng.uniform(0.0, 2.0 * math.pi)
-    lo = start + length - math.pi / 2.0 + 0.05
-    hi = start + math.pi / 2.0 - 0.05
-    n_funcs = int(rng.integers(2, 7))
-    phases = rng.uniform(lo, hi, size=n_funcs)
-    scales = np.exp(rng.uniform(math.log(0.3), math.log(3.0), size=n_funcs))
-    return length, start, phases, scales
-
-
-def _envelope(grid, phases, scales):
-    """Row by row, min_j scales_j cos(grid - phases_j) over the row's own
-    functionals: grid (B, G); phases and scales hold one 1-D array per
-    row."""
-    counts = np.array([p.size for p in phases])
-    # Rows by decreasing count: the rows with a j-th functional are a prefix.
-    order = np.argsort(-counts, kind="stable")
-    g = grid[order]
-    h = np.full(g.shape, np.inf)
-    buf = np.empty_like(g)
-    for j in range(counts.max()):
-        rows = order[counts[order] > j].tolist()
-        k = len(rows)
-        t = np.subtract(g[:k], np.array([phases[r][j] for r in rows])[:, None],
-                        out=buf[:k])
-        np.cos(t, out=t)
-        t *= np.array([scales[r][j] for r in rows])[:, None]
-        np.minimum(h[:k], t, out=h[:k])
-    out = np.empty_like(h)
-    out[order] = h
-    return out
+def _envelope(cos, sin, a, b, counts):
+    """Row by row, the least of the row's first ``counts`` functionals
+    a_j cos theta + b_j sin theta, at angles with the given (B, G) cosines
+    and sines. With a_j = s_j cos phi_j and b_j = s_j sin phi_j, the j-th is
+    s_j cos(theta - phi_j). The rows come in order of decreasing count, so
+    the rows with a j-th functional are a prefix."""
+    h = cos * a[:, :1]
+    h += sin * b[:, :1]
+    t, u = np.empty_like(h), np.empty_like(h)
+    for j in range(1, int(counts[0])):
+        k = int(np.count_nonzero(counts > j))
+        np.multiply(cos[:k], a[:k, j, None], out=t[:k])
+        np.multiply(sin[:k], b[:k, j, None], out=u[:k])
+        t[:k] += u[:k]
+        np.minimum(h[:k], t[:k], out=h[:k])
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -762,14 +829,14 @@ def derived_density_estimate(
 # Trials per block of the needle suite, and the unit of work of its thread
 # pool. At the default 1024-point grid a (block, grid) float array is
 # 512 KB, and each worker's working set stays close to its core's caches.
-# On a 2-vCPU Xeon host with two workers, 3000 trials at seed 2 took a
-# median 0.32 s against 0.38 s in blocks of 256 (7 runs each), 10 000
-# trials at seed 2024 took 1.06 s against 1.16 s (3 runs each), and the
-# suite's peak memory was 14 MB against 56 MB.
+# On a 2-vCPU Xeon host with two workers, blocks of 32, 64 and 128 took a
+# median 0.214, 0.191 and 0.191 s on 3000 trials at seed 2 (10 runs each)
+# and 0.72, 0.56 and 0.60 s on 10 000 trials at seed 2024 (4 runs each),
+# and the 3000-trial tracemalloc peak was 7.6, 13.3 and 24.9 MB.
 _SUITE_BLOCK = 64
 # Grid points per suite needle, as in random_arc_density's default.
 _SUITE_GRID = 1024
-# Longest arc _draw_arc draws.
+# Longest arc _draw_arcs draws.
 _MAX_ARC_LENGTH = 2.4
 # Smallest eps the suite checks: four grid spacings of its longest arc,
 # about 9.4e-3. The checks read distances on the grid. At eps 1e-3, below
@@ -777,7 +844,7 @@ _MAX_ARC_LENGTH = 2.4
 # violations on correct needles; at 2e-3, 5e-3 and 9.4e-3 they gave none.
 SUITE_MIN_EPS = 4.0 * _MAX_ARC_LENGTH / (_SUITE_GRID - 1)
 _SUITE_LEMMAS = ("max_structure", "decay", "mass_ratio", "ball_mass")
-# Largest needle dimension the suite draws. _draw_arc keeps every envelope
+# Largest needle dimension the suite draws. _draw_arcs keeps every envelope
 # in [0.3 sin 0.05, 3]: scales lie in [0.3, 3], and each functional's phase
 # sits at least 0.05 inside a quarter turn of both arc ends, so its cosine
 # is at least cos(pi/2 - 0.05) = sin 0.05 on the arc. Hence every h^m with
@@ -802,10 +869,11 @@ def needle_suite(
     ``trials`` is at least 1. Each trial draws n from ``n_range``
     (2 <= lo <= hi <= SUITE_MAX_N) and eps from ``eps_choices`` (each in
     [SUITE_MIN_EPS, 2]). Needles are drawn in blocks of trials on the
-    calling thread, one block after another, and each block is checked by
-    the row kernels of the single-needle checks on a thread pool of one
-    worker per available CPU; every trial has the draws, values and margins
-    it would have alone.
+    calling thread, one block after another and each in two Generator
+    calls, and each block is checked by the row kernels of the single-needle
+    checks on a thread pool of one worker per available CPU. A trial built
+    again as a lone ArcDensity from the arrays its block drew gets the same
+    values and margins from the single-needle checks, bit for bit.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -849,46 +917,37 @@ def needle_suite(
 
 
 def _draw_block(rng, count, n_range, eps_choices, terms) -> tuple:
-    """Draw ``count`` suite trials from ``rng`` in the order lone trials
-    draw them: the arguments (n, eps, arcs, bounds) of :func:`_check_block`.
+    """Draw ``count`` suite trials from ``rng`` in two Generator calls (see
+    ``_draw_arcs``): the arguments (n, eps, arcs, bounds) of
+    :func:`_check_block`, in order of decreasing functional count.
     ``terms(n, eps)`` gives the _needle_bounds terms of a trial."""
-    n = np.empty(count, dtype=int)
-    eps = np.empty(count)
-    lengths = np.empty(count)
-    starts = np.empty(count)
-    phases, scales = [], []
-    for i in range(count):
-        n[i] = rng.integers(n_range[0], n_range[1] + 1)
-        eps[i] = eps_choices[rng.integers(0, len(eps_choices))]
-        lengths[i], starts[i], p, c = _draw_arc(rng)
-        phases.append(p)
-        scales.append(c)
+    ints, arcs = _draw_arcs(rng, count, (n_range[0], 0),
+                            (n_range[1] + 1, len(eps_choices)))
+    n, choice = ints.T
+    eps = np.asarray(eps_choices)[choice]
     bounds = np.array([terms(*key) for key in zip(n.tolist(), eps.tolist())]).T
-    return n, eps, (lengths, starts, phases, scales), bounds
+    return n, eps, arcs, bounds
 
 
 def _check_block(n, eps, arcs, bounds) -> dict:
     """Check drawn trials: {lemma: (violated, margin)}, one entry per trial
     (margin None for max_structure). Pure numpy on the arguments alone, so
     blocks can be checked on any thread."""
-    lengths, starts, phases, scales = arcs
     shrink, ratio_bound, ball_bound = bounds
-    # C order, so reductions along a row run over contiguous memory, as on
-    # a lone needle's 1-D arrays (linspace along axis 1 is Fortran-ordered)
-    grid = starts[:, None] + np.ascontiguousarray(
-        np.linspace(0.0, lengths, _SUITE_GRID, axis=1))
     # Each trial's arc lies in the plane of the first two coordinates of
     # R^(n+1). There its euclidean norm is the 2-D one, bit for bit: the
     # other coordinates are exact zeros, which add nothing to the sum of
     # squares. The 2-D directions are (cos, sin) exactly.
-    values, dirs, radii, w = _arc_rows(grid, phases, scales, n - ArcDensity.k,
-                                       euclidean_norm(2), _coordinate_plane(2))
+    grid, values, dirs, radii, w = _arc_rows(
+        arcs, _SUITE_GRID, n - ArcDensity.k, euclidean_norm(2),
+        _coordinate_plane(2))
 
     unique, minima, z = _max_structure(values)
     dist = _section_dist(radii * dirs[..., 0], radii * dirs[..., 1], z)
-    decay_ok, _, decay_worst = _decay(values, dist, z, eps, shrink)
-    ball, within = _mass_below(grid, values * w,
-                               dist - np.stack([eps, 2.0 * eps])[:, :, None])
+    r = np.stack([eps, 2.0 * eps])
+    edges = _ball_edges(dist, r)
+    decay_ok, _, decay_worst = _decay(values, dist, z, r, shrink, edges)
+    ball, within = _ball_mass(grid, values * w, dist, r, edges)
     outer = 1.0 - within
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(ball > 0, outer / ball, math.inf)

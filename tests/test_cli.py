@@ -31,6 +31,7 @@ from waistlab.cli import (
     main,
     run_experiment,
 )
+from waistlab.needles import SUITE_MAX_N, SUITE_MIN_EPS
 
 
 def test_malformed_norm_exits_2(capsys):
@@ -970,7 +971,50 @@ def test_main_fuzz_exit_codes(argv):
         assert all(line.startswith("PASS (") for line in lines), lines
 
 
-_REG = "reg:lp:1.5:3:w=0.05:d=0.01"
+_SUITE_EPS = st.floats(SUITE_MIN_EPS, 2.0)
+
+
+@st.composite
+def _needle_suite_argv(draw):
+    """needle-suite over its whole accepted domain: every n, trial counts on
+    both sides of the block edges at 64 and 128, and eps values and grids
+    from SUITE_MIN_EPS to 2, at any seed."""
+    trials = draw(st.one_of(st.integers(1, 200),
+                            st.sampled_from([63, 64, 65, 127, 128, 129])))
+    flags = draw(st.fixed_dictionaries(
+        {"--trials": st.just(trials), "--seed": st.integers(0, 2**64)},
+        optional={
+            "--n": st.integers(2, SUITE_MAX_N),
+            "--eps": _SUITE_EPS,
+            "--eps-grid": st.tuples(_SUITE_EPS, _SUITE_EPS,
+                                    st.floats(1e-6, 2.0)).map(
+                lambda t: f"{min(t[:2])!r}:{max(t[:2])!r}:{t[2]!r}"),
+            "--f-upper": st.sampled_from(["pi", "halfpi"]),
+        }))
+    argv = ["needle-suite"]
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_needle_suite_argv())
+def test_needle_suite_fuzz_exit_codes(argv):
+    # Correct needles pass every check, so exit 1 would be a false alarm;
+    # an input the suite refuses exits 2 on one line.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert rc == 0, (rc, lines)
+        assert lines and all(line.startswith("PASS (") for line in lines), \
+            lines
+
+
+_REG ="reg:lp:1.5:3:w=0.05:d=0.01"
 _REG_BUDGETS = dict(samples=500, fiber_points=100)
 _WAIST_REG = dict(command="verify-waist", norm=_REG, eps=0.5,
                   z_grid="-0.4:0.4:0.4", seed=4, **_REG_BUDGETS)
@@ -1044,7 +1088,7 @@ _GOLDENS = [
         id="iso-reg"),
     pytest.param(
         dict(command="needle-suite", trials=100, seed=8),
-        "8717898580f55a629e9b1c9fd43bfc3b82783f2f84c4b3a63886ff627c23e66d",
+        "6f02377301c3407af68047b247dd2f792025d9c261e2424751c556d25ba9257f",
         id="needle-suite"),
 ]
 
