@@ -895,7 +895,10 @@ def needle_suite(
              for first in range(0, trials, _SUITE_BLOCK)]
     violations = dict.fromkeys(_SUITE_LEMMAS, 0)
     worst = dict.fromkeys(_SUITE_LEMMAS, math.inf)
-    workers = min(len(os.sched_getaffinity(0)), len(sizes))
+    # os.sched_getaffinity is missing on macOS and Windows.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, len(sizes))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # This thread draws the blocks in stream order and fills the cache
         # of ``terms``; the workers share nothing but their arguments.

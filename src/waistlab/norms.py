@@ -618,22 +618,32 @@ def _section_units(norm, u, v, theta):
     return d / np.asarray(norm_eval(norm, d))[:, None]
 
 
-def _section_objective(norm, u, v, theta1, eps):
-    """1 - ||x + y||/2 where x = x(theta1) and y = x(theta1 + delta) with
-    delta bisected in (0, pi] so the chord ||x - y|| equals eps; one lane
-    per row of (u, v, theta1), and ``eps`` a scalar or one value per lane."""
+def _section_pair(norm, u, v, theta1, eps):
+    """Unit x = x(theta1) and y = x(theta1 + delta), with delta the root in
+    [0, pi] of ||x - y|| = eps, on which the chord grows (monotonicity
+    lemma), or pi where it stays below eps; one lane per row of (u, v,
+    theta1), and ``eps`` a scalar or one value per lane."""
+    # Only ``modulus`` reaches the section search: the import stays here.
+    from scipy.optimize.elementwise import find_root
+
     theta1 = np.asarray(theta1, dtype=float)
-    x1 = _section_units(norm, u, v, theta1)
-    lo = np.zeros_like(theta1)
-    hi = np.full_like(theta1, math.pi)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        chord = norm_eval(norm, _section_units(norm, u, v, theta1 + mid) - x1)
-        too_small = chord < eps
-        lo = np.where(too_small, mid, lo)
-        hi = np.where(too_small, hi, mid)
-    y = _section_units(norm, u, v, theta1 + 0.5 * (lo + hi))
-    return np.asarray(norm_eval(norm, x1 + y)) * -0.5 + 1.0
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), theta1.shape)
+    x = _section_units(norm, u, v, theta1)
+
+    def excess(delta, lane):
+        y = _section_units(norm, u[lane], v[lane], theta1[lane] + delta)
+        return np.asarray(norm_eval(norm, y - x[lane])) - eps[lane]
+
+    delta = find_root(excess, (0.0, math.pi),
+                      args=(np.arange(theta1.size),)).x
+    return x, _section_units(norm, u, v,
+                             theta1 + np.nan_to_num(delta, nan=math.pi))
+
+
+def _section_objective(norm, u, v, theta1, eps):
+    """1 - ||x + y||/2 over the pairs of :func:`_section_pair`."""
+    x, y = _section_pair(norm, u, v, theta1, eps)
+    return np.asarray(norm_eval(norm, x + y)) * -0.5 + 1.0
 
 
 def numeric_modulus(norm: NormDescriptor, eps, budget: int = 100_000,
@@ -642,15 +652,20 @@ def numeric_modulus(norm: NormDescriptor, eps, budget: int = 100_000,
     x, y with ||x-y|| >= eps, at one eps in [0, 2] or at every value of a
     1-D array of them. A diagnostic: no bound reads it.
 
-    It searches all coordinate-pair sections and random 2-D sections with a
-    chord-matching bisection and golden-section refinement, and returns the
-    smallest value found, an upper estimate of the infimum.
+    In all coordinate-pair sections and random 2-D sections, scipy's
+    ``elementwise.find_root`` matches the chord to eps from a grid of
+    starts, and ``elementwise.find_minimum`` refines the three best starts
+    per section that are grid minima. The smallest value found, clipped at
+    0, is an upper estimate of the infimum, up to rounding: at eps = 2,
+    where delta is steepest, that can reach about 1e-8.
 
-    Every eps searches the same sections from the same starts (one seed),
-    each lane carrying its own eps, and the golden-section refinement
-    advances all lanes together. As ``norm_eval`` gives each row the bits
-    it has alone, each value equals a search at that eps on its own.
+    Every eps searches the same sections from the same starts (one seed).
+    Both solvers advance each lane on its own, and ``norm_eval`` gives each
+    row the bits it has alone, so each value equals a search at that eps on
+    its own.
     """
+    from scipy.optimize.elementwise import find_minimum
+
     scalar = np.ndim(eps) == 0
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     if not np.all((eps >= 0.0) & (eps <= 2.0)):
@@ -659,13 +674,9 @@ def numeric_modulus(norm: NormDescriptor, eps, budget: int = 100_000,
     dim = norm.dim
     n_random = int(np.clip(budget // 3000, 4, 64))
     starts = int(np.clip(budget // (n_random * 30), 16, 96))
-    sections = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e_i, e_j = np.zeros(dim), np.zeros(dim)
-            e_i[i] = 1.0
-            e_j[j] = 1.0
-            sections.append((e_i, e_j))
+    eye = np.eye(dim)
+    sections = [(eye[i], eye[j])
+                for i in range(dim) for j in range(i + 1, dim)]
     for _ in range(n_random):
         a = rng.standard_normal(dim)
         a /= np.linalg.norm(a)
@@ -686,39 +697,22 @@ def numeric_modulus(norm: NormDescriptor, eps, budget: int = 100_000,
         n_eps, n_sec, starts)
     best = vals.min(axis=(1, 2))
 
-    # Golden-section refinement of the three best starts per section, all
-    # lanes advanced together so each iteration costs one batched objective.
-    order = np.argsort(vals, axis=2)[:, :, :3]
-    centers = thetas[order].ravel()
+    # Refine the three best starts per section on the bracket of their grid
+    # neighbours. A start that is no grid minimum brackets nothing, and
+    # find_minimum gives NaN there; its grid value is already in ``best``.
+    centers = thetas[np.argsort(vals, axis=2)[:, :, :3]].ravel()
     sec_idx = np.tile(np.repeat(np.arange(n_sec), 3), n_eps)
     h = 2.0 * math.pi / starts
-    bu = sec_u[sec_idx]
-    bv = sec_v[sec_idx]
     lane_eps = np.repeat(eps, n_sec * 3)
-    a = centers - h
-    b = centers + h
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    # Both starting probes in one call: lanes are independent, so each
-    # half has the bits of its own call.
-    fc, fd = np.split(_section_objective(
-        norm, np.tile(bu, (2, 1)), np.tile(bv, (2, 1)), np.concatenate([c, d]),
-        np.tile(lane_eps, 2)), 2)
-    for _ in range(24):
-        left = fc < fd  # minimum bracketed in [a, d] vs [c, b]
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        carry_pt = np.where(left, c, d)  # survives as the new d (resp. c)
-        carry_f = np.where(left, fc, fd)
-        probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        f_probe = _section_objective(norm, bu, bv, probe, lane_eps)
-        c = np.where(left, probe, carry_pt)
-        fc = np.where(left, f_probe, carry_f)
-        d = np.where(left, carry_pt, probe)
-        fd = np.where(left, carry_f, f_probe)
-    refined = np.minimum(fc, fd).reshape(n_eps, -1).min(axis=1)
-    out = np.minimum(best, refined)
+
+    def objective(theta, lane):
+        return _section_objective(norm, sec_u[sec_idx[lane]],
+                                  sec_v[sec_idx[lane]], theta, lane_eps[lane])
+
+    refined = find_minimum(objective, (centers - h, centers, centers + h),
+                           args=(np.arange(centers.size),)).f_x
+    out = np.fmin(best, np.fmin.reduce(refined.reshape(n_eps, -1), axis=1))
+    out = np.maximum(out, 0.0)  # at eps = 0, rounding can give -1 ulp
     return float(out[0]) if scalar else out
 
 

@@ -375,6 +375,16 @@ def test_needle_suite_is_pinned_on_any_worker_count(monkeypatch, capsys):
     assert got == {cpus: (pinned, SUITE_CLI_DIGEST) for cpus in (1, 8)}
 
 
+def test_needle_suite_runs_without_sched_getaffinity(monkeypatch, capsys):
+    # macOS and Windows have no os.sched_getaffinity; the suite sizes its
+    # pool by os.cpu_count() there and gives the pinned reports.
+    monkeypatch.delattr(needles.os, "sched_getaffinity", raising=False)
+    margins = [[r["worst_margin"] for r in needle_suite(**kwargs)]
+               for kwargs, _ in SUITE_GOLDEN]
+    assert margins == [[None, *margins] for _, margins in SUITE_GOLDEN]
+    assert _suite_cli_digest(capsys) == SUITE_CLI_DIGEST
+
+
 def test_random_arc_density_draws_one_shared_arc():
     # random_arc_density draws one arc by the suite's helper, and nothing
     # else on a round sphere

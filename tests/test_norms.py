@@ -426,23 +426,33 @@ def test_regularized_midpoints_respect_the_certified_floor(text):
     assert np.all(gap >= floor - 1e-12)
 
 
-def test_section_objective_lanes_are_independent():
-    # numeric_modulus evaluates its two starting golden-section probes in
-    # one call over stacked lanes; each half must equal its own call
-    norm = parse_norm("reg:lp:1.5:3:w=0.05:d=0.01")
+@pytest.mark.parametrize("text", [
+    "euclidean:3", "lp:4:3", "lp:1.5:3", "reg:lp:1.5:3:w=0.05:d=0.01"])
+def test_section_pairs_match_their_chord(text):
+    norm = parse_norm(text)
     rng = rng_stream(41)
     u = rng.standard_normal((42, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v = rng.standard_normal((42, 3))
     v -= np.sum(u * v, axis=1, keepdims=True) * u
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    c, d = rng.uniform(0.0, 2.0 * math.pi, (2, 42))
-    eps = rng.uniform(0.2, 1.8, 42)
-    objective = norms_module._section_objective
-    both = objective(norm, np.tile(u, (2, 1)), np.tile(v, (2, 1)),
-                     np.concatenate([c, d]), np.tile(eps, 2))
-    assert np.array_equal(both[:42], objective(norm, u, v, c, eps))
-    assert np.array_equal(both[42:], objective(norm, u, v, d, eps))
+    theta = rng.uniform(0.0, 2.0 * math.pi, 42)
+    eps = rng.uniform(0.05, 1.95, 42)
+    x, y = norms_module._section_pair(norm, u, v, theta, eps)
+    assert np.max(np.abs(norm_eval(norm, x - y) - eps)) <= 1e-12
+
+
+@pytest.mark.parametrize("text", ["euclidean:3", "lp:4:3", "lp:1.5:3"])
+def test_numeric_modulus_at_the_ends_of_its_range(text):
+    # delta(0) = 0 is the infimum, and the search must not go below it.
+    # At eps = 2 the chord is flat about the antipode, so a pair whose
+    # computed chord is 2 can sit ~1e-8 from it in angle: delta(2) = 1
+    # on these norms is met to 1e-7.
+    norm = parse_norm(text)
+    assert numeric_modulus(norm, 0.0, 3000) == 0.0
+    top = numeric_modulus(norm, 2.0, 3000)
+    assert math.isfinite(top)
+    assert analytic_modulus_curve(norm)(2.0) - 1e-7 <= top <= 1.0
 
 
 def test_minkowski_p_by_kind():
