@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .bounds import (
     F_UPPER_HALF_PI,
     F_UPPER_PI,
     BoundInputs,
+    _waist_values,
     bound_table,
     gromov_milman_bound,
     projection_lower_bound,
@@ -208,18 +210,22 @@ class Report:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    """The points lo + i step <= hi of a ``lo:hi:step`` spec, spaced as
+    np.arange spaces them. The step count has a relative slack of 1e-9, so
+    a last point that rounding puts just past hi stays (0.1:1.9:0.6 ends
+    at 1.9)."""
     try:
         lo, hi, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"malformed grid {spec!r}; expected lo:hi:step") from exc
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise ConfigError(f"malformed grid {spec!r}")
-    # np.arange below yields ceil(points) values; count them before allocating
-    points = (hi + step / 2.0 - lo) / step
-    if points > _MAX_GRID_POINTS:
+    # floor(steps) + 1 points; count them before allocating
+    steps = (hi - lo) / step * (1.0 + 1e-9)
+    if not steps < _MAX_GRID_POINTS:
         raise ConfigError(
             f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
-    return np.arange(lo, hi + step / 2.0, step)
+    return np.arange(lo, hi + step / 2.0, step)[:math.floor(steps) + 1]
 
 
 def _eps_values(cfg: ExperimentConfig) -> list[float]:
@@ -253,10 +259,9 @@ def _run_bound(cfg: ExperimentConfig) -> tuple[dict, str]:
     n = norm.sphere_dim
     eps_values = _eps_values(cfg)
     modulus = analytic_modulus_curve(norm)
+    waists = _waist_values(n, cfg.k, eps_values, modulus, cfg.f_upper)
     entries = []
-    for eps in eps_values:
-        w = waist_lower_bound(BoundInputs(n=n, k=cfg.k, eps=eps,
-                                          modulus=modulus, f_upper=cfg.f_upper))
+    for eps, w in zip(eps_values, waists):
         entries.append({
             "waist": w.to_dict(),
             "projection": projection_lower_bound(n, cfg.k, eps).to_dict(),

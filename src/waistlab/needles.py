@@ -10,7 +10,6 @@ derived from shrinking lunes empirically.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,12 +18,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    F_UPPER_PI,
-    BoundInputs,
-    sine_integrals,
-    waist_lower_bound,
-)
+from .bounds import F_UPPER_PI, _sine_integral_lists, _waist_terms
 from .cone import rng_stream
 from .norms import (
     ModulusCurve,
@@ -464,8 +458,8 @@ def needle_ratio_and_ball(d, eps: float) -> NeedleBoundsReport:
     taken at eps up to pi, each up to a slack of QUADRATURE_TOL.
     """
     ball, outer = d.ball_and_outer_mass(eps)
-    _, ratio_bound, ball_bound = _needle_bounds(d.m + d.k, d.k, eps,
-                                                d.modulus, F_UPPER_PI)
+    (_, ratio_bound, ball_bound), = _needle_bounds(d.m + d.k, d.k, [eps],
+                                                   d.modulus, F_UPPER_PI)
     ratio = outer / ball if ball > 0 else math.inf
     return NeedleBoundsReport(
         ratio=ratio, ratio_bound=ratio_bound,
@@ -475,19 +469,23 @@ def needle_ratio_and_ball(d, eps: float) -> NeedleBoundsReport:
     )
 
 
-def _needle_bounds(n, k, eps, modulus, f_upper) -> tuple[float, float, float]:
-    """The eps terms of the needle checks: the decay factor
-    (1 - 2 delta(eps))^(n-k), the mass-ratio bound and the waist bound."""
-    F, G = sine_integrals(k, eps, f_upper)
-    shrink = _shrink(modulus, eps, n - k)
-    # G underflows to 0 at tiny eps, where the waist bound is 0 and the
-    # ratio bound is vacuous
-    ratio_bound = (shrink * (k + 1.0) ** (k + 1.0) * (F / G) if G > 0.0
-                   else math.inf)
-    ball_bound = waist_lower_bound(
-        BoundInputs(n=n, k=k, eps=eps, modulus=modulus, f_upper=f_upper)
-    ).value
-    return shrink, ratio_bound, ball_bound
+def _needle_bounds(n, k, eps, modulus, f_upper) -> list[tuple]:
+    """The eps terms of the needle checks at each eps of a sequence: the
+    decay factor (1 - 2 delta(eps))^(n-k), the mass-ratio bound and the
+    waist bound, with the sine masses and waist bounds of the whole
+    sequence each in one bounds kernel call."""
+    eps = list(eps)
+    waist = _waist_terms(n, k, eps, modulus, f_upper).w
+    far, near = _sine_integral_lists(k, eps, f_upper)
+    terms = []
+    for e, F, G, ball_bound in zip(eps, far, near, waist):
+        shrink = _shrink(modulus, e, n - k)
+        # G underflows to 0 at tiny eps, where the waist bound is 0 and the
+        # ratio bound is vacuous
+        ratio_bound = (shrink * (k + 1.0) ** (k + 1.0) * (F / G) if G > 0.0
+                       else math.inf)
+        terms.append((shrink, ratio_bound, ball_bound))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +887,22 @@ def needle_suite(
             f"{tuple(n_range)}")
     rng = rng_stream(seed, 0)
     modulus = euclidean_modulus_curve()
-    terms = functools.cache(lambda n, eps: _needle_bounds(
-        n, ArcDensity.k, eps, modulus, f_upper))
+    cache = {}
+
+    def terms(pairs):
+        # One _needle_bounds call per dimension, over the eps choices of
+        # ``pairs`` not yet cached at that dimension.
+        todo = {}
+        for n, c in pairs:
+            if (n, c) not in cache:
+                todo.setdefault(n, {})[c] = None
+        for n, choices in todo.items():
+            found = _needle_bounds(n, ArcDensity.k,
+                                   [eps_choices[c] for c in choices],
+                                   modulus, f_upper)
+            cache.update(zip([(n, c) for c in choices], found))
+        return [cache[pair] for pair in pairs]
+
     sizes = [min(_SUITE_BLOCK, trials - first)
              for first in range(0, trials, _SUITE_BLOCK)]
     violations = dict.fromkeys(_SUITE_LEMMAS, 0)
@@ -923,12 +935,13 @@ def _draw_block(rng, count, n_range, eps_choices, terms) -> tuple:
     """Draw ``count`` suite trials from ``rng`` in two Generator calls (see
     ``_draw_arcs``): the arguments (n, eps, arcs, bounds) of
     :func:`_check_block`, in order of decreasing functional count.
-    ``terms(n, eps)`` gives the _needle_bounds terms of a trial."""
+    ``terms(pairs)`` gives the _needle_bounds terms of each trial's
+    (n, index into eps_choices) pair."""
     ints, arcs = _draw_arcs(rng, count, (n_range[0], 0),
                             (n_range[1] + 1, len(eps_choices)))
     n, choice = ints.T
     eps = np.asarray(eps_choices)[choice]
-    bounds = np.array([terms(*key) for key in zip(n.tolist(), eps.tolist())]).T
+    bounds = np.array(terms(list(zip(n.tolist(), choice.tolist())))).T
     return n, eps, arcs, bounds
 
 

@@ -1,9 +1,10 @@
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -25,8 +26,11 @@ from waistlab.cli import ExperimentConfig, emit_report, run_experiment
 from waistlab.cone import sample_conical
 from waistlab.norms import (
     ModulusCurve,
+    analytic_modulus_curve,
     euclidean_modulus_curve,
     euclidean_norm,
+    lp_modulus_curve,
+    parse_norm,
 )
 
 MOD = euclidean_modulus_curve()
@@ -219,9 +223,9 @@ def test_sine_mass_keeps_the_incomplete_beta_where_sine_squared_is_normal():
     radii = [smallest * (1.0 + 1e-15), smallest * 2.0]
     radii += list(np.geomspace(1e-150, math.pi, 300))
     for m in range(8):
-        for r in radii:
+        for r, mass in zip(radii, bounds_module._sine_masses(m, radii)):
             assert math.sin(r) ** 2 >= 2.2250738585072014e-308
-            assert bounds_module._sine_mass(m, r) == incomplete_beta_mass(m, r)
+            assert mass == incomplete_beta_mass(m, r)
 
 
 @pytest.mark.parametrize("n, k", [
@@ -290,6 +294,130 @@ def test_bound_inputs_validation():
         BoundInputs(n=2, k=1, eps=0.5, modulus=MOD, f_upper="tau")
     with pytest.raises(ValueError):
         BoundValue(value=1.5, kind="waist")
+
+
+# ---------------------------------------------------------------------------
+# The grid kernel against the per-eps evaluation
+# ---------------------------------------------------------------------------
+
+# The per-eps evaluation the grid kernel replaced, kept as its reference:
+# one scalar betainc call per mass and every step on Python floats.
+
+def _sine_mass_per_radius(m: int, r: float) -> float:
+    s = math.sin(r)
+    if s * s < sys.float_info.min:
+        return float(s ** (m + 1) / (m + 1))
+    a = 0.5 * (m + 1.0)
+    half = 0.5 * special.beta(a, 0.5)
+    below = half * special.betainc(a, 0.5, s ** 2)
+    return float(below if r <= math.pi / 2.0 else 2.0 * half - below)
+
+
+def _sine_integrals_per_radius(k: int, r: float, f_upper: str):
+    upper = {"pi": math.pi, "halfpi": math.pi / 2.0}[f_upper]
+    s = 2.0 * math.sqrt(k + 1.0)
+    near, far = 2.0 * math.asin(r / (2.0 * s)), 2.0 * math.asin(r / s)
+    F = (_sine_mass_per_radius(k - 1, upper)
+         - _sine_mass_per_radius(k - 1, far) if far < upper else 0.0)
+    return F, _sine_mass_per_radius(k - 1, near)
+
+
+def _waist_per_eps(n, k, eps, modulus, f_upper):
+    """(w, delta(eps/2)) of one eps, as waist_lower_bound computed it
+    before the grid kernel."""
+    delta = float(modulus(eps / 2.0))
+    base = max(0.0, 1.0 - 2.0 * delta)
+    value = 0.0
+    if eps / 2.0 > 0.0:
+        F, G = _sine_integrals_per_radius(k, eps / 2.0, f_upper)
+        if G > 0.0:
+            try:
+                power = (k + 1.0) ** (k + 1.0)
+            except OverflowError:
+                value = 1.0
+                if base > 0.0 and F > 0.0:
+                    log_x = ((n - k) * math.log(base)
+                             + (k + 1.0) * math.log(k + 1.0)
+                             + math.log(F) - math.log(G))
+                    value = float(special.expit(-log_x))
+            else:
+                value = 1.0 / (1.0 + base ** (n - k) * power * F / G)
+    return value, delta
+
+
+def _bits(values) -> list:
+    assert all(type(v) is float for v in values)
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+_KERNEL_CURVES = [
+    MOD, lp_modulus_curve(1.5), lp_modulus_curve(4.0),
+    analytic_modulus_curve(parse_norm("reg:lp:1.5:3:w=0.05:d=0.01")),
+    analytic_modulus_curve(parse_norm("reg:euclidean:4:w=0.2:d=3")),
+    ModulusCurve(label="half", fn=lambda eps: 0.5),
+    # strong enough a shrink to give w values with digits at k >= 143
+    ModulusCurve(label="steep", fn=lambda eps: 0.45 * eps),
+]
+# Subnormal eps (5e-324 halves to 0), eps whose near mass G underflows to
+# 0 at larger k, and the ends of the range.
+_KERNEL_EPS = st.one_of(
+    st.floats(5e-324, 2.0),
+    st.sampled_from([5e-324, 1e-323, 1e-310, 2.2250738585072014e-308,
+                     1e-300, 1e-160, 1e-40, 1e-6, 1e-4, 2.0]))
+
+
+@st.composite
+def _kernel_grids(draw):
+    n = draw(st.integers(1, 2000))
+    k = draw(st.one_of(st.integers(1, min(n, 8)), st.integers(1, n),
+                       st.integers(min(n, 143), n)))
+    return (n, k, draw(st.lists(_KERNEL_EPS, min_size=1, max_size=12)),
+            draw(st.sampled_from(_KERNEL_CURVES)),
+            draw(st.sampled_from(["pi", "halfpi"])))
+
+
+@given(_kernel_grids())
+# (k+1)^(k+1) overflows: w from the logarithm of X, with digits
+@example((2000, 150, [1.0, 1.1, 1.12, 1.14, 1.2], _KERNEL_CURVES[-1], "pi"))
+@settings(max_examples=300, deadline=None)
+def test_waist_kernel_matches_the_per_eps_evaluation(grid):
+    n, k, eps, modulus, f_upper = grid
+    terms = bounds_module._waist_terms(n, k, eps, modulus, f_upper)
+    want = [_waist_per_eps(n, k, e, modulus, f_upper) for e in eps]
+    assert _bits(terms.w) == _bits([w for w, _ in want])
+    assert _bits(terms.delta) == _bits([d for _, d in want])
+    for e, F, G in zip(eps, terms.far, terms.near):
+        if e / 2.0 > 0.0:
+            assert _bits([F, G]) == _bits(
+                list(_sine_integrals_per_radius(k, e / 2.0, f_upper)))
+    if n >= 2:
+        rows = bound_table(n, k, eps, modulus, f_upper)
+        assert _bits([row["w"] for row in rows]) == _bits(terms.w)
+        assert _bits([row["b_exponent"] for row in rows]) == _bits(
+            [2.0 * d for d in terms.delta])
+        assert _bits([row["gm"] for row in rows]) == _bits(
+            [gromov_milman_bound(n, e, modulus).value for e in eps])
+        assert _bits([row["w2"] for row in rows]) == _bits(
+            [projection_lower_bound(n, k, e).value for e in eps])
+
+
+@given(k=st.integers(1, 2000), f_upper=st.sampled_from(["pi", "halfpi"]),
+       fractions=st.lists(st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                                    st.sampled_from([1.0, 0.5 ** 0.5])),
+                          min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_sine_mass_kernel_matches_the_per_radius_evaluation(k, f_upper,
+                                                            fractions):
+    # Radii over the whole arcsin domain (0, 2 sqrt(k+1)]. At its top the
+    # far angle is pi, and at fraction 1/sqrt(2) it is about pi/2, so the
+    # far mass is 0 for one or both upper limits.
+    top = 2.0 * math.sqrt(k + 1.0)
+    radii = [f * top for f in fractions]
+    far, near = bounds_module._sine_integral_lists(k, radii, f_upper)
+    want = [_sine_integrals_per_radius(k, r, f_upper) for r in radii]
+    assert _bits(far) == _bits([F for F, _ in want])
+    assert _bits(near) == _bits([G for _, G in want])
+    assert all(F == 0.0 for F, f in zip(far, fractions) if f == 1.0)
 
 
 # ---------------------------------------------------------------------------

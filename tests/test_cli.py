@@ -110,6 +110,25 @@ def test_grid_point_limit():
         _parse_grid("1e-300:2:1e-300")
 
 
+@pytest.mark.parametrize("spec, points", [
+    ("0.1:2:0.5", [0.1, 0.6, 1.1, 1.6]),
+    ("-0.6:0.6:0.25", [-0.6, -0.35, -0.1, 0.15, 0.4]),
+    ("0.1:1.9:0.6", [0.1, 0.7, 1.3, 1.9]),
+    ("0.3:0.3:5", [0.3]),
+])
+def test_grid_stops_at_hi(spec, points):
+    # A step that does not divide hi - lo ends the grid at its last point
+    # below hi; rounding that puts an exact end just past hi keeps it.
+    assert _parse_grid(spec).tolist() == pytest.approx(points, abs=1e-15)
+
+
+def test_grid_that_a_step_does_not_divide_runs(capsys):
+    assert main(["compare", "--norm", "euclidean:3", "--eps-grid",
+                 "0.1:2:0.5"]) == 0
+    table = json.loads(capsys.readouterr().out)["results"]["table"]
+    assert [row["eps"] for row in table] == _parse_grid("0.1:2:0.5").tolist()
+
+
 def test_huge_grid_exits_2_without_allocating(capsys):
     # 2e12 points (14.6 TiB) if the grid were built
     tracemalloc.start()
@@ -1043,6 +1062,62 @@ def test_needle_suite_fuzz_exit_codes(argv):
         assert rc == 0, (rc, lines)
         assert lines and all(line.startswith("PASS (") for line in lines), \
             lines
+
+
+# eps from the smallest subnormal up to 2, with both ends drawn often
+_BOUND_EPS = st.one_of(st.floats(5e-324, 2.0),
+                       st.sampled_from([5e-324, 1e-310, 1e-160, 2.0]))
+
+
+@st.composite
+def _bound_flags(draw):
+    """Flags of bound and compare over their whole accepted domain: sphere
+    dimensions up to 2000 (``reg:*`` smooths up to dim 4), k up to n, and
+    eps or eps grids down to subnormal values."""
+    kind = draw(st.sampled_from(["euclidean", "lp:1.5", "lp:4", "reg"]))
+    if kind == "reg":
+        dim = draw(st.integers(3, 4))
+        norm = draw(st.sampled_from([f"reg:lp:1.5:{dim}:w=0.05:d=0.01",
+                                     f"reg:euclidean:{dim}:w=0.2:d=3"]))
+    else:
+        dim = draw(st.integers(3, 2001))
+        norm = f"{kind}:{dim}"
+    k = draw(st.one_of(st.integers(1, min(dim - 1, 3)),
+                       st.integers(1, dim - 1)))
+    flags = ["--norm", norm, "--k", str(k), "--f-upper",
+             draw(st.sampled_from(["pi", "halfpi"]))]
+    if draw(st.booleans()):
+        return flags + ["--eps", repr(draw(_BOUND_EPS))]
+    lo, hi = sorted((draw(_BOUND_EPS), draw(_BOUND_EPS)))
+    step = draw(st.floats(max((hi - lo) / 40.0, 1e-300), 2.0))
+    return flags + ["--eps-grid", f"{lo!r}:{hi!r}:{step!r}"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bound_flags())
+def test_bound_and_compare_fuzz_over_the_whole_domain(flags):
+    # Every accepted input answers (exit 0); nothing exits 1 or 3. Both
+    # commands read the same flags, and compare's w column is bound's
+    # waist value at every eps.
+    results = {}
+    for command in ("bound", "compare"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, *flags])
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2), (command, rc, lines)
+        if rc == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert not lines, lines
+            results[command] = json.loads(out.getvalue())["results"]
+    assert len(results) in (0, 2)
+    if results:
+        bound, table = results["bound"]["bounds"], results["compare"]["table"]
+        assert [b["waist"]["inputs"]["eps"] for b in bound] == \
+            [row["eps"] for row in table]
+        assert [b["waist"]["value"] for b in bound] == \
+            [row["w"] for row in table]
 
 
 _REG ="reg:lp:1.5:3:w=0.05:d=0.01"

@@ -268,8 +268,9 @@ def test_needle_suite_at_the_largest_n(seed):
 def _tiny_eps_block(eps, count):
     """The suite's checks on its first ``count`` trials at seed 1, at an eps
     below the suite's SUITE_MIN_EPS, which needle_suite rejects."""
-    def terms(n, e):
-        return needles._needle_bounds(n, 1, e, MOD, "pi")
+    def terms(pairs):
+        return [needles._needle_bounds(n, 1, [eps], MOD, "pi")[0]
+                for n, _ in pairs]
 
     return needles._check_block(*needles._draw_block(
         rng_stream(1, 0), count, (2, 8), (eps,), terms))
@@ -409,8 +410,10 @@ def test_suite_trial_rebuilt_alone_has_its_margins(seed, n_range,
     # A suite trial, built again as a lone ArcDensity from the arrays the
     # block drew, gives the single-needle checks the margins the suite
     # found for it, bit for bit.
-    def terms(n, eps):
-        return needles._needle_bounds(n, 1, eps, MOD, "pi")
+    def terms(pairs):
+        # every eps choice in one call, as the suite may group them
+        return [needles._needle_bounds(n, 1, eps_choices, MOD, "pi")[c]
+                for n, c in pairs]
 
     n, eps, arcs, bounds = needles._draw_block(
         rng_stream(seed, 0), 64, n_range, eps_choices, terms)
