@@ -151,8 +151,6 @@ def _check_bound_args(n: int, k: int, eps: float, f_upper: str) -> None:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not (0.0 < eps <= 2.0):
         raise ValueError(f"eps must lie in (0, 2], got {eps}")
-    if eps / (2.0 * math.sqrt(k + 1.0)) > 1.0:
-        raise ValueError("eps outside the arcsin domain")
     if f_upper not in _F_UPPER_VALUES:
         raise ValueError(f"f_upper must be one of {sorted(_F_UPPER_VALUES)}")
 
@@ -277,14 +275,26 @@ def waist_lower_bound(inputs: BoundInputs) -> BoundValue:
 
 
 def _tube_fractions(n: int, k: int, radii: list) -> list[float]:
-    # sphere_tube_volume at each radius, in one betainc call. Where sin^2 r
-    # is below the normal range, betainc loses digits. There
+    # sphere_tube_volume at each radius, from two betainc calls over the
+    # radii. The fraction is I_x(a, b) at x = sin^2 r, or its complement
+    # 1 - I_y(b, a) at y = cos^2 r where that is above 1/2 and r lies
+    # between pi/4 and the clamp pi/2 (where I_1 = 1 exactly): near
+    # r = pi/2 the double x keeps few digits of 1 - x, on which I
+    # turns fast when k is close to n. (scipy's betaincc(b, a, y) loses
+    # the digits of a small y at a = b = 1/2, n = 1.) Where sin^2 r is below
+    # the normal range, betainc loses digits. There
     # I_x(a, b) = x^a / (a B(a, b)) to within a factor 1 + O(b x)
     # (DLMF 8.17.8), so the fraction is I_x0(a, b) (sin r / sqrt x0)^k at
     # x0 = 2^-1000, a normal double whose root 2^-500 scales sin r exactly.
     a, b = 0.5 * k, 0.5 * (n - k + 1)
-    sines = [math.sin(min(r, math.pi / 2.0)) for r in radii]
-    fractions = special.betainc(a, b, [s ** 2 for s in sines]).tolist()
+    radii = [min(r, math.pi / 2.0) for r in radii]
+    sines = [math.sin(r) for r in radii]
+    direct = special.betainc(a, b, [s ** 2 for s in sines])
+    complement = 1.0 - special.betainc(b, a,
+                                       [math.cos(r) ** 2 for r in radii])
+    at = np.asarray(radii)
+    past = (at > math.pi / 4.0) & (at < math.pi / 2.0) & (complement > 0.5)
+    fractions = np.where(past, complement, direct).tolist()
     for i, s in enumerate(sines):
         if s > 0.0 and s * s < sys.float_info.min:
             lead = float(special.betainc(a, b, 2.0 ** -1000))

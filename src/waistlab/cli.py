@@ -290,35 +290,49 @@ def _run_modulus(cfg: ExperimentConfig) -> tuple[dict, str]:
     return {"modulus": rows}, "report"
 
 
-def _run_verify_waist(cfg: ExperimentConfig) -> tuple[dict, str]:
+def _tube_check(cfg: ExperimentConfig, k: int, z_grid, measure) -> tuple:
+    """The steps both verify commands share. ``best_fiber`` estimates the
+    eps-tube about the fibers of the last-k coordinate map over ``z_grid``,
+    ``measure`` turns the best tube estimate into the estimate the command
+    asserts on, and the pass rule holds that estimate to the waist bound w
+    at (n, k, eps): estimate >= w - 3 std_error.
+
+    Returns (results, status, estimate, best): the ``bound`` and
+    ``fiber_distance`` entries of the report, "pass" or "fail", the
+    asserted estimate and ``best_fiber``'s (z*, tube, grid estimates)."""
     norm = parse_norm(cfg.norm)
-    n = norm.sphere_dim
-    modulus = analytic_modulus_curve(norm)
-    bound = waist_lower_bound(BoundInputs(n=n, k=cfg.k, eps=cfg.eps,
-                                          modulus=modulus, f_upper=cfg.f_upper))
-    f = _coordinate_projection(norm.dim, cfg.k)
-    z_grid = _z_product_grid(cfg.z_grid, cfg.k)
+    bound = waist_lower_bound(BoundInputs(
+        n=norm.sphere_dim, k=k, eps=cfg.eps,
+        modulus=analytic_modulus_curve(norm), f_upper=cfg.f_upper))
+    f = _coordinate_projection(norm.dim, k)
+    best = best_fiber(norm, f, cfg.eps, z_grid, cfg.samples,
+                      cfg.fiber_points, cfg.seed)
+    estimate = measure(best[1])
+    passed = estimate.mean >= bound.value - 3.0 * estimate.std_error
+    results = {"bound": bound.to_dict(),
+               "fiber_distance": fiber_distance_method(norm, f)}
+    return results, "pass" if passed else "fail", estimate, best
+
+
+def _run_verify_waist(cfg: ExperimentConfig) -> tuple[dict, str]:
     try:
-        z_star, estimate, all_estimates = best_fiber(
-            norm, f, cfg.eps, z_grid, cfg.samples, cfg.fiber_points, cfg.seed)
+        results, status, estimate, (z_star, _, all_estimates) = _tube_check(
+            cfg, cfg.k, _z_product_grid(cfg.z_grid, cfg.k), lambda tube: tube)
     except EmptyFiberError as exc:
         raise ConfigError(
             f"every point of --z-grid {cfg.z_grid} has an empty fiber on "
             f"{cfg.norm}: the slice misses the open unit ball") from exc
-    margin = estimate.mean - bound.value
+    margin = estimate.mean - results["bound"]["value"]
     sigma = estimate.std_error if estimate.std_error > 0 else 1e-300
-    passed = estimate.mean >= bound.value - 3.0 * estimate.std_error
-    results = {
-        "bound": bound.to_dict(),
+    results.update({
         "z_star": [float(v) for v in np.atleast_1d(z_star)],
         "estimate": estimate.to_dict(),
         "margin": margin,
         "margin_sigmas": margin / sigma,
         "grid_estimates": [e.to_dict() for e in all_estimates],
-        "fiber_distance": fiber_distance_method(norm, f),
         "assertion": "tube_measure >= waist_bound - 3*std_error",
-    }
-    return results, "pass" if passed else "fail"
+    })
+    return results, status
 
 
 def _run_verify_iso(cfg: ExperimentConfig) -> tuple[dict, str]:
@@ -348,28 +362,18 @@ def _run_verify_iso(cfg: ExperimentConfig) -> tuple[dict, str]:
     A cap of any other mass c gives no stronger check, as
     max(mu(A_eps), mu(A^c_eps)) >= max(c, 1 - c) >= 1/2.
     """
-    norm = parse_norm(cfg.norm)
-    n = norm.sphere_dim
-    modulus = analytic_modulus_curve(norm)
-    bound = waist_lower_bound(BoundInputs(n=n, k=1, eps=cfg.eps,
-                                          modulus=modulus, f_upper=cfg.f_upper))
-    f = _coordinate_projection(norm.dim, 1)
-    _, tube, _ = best_fiber(norm, f, cfg.eps, [[0.0]], cfg.samples,
-                            cfg.fiber_points, cfg.seed)
-    est = MeasureEstimate(mean=(1.0 + tube.mean) / 2.0,
-                          std_error=tube.std_error / 2.0, count=tube.count,
-                          seed=tube.seed)
-    passed = est.mean >= bound.value - 3.0 * est.std_error
-    results = {
-        "bound": bound.to_dict(),
+    results, status, est, _ = _tube_check(
+        cfg, 1, [[0.0]], lambda tube: MeasureEstimate(
+            mean=(1.0 + tube.mean) / 2.0, std_error=tube.std_error / 2.0,
+            count=tube.count, seed=tube.seed))
+    results.update({
         "neighborhood_A": est.to_dict(),
         "neighborhood_Ac": est.to_dict(),
         "max_neighborhood": est.mean,
-        "fiber_distance": fiber_distance_method(norm, f),
         "assertion": "max(mu(A+eps), mu(A^c+eps)) >= waist_bound - "
                      "3*std_error, A = {x_last >= 0}",
-    }
-    return results, "pass" if passed else "fail"
+    })
+    return results, status
 
 
 def _run_needle_suite(cfg: ExperimentConfig) -> tuple[dict, str]:

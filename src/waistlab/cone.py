@@ -63,8 +63,6 @@ __all__ = [
     "MeasureEstimate",
     "EmptyFiberError",
     "RankDeficientError",
-    "rng_stream",
-    "derive_seed",
     "sample_conical",
     "fiber_points",
     "fiber_distance_method",

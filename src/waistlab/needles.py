@@ -13,19 +13,19 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .bounds import F_UPPER_PI, _sine_integral_lists, _waist_terms
-from .cone import rng_stream
 from .norms import (
     ModulusCurve,
     NormDescriptor,
     euclidean_modulus_curve,
     euclidean_norm,
     norm_eval,
+    rng_stream,
 )
 
 __all__ = [
@@ -50,7 +50,8 @@ __all__ = [
 ]
 
 # Default slack for midpoint-interpolated concavity checks; sized to dominate
-# the linear-interpolation error of f^(1/m) on grids of >= 1e3 points.
+# the error of the three-point parabola that reads f^(1/m) at the midpoint,
+# on grids of >= 1e3 points.
 WEAK_CONCAVITY_TOL = 1e-6
 # Slack for direct quadrature comparisons in the lemma-chain checks.
 QUADRATURE_TOL = 1e-9
@@ -72,9 +73,6 @@ class ArcDensity:
     ``values`` is the density with respect to the normalized 1-dimensional
     cone measure of the arc, ``m`` the concavity exponent n - k >= 1 with
     k = 1.
-    ``section``, if given, is the (directions, radii) pair that
-    ``_section`` returns for the plane at the grid angles, so a caller that
-    has it spares the norm evaluation.
     """
 
     k: ClassVar[int] = 1
@@ -84,9 +82,8 @@ class ArcDensity:
     m: int
     modulus: ModulusCurve
     plane: Optional[tuple] = None
-    section: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self, section):
+    def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "grid", grid)
@@ -106,9 +103,7 @@ class ArcDensity:
         if self.plane is None:
             object.__setattr__(self, "plane", _coordinate_plane(self.norm.dim))
         cos, sin = np.cos(grid), np.sin(grid)
-        if section is None:
-            section = _section(self.norm, self.plane, cos, sin)
-        dirs, radii = section
+        dirs, radii = _section(self.norm, self.plane, cos, sin)
         w = _cone_weight(grid, radii)
         object.__setattr__(self, "points", dirs * radii[:, None])
         object.__setattr__(self, "section2d",
@@ -125,11 +120,11 @@ class ArcDensity:
         grid = np.asarray(grid, dtype=float)
         if plane is None:
             plane = _coordinate_plane(norm.dim)
-        section = _section(norm, plane, np.cos(grid), np.sin(grid))
+        _, radii = _section(norm, plane, np.cos(grid), np.sin(grid))
         values = _normalize(grid, np.asarray(profile, dtype=float),
-                            _cone_weight(grid, section[1]))
+                            _cone_weight(grid, radii))
         return cls(norm=norm, grid=grid, values=values, m=m, modulus=modulus,
-                   plane=plane, section=section)
+                   plane=plane)
 
     @property
     def argmax_index(self) -> int:
@@ -396,15 +391,16 @@ def decay_bound_check(d: ArcDensity, eps: float) -> DecayReport:
     r = np.array([[eps], [2.0 * eps]])
     ok, checked, worst = _decay(
         d.values[None], dist, np.array([z]), r,
-        np.array([_shrink(d.modulus, eps, d.m)]), _ball_edges(dist, r))
+        np.array([_shrink(d.modulus(eps), d.m)]), _ball_edges(dist, r))
     return DecayReport(ok=bool(ok[0]), checked=int(checked[0]),
                        vacuous=bool(checked[0] == 0),
                        worst_margin=float(worst[0]))
 
 
-def _shrink(modulus: ModulusCurve, eps: float, m: int) -> float:
-    """The decay factor (1 - 2 delta(eps))^m, clipped at 0."""
-    return max(0.0, 1.0 - 2.0 * float(modulus(eps))) ** m
+def _shrink(delta: float, m: int) -> float:
+    """The decay factor (1 - 2 delta)^m of a modulus value delta = delta(eps),
+    clipped at 0."""
+    return max(0.0, 1.0 - 2.0 * delta) ** m
 
 
 def _decay(v, dist, z, r, factor, edges):
@@ -472,14 +468,15 @@ def needle_ratio_and_ball(d, eps: float) -> NeedleBoundsReport:
 def _needle_bounds(n, k, eps, modulus, f_upper) -> list[tuple]:
     """The eps terms of the needle checks at each eps of a sequence: the
     decay factor (1 - 2 delta(eps))^(n-k), the mass-ratio bound and the
-    waist bound, with the sine masses and waist bounds of the whole
-    sequence each in one bounds kernel call."""
+    waist bound, with the moduli, sine masses and waist bounds of the whole
+    sequence each in one call."""
     eps = list(eps)
     waist = _waist_terms(n, k, eps, modulus, f_upper).w
     far, near = _sine_integral_lists(k, eps, f_upper)
+    deltas = modulus(np.asarray(eps, dtype=float)).tolist()
     terms = []
-    for e, F, G, ball_bound in zip(eps, far, near, waist):
-        shrink = _shrink(modulus, e, n - k)
+    for d, F, G, ball_bound in zip(deltas, far, near, waist):
+        shrink = _shrink(d, n - k)
         # G underflows to 0 at tiny eps, where the waist bound is 0 and the
         # ratio bound is vacuous
         ratio_bound = (shrink * (k + 1.0) ** (k + 1.0) * (F / G) if G > 0.0
@@ -522,10 +519,10 @@ def random_arc_density(
         b -= (b @ a) * a
         b /= np.linalg.norm(b)
         plane = (a, b)
-    grid, values, dirs, radii, _ = _arc_rows(arcs, grid_size, np.array([m]),
-                                             norm, plane)
+    grid, values, _, _, _ = _arc_rows(arcs, grid_size, np.array([m]), norm,
+                                      plane)
     return ArcDensity(norm=norm, grid=grid[0], values=values[0], m=m,
-                      modulus=modulus, plane=plane, section=(dirs[0], radii[0]))
+                      modulus=modulus, plane=plane)
 
 
 # Most linear functionals an arc envelope takes.
@@ -886,23 +883,7 @@ def needle_suite(
             f"n_range must satisfy 2 <= lo <= hi <= {SUITE_MAX_N}, got "
             f"{tuple(n_range)}")
     rng = rng_stream(seed, 0)
-    modulus = euclidean_modulus_curve()
-    cache = {}
-
-    def terms(pairs):
-        # One _needle_bounds call per dimension, over the eps choices of
-        # ``pairs`` not yet cached at that dimension.
-        todo = {}
-        for n, c in pairs:
-            if (n, c) not in cache:
-                todo.setdefault(n, {})[c] = None
-        for n, choices in todo.items():
-            found = _needle_bounds(n, ArcDensity.k,
-                                   [eps_choices[c] for c in choices],
-                                   modulus, f_upper)
-            cache.update(zip([(n, c) for c in choices], found))
-        return [cache[pair] for pair in pairs]
-
+    table = _suite_table(n_range, eps_choices, f_upper)
     sizes = [min(_SUITE_BLOCK, trials - first)
              for first in range(0, trials, _SUITE_BLOCK)]
     violations = dict.fromkeys(_SUITE_LEMMAS, 0)
@@ -912,10 +893,10 @@ def needle_suite(
             else os.cpu_count() or 1)
     workers = min(cpus, len(sizes))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # This thread draws the blocks in stream order and fills the cache
-        # of ``terms``; the workers share nothing but their arguments.
+        # This thread draws the blocks in stream order; the workers share
+        # nothing but their arguments.
         futures = [pool.submit(_check_block, *_draw_block(
-            rng, size, n_range, eps_choices, terms)) for size in sizes]
+            rng, size, n_range, eps_choices, table)) for size in sizes]
         for future in futures:
             for name, (bad, margin) in future.result().items():
                 violations[name] += int(np.count_nonzero(bad))
@@ -931,18 +912,27 @@ def needle_suite(
     } for name in _SUITE_LEMMAS]
 
 
-def _draw_block(rng, count, n_range, eps_choices, terms) -> tuple:
+def _suite_table(n_range, eps_choices, f_upper) -> np.ndarray:
+    """The _needle_bounds terms (shrink, ratio bound, ball bound) of every
+    suite trial the range allows, in one array of shape (n, eps, 3): row
+    [n - n_range[0], c] holds dimension n at eps_choices[c]. One call per
+    dimension covers every eps choice."""
+    modulus = euclidean_modulus_curve()
+    return np.array([
+        _needle_bounds(n, ArcDensity.k, eps_choices, modulus, f_upper)
+        for n in range(n_range[0], n_range[1] + 1)])
+
+
+def _draw_block(rng, count, n_range, eps_choices, table) -> tuple:
     """Draw ``count`` suite trials from ``rng`` in two Generator calls (see
     ``_draw_arcs``): the arguments (n, eps, arcs, bounds) of
-    :func:`_check_block`, in order of decreasing functional count.
-    ``terms(pairs)`` gives the _needle_bounds terms of each trial's
-    (n, index into eps_choices) pair."""
+    :func:`_check_block`, in order of decreasing functional count. Each
+    trial's bounds are its row of the ``_suite_table`` ``table``."""
     ints, arcs = _draw_arcs(rng, count, (n_range[0], 0),
                             (n_range[1] + 1, len(eps_choices)))
     n, choice = ints.T
     eps = np.asarray(eps_choices)[choice]
-    bounds = np.array(terms(list(zip(n.tolist(), choice.tolist())))).T
-    return n, eps, arcs, bounds
+    return n, eps, arcs, table[n - n_range[0], choice].T
 
 
 def _check_block(n, eps, arcs, bounds) -> dict:

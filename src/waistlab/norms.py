@@ -511,9 +511,6 @@ def norm_bracket(norm: NormDescriptor, x):
 
 def euclidean_modulus(eps) -> np.ndarray | float:
     """Euclidean modulus of convexity, 1 - sqrt(1 - eps^2/4)."""
-    if isinstance(eps, float):
-        # Same operations as below, on a Python float.
-        return 1.0 - math.sqrt(max(1.0 - eps * eps / 4.0, 0.0))
     eps = np.asarray(eps, dtype=float)
     out = 1.0 - np.sqrt(np.clip(1.0 - eps**2 / 4.0, 0.0, None))
     return float(out) if out.ndim == 0 else out
@@ -527,13 +524,6 @@ def lp_modulus(p: float, eps) -> np.ndarray | float:
     lower bounds for the true modulus and are cross-checked numerically in
     the test suite.
     """
-    if isinstance(eps, float):
-        # Same operations as below, on a Python float; np.power stays, as
-        # math.pow need not round as numpy's power loop does.
-        if p >= 2:
-            inner = max(1.0 - float(np.power(eps / 2.0, p)), 0.0)
-            return 1.0 - float(np.power(inner, 1.0 / p))
-        return float((p - 1.0) * (eps * eps) / 8.0)
     eps = np.asarray(eps, dtype=float)
     if p >= 2:
         out = 1.0 - np.power(np.clip(1.0 - np.power(eps / 2.0, p), 0.0, None), 1.0 / p)
@@ -558,10 +548,6 @@ class ModulusCurve:
     fn: Callable
 
     def __call__(self, eps) -> np.ndarray | float:
-        if isinstance(eps, (int, float)):
-            # Scalar fast path: the bits of the array path below, as a
-            # Python float, without building 0-d arrays.
-            return 0.0 if eps <= 0 else float(self.fn(float(eps)))
         eps = np.asarray(eps, dtype=float)
         out = np.asarray(np.where(eps <= 0, 0.0, self.fn(eps)), dtype=float)
         return float(out) if out.ndim == 0 else out

@@ -428,6 +428,9 @@ def test_sphere_tube_volume_edges():
     assert sphere_tube_volume(2, 1, math.pi / 2.0) == pytest.approx(1.0, abs=1e-12)
     assert sphere_tube_volume(5, 3, 0.0) == 0.0
     assert sphere_tube_volume(2, 1, 0.3) == pytest.approx(math.sin(0.3), abs=1e-12)
+    # eps >= sqrt 2 clamps the radius at pi/2, whose tube is the whole sphere
+    for n in (1, 169, 2000):
+        assert round_sphere_reference(n, n, 2.0).value == 1.0
 
 
 def test_sphere_tube_volume_monotone():

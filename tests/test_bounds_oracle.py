@@ -60,17 +60,23 @@ def _waist_oracle(n, k, eps, delta, f_upper):
         return 1 / (1 + x)
 
 
-def _tube_oracle(n, k, r):
-    """I_x(k/2, (n-k+1)/2) at x = sin^2 r, and the change in it that the
-    rounding of sin r and of its square to doubles makes (2.5 ulp of x).
-    The change is large only near r = pi/2 when k is close to n, where
-    1 - x keeps few digits."""
+def _tube_oracle(n, k, r, r_rounding=0.0):
+    """I_x(k/2, (n-k+1)/2) at x = sin^2 r, and the change in it that
+    rounding makes: of the square the code reads to a double (2.5 ulp of
+    sin^2 r), or where the code takes the complement (r between pi/4 and
+    the clamp pi/2, for a value above 1/2) of cos^2 r = 1 - x and of r
+    itself by a relative ``r_rounding``."""
     with mpmath.workdps(60):
         a, b = mpmath.mpf(k) / 2, mpmath.mpf(n - k + 1) / 2
         x = mpmath.sin(r) ** 2
+        value = mpmath.betainc(a, b, 0, x, regularized=True)
         slope = x ** (a - 1) * (1 - x) ** (b - 1) / mpmath.beta(a, b)
-        return (mpmath.betainc(a, b, 0, x, regularized=True),
-                slope * x * 5.6e-16)
+        if math.pi / 4.0 < r < math.pi / 2.0 and value > 0.5:
+            # dx/dr = sin 2r
+            moved = (1 - x) * 5.6e-16 + mpmath.sin(2 * r) * r * r_rounding
+        else:
+            moved = x * 5.6e-16
+        return value, slope * moved
 
 
 def _within(got: float, want, rounding) -> bool:
@@ -97,6 +103,11 @@ def test_waist_bound_matches_the_oracle(dims, eps, modulus, f_upper):
 @example(dims=(1999, 1), r=1e-160)
 @example(dims=(1999, 1), r=1e-300)
 @example(dims=(1999, 2), r=1e-155)
+# 1 - sin^2 r keeps few digits, and the fraction turns fast near pi/2
+@example(dims=(169, 169), r=math.pi / 2.0 - 1e-8)
+@example(dims=(2000, 2000), r=math.pi / 2.0 - 1e-9)
+# scipy's betaincc(1/2, 1/2, y) reads 1.0 at y = cos^2 r here, 8e-11 high
+@example(dims=(1, 1), r=1.5707963266695064)
 @settings(max_examples=150, deadline=None)
 def test_sphere_tube_volume_matches_the_oracle(dims, r):
     n, k = dims
@@ -111,8 +122,11 @@ def test_round_sphere_reference_matches_the_oracle(dims, eps):
     n, k = dims
     value = round_sphere_reference(n, k, eps).value
     if _normal(value):
-        # clamped at the double nearest pi/2, as the code clamps
+        # clamped at the double nearest pi/2, as the code clamps; the
+        # code's r = 2 asin(eps/2) is a double, within 2 ulp of r, which
+        # the complement's narrow allowance has to take in
         with mpmath.workdps(60):
             r = min(2 * mpmath.asin(mpmath.mpf(eps) / 2),
                     mpmath.mpf(math.pi / 2.0))
-            assert _within(value, *_tube_oracle(n, k, r)), (n, k, eps)
+            assert _within(value, *_tube_oracle(n, k, r, 4.5e-16)), \
+                (n, k, eps)

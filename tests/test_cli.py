@@ -1120,6 +1120,48 @@ def test_bound_and_compare_fuzz_over_the_whole_domain(flags):
             [row["w"] for row in table]
 
 
+@st.composite
+def _verify_argv(draw):
+    """verify-waist and verify-iso over their accepted domain at a small
+    budget: euclidean and l_p norms up to dim 80, k up to dim - 1, a
+    one-point z axis anywhere in [-1.2, 1.2] and at most 200 samples and
+    200 fiber points."""
+    kind = draw(st.sampled_from(["euclidean", "lp:1.5", "lp:4"]))
+    dim = draw(st.integers(3, 80))
+    argv = [draw(st.sampled_from(["verify-waist", "verify-iso"])),
+            "--norm", f"{kind}:{dim}", "--eps", repr(draw(_BOUND_EPS)),
+            "--samples", str(draw(st.integers(1, 200))),
+            "--fiber-points", str(draw(st.integers(1, 200))),
+            "--seed", str(draw(st.integers(0, 2**32))),
+            "--f-upper", draw(st.sampled_from(["pi", "halfpi"]))]
+    if argv[0] == "verify-waist":
+        k = draw(st.one_of(st.integers(1, min(dim - 1, 3)),
+                           st.integers(1, dim - 1)))
+        z = draw(st.floats(-1.2, 1.2))
+        argv += ["--k", str(k), "--z-grid", f"{z!r}:{z!r}:1"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_verify_argv())
+def test_verify_fuzz_over_the_whole_domain(argv):
+    # Every run answers on stdout and exits 0 or 1, or refuses its input
+    # (an empty fiber) with exit 2; nothing exits 3. Exit 1 is a failed
+    # assertion and says FAIL: a sample too small to hit the tube fails a
+    # correct program (euclidean:80, k = 65), so a pass is not asserted.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1, 2), (rc, lines)
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert json.loads(out.getvalue())["status"] == ("pass", "fail")[rc]
+        assert len(lines) == 1 and lines[0].startswith(
+            ("PASS (", "FAIL (")[rc]), lines
+
+
 _REG ="reg:lp:1.5:3:w=0.05:d=0.01"
 _REG_BUDGETS = dict(samples=500, fiber_points=100)
 _WAIST_REG = dict(command="verify-waist", norm=_REG, eps=0.5,

@@ -268,12 +268,9 @@ def test_needle_suite_at_the_largest_n(seed):
 def _tiny_eps_block(eps, count):
     """The suite's checks on its first ``count`` trials at seed 1, at an eps
     below the suite's SUITE_MIN_EPS, which needle_suite rejects."""
-    def terms(pairs):
-        return [needles._needle_bounds(n, 1, [eps], MOD, "pi")[0]
-                for n, _ in pairs]
-
+    table = needles._suite_table((2, 8), (eps,), "pi")
     return needles._check_block(*needles._draw_block(
-        rng_stream(1, 0), count, (2, 8), (eps,), terms))
+        rng_stream(1, 0), count, (2, 8), (eps,), table))
 
 
 @pytest.mark.parametrize("eps", [1e-308, 1e-310, 5e-324])
@@ -410,13 +407,9 @@ def test_suite_trial_rebuilt_alone_has_its_margins(seed, n_range,
     # A suite trial, built again as a lone ArcDensity from the arrays the
     # block drew, gives the single-needle checks the margins the suite
     # found for it, bit for bit.
-    def terms(pairs):
-        # every eps choice in one call, as the suite may group them
-        return [needles._needle_bounds(n, 1, eps_choices, MOD, "pi")[c]
-                for n, c in pairs]
-
     n, eps, arcs, bounds = needles._draw_block(
-        rng_stream(seed, 0), 64, n_range, eps_choices, terms)
+        rng_stream(seed, 0), 64, n_range, eps_choices,
+        needles._suite_table(n_range, eps_choices, "pi"))
     block = needles._check_block(n, eps, arcs, bounds)
     for i in range(n.size):
         dim = int(n[i]) + 1
@@ -436,6 +429,25 @@ def test_suite_trial_rebuilt_alone_has_its_margins(seed, n_range,
         assert ratio_margin == block["mass_ratio"][1][i]
         assert nb.ball_mass - nb.ball_bound + needles.QUADRATURE_TOL == \
             block["ball_mass"][1][i]
+
+
+@pytest.mark.parametrize("n_range", [(2, 169), (169, 169)])
+@pytest.mark.parametrize("f_upper", ["pi", "halfpi"])
+def test_suite_table_rows_are_each_trials_own_bounds(n_range, f_upper):
+    # The suite reads each trial's bounds off its table by (n - lo, eps
+    # choice); with unsorted choices and a duplicate, every row equals the
+    # bounds of that trial's (n, eps) taken alone, bit for bit.
+    eps_choices = (0.5, needles.SUITE_MIN_EPS, 1.7, 0.5, 0.2)
+    table = needles._suite_table(n_range, eps_choices, f_upper)
+    assert table.shape == (n_range[1] - n_range[0] + 1, len(eps_choices), 3)
+    rng = rng_stream(9, 0)
+    for count in (64, 200):
+        n, eps, _, bounds = needles._draw_block(rng, count, n_range,
+                                                eps_choices, table)
+        for i in range(count):
+            alone, = needles._needle_bounds(int(n[i]), 1, [float(eps[i])],
+                                            MOD, f_upper)
+            assert bounds[:, i].tolist() == list(alone), (n[i], eps[i])
 
 
 def _mask_row_sums(terms, mask):
@@ -532,7 +544,7 @@ def test_balls_are_index_runs_around_the_maximum():
             got = d.ball_and_outer_mass(eps)
             assert got[0] == pytest.approx(ball, rel=1e-12, abs=0.0)
             assert 1.0 - got[1] == pytest.approx(within, rel=1e-12, abs=0.0)
-            factor = needles._shrink(d.modulus, eps, d.m)
+            factor = needles._shrink(d.modulus(eps), d.m)
             checked, worst = _mask_decay(d.values[None], dist[None],
                                          np.array([z]), np.array([eps]),
                                          np.array([factor]))
@@ -776,6 +788,14 @@ def test_lune_accepted_counts_are_binomial_in_the_budget():
 @pytest.mark.parametrize("norm", [euclidean_norm(3), lp_norm(4, 3)],
                          ids=str)
 def test_arc_density_evaluates_its_section_norm_once(monkeypatch, norm):
+    # Construction evaluates the norm on the section once, and a density
+    # rebuilt from its own fields has the same bits.
+    grid = np.linspace(0.2, 1.9, 257)
+    plane = needles._coordinate_plane(3) if norm.is_round else (
+        np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, 1.0]))
+    made = [ArcDensity.from_profile(norm, grid, np.sin(grid) ** 2, m=2,
+                                    modulus=MOD, plane=plane),
+            random_arc_density(rng_stream(5, 0), m=1, norm=norm)]
     calls = []
 
     def counting(*args):
@@ -783,21 +803,13 @@ def test_arc_density_evaluates_its_section_norm_once(monkeypatch, norm):
         return norm_eval(*args)
 
     monkeypatch.setattr(needles, "norm_eval", counting)
-    grid = np.linspace(0.2, 1.9, 257)
-    plane = needles._coordinate_plane(3) if norm.is_round else (
-        np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, 1.0]))
-    made = [ArcDensity.from_profile(norm, grid, np.sin(grid) ** 2, m=2,
-                                    modulus=MOD, plane=plane)]
-    assert len(calls) == 1
-    made.append(random_arc_density(rng_stream(5, 0), m=1, norm=norm))
-    assert len(calls) == 2
-    monkeypatch.undo()
     for d in made:
-        # a density that evaluates its own section has the same bits
         fresh = ArcDensity(norm=d.norm, grid=d.grid, values=d.values, m=d.m,
                            modulus=d.modulus, plane=d.plane)
         for name in ("section2d", "cone_weight", "points"):
             assert np.array_equal(getattr(d, name), getattr(fresh, name))
+    assert len(calls) == len(made)
+    monkeypatch.undo()
     # the profile is normalized against that same cone weight
     assert np.array_equal(made[0].values, needles._normalize(
         grid, np.sin(grid) ** 2, made[0].cone_weight))

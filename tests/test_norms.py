@@ -464,8 +464,8 @@ def test_minkowski_p_by_kind():
 
 
 def test_scalar_modulus_calls_match_the_array_path():
-    # A 0-d array takes the array path; a Python float or int takes the
-    # scalar fast path, which must return the same bits as a Python float.
+    # Every argument takes the one array path. A Python float or int, a
+    # numpy scalar and a 0-d array give the same bits, as a Python float.
     # p = 1.2 as well: at p = 1.5 the factor p - 1 is a power of two, which
     # hides a change in the rounding order
     calls = [euclidean_modulus_curve(), lp_modulus_curve(1.5),
